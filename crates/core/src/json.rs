@@ -1,12 +1,11 @@
 //! Minimal JSON value tree: parser and encoding helpers for the
 //! checkpoint layer.
 //!
-//! The workspace vendors no JSON library (the vendored `serde` is an
-//! API-compatible no-op shim), so checkpoint records are encoded by
-//! hand — the same choice `observe::jsonl` makes for event traces. That
-//! module only needs to *validate* lines; the checkpoint reader must
-//! get the values back, bit-exactly, so this module builds a small
-//! value tree.
+//! The workspace vendors no JSON library, so checkpoint records are
+//! encoded by hand — the same choice `observe::jsonl` makes for event
+//! traces. That module only needs to *validate* lines; the checkpoint
+//! reader must get the values back, bit-exactly, so this module builds
+//! a small value tree.
 //!
 //! Encoding contract (shared with `observe::jsonl`):
 //!

@@ -1,12 +1,10 @@
 //! Run records: everything the bench harness needs to rebuild the
 //! paper's tables and figures from a set of optimization runs.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-batch fault bookkeeping from the fault-tolerant executor
 /// (`pbo-core::exec::evaluate_batch_ft`) and the engine's degradation
 /// policy. All counts are exact and deterministic given the run seed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultCounters {
     /// Worker panics caught and isolated.
     pub panics: u64,
@@ -61,7 +59,7 @@ impl FaultCounters {
 }
 
 /// One optimization cycle's bookkeeping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CycleRecord {
     /// Cycle index (0-based; the initial design is cycle-less).
     pub cycle: usize,
@@ -82,7 +80,7 @@ pub struct CycleRecord {
 }
 
 /// A complete optimization run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunRecord {
     /// Algorithm name.
     pub algorithm: String,
@@ -177,9 +175,9 @@ impl RunRecord {
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint serialization: hand-rolled JSON (the vendored serde is a
-// no-op shim), lossless for every field so that a serialize → parse
-// roundtrip reproduces the record bit-exactly. The bench orchestrator
+// Checkpoint serialization: hand-rolled JSON, lossless for every field
+// so that a serialize → parse roundtrip reproduces the record
+// bit-exactly. The bench orchestrator
 // checkpoints one record per completed run and rebuilds all tables and
 // figures as a pure fold over these lines.
 // ---------------------------------------------------------------------

@@ -270,7 +270,7 @@ impl GaussianProcess {
     /// Past [`pbo_linalg::cholesky::BIT_EXACT_MAX_N`] training points
     /// the `‖V_:,j‖²` accumulation — the last serial hot loop in the
     /// candidate-prescreen path — fans out over fixed row bands (see
-    /// [`banded_sq_colsums`]); at or below the cap the serial arithmetic
+    /// `banded_sq_colsums`); at or below the cap the serial arithmetic
     /// is byte-identical to the pre-band code, so engine-scale seeded
     /// trajectories are unchanged.
     pub fn predict_many(&self, pts: &Matrix) -> (Vec<f64>, Vec<f64>) {

@@ -37,7 +37,7 @@ impl Cholesky {
     ///
     /// If a pivot fails, the factorization is retried with an escalating
     /// diagonal jitter (`1e-10 * mean_diag`, growing tenfold up to
-    /// [`JITTER_TRIES`] times). This mirrors the standard GP-library
+    /// `JITTER_TRIES` times). This mirrors the standard GP-library
     /// treatment of nearly singular kernel matrices (e.g. duplicated
     /// training inputs produced by fantasy points).
     pub fn factor(a: &Matrix) -> Result<Self> {
@@ -298,7 +298,7 @@ impl Cholesky {
 
     /// Append `q` rows to the factorization **without touching the first
     /// `n` rows**, reproducing the serial row kernel of
-    /// [`try_factor_into`](Self::try_factor_into) exactly.
+    /// `try_factor_into` exactly.
     ///
     /// The blocks extend `A` to `[[A, B], [Bᵀ, C]]` with `B` of shape
     /// `n x q` and `C` of shape `q x q` (`C` must already carry any noise

@@ -9,7 +9,7 @@
 //! Both phases fan out over `pbo_linalg::parallel` scoped threads while
 //! staying **bit-identical to the serial path for any thread count**:
 //!
-//! - raw scoring is batched in fixed [`SCORE_BLOCK`]-sized blocks, so the
+//! - raw scoring is batched in fixed `SCORE_BLOCK`-sized blocks, so the
 //!   per-block arithmetic (one `BatchObjective::value_batch` call each)
 //!   does not depend on how blocks are distributed over threads;
 //! - candidate selection ranks by the total order `(value, generation

@@ -38,16 +38,14 @@ fn main() {
 fn serve(opts: ServeOpts) -> Result<(), String> {
     let registry = Arc::new(Registry::open(&opts.dir)?);
     let restored = registry.len();
-    let config = opts.server_config();
-    let workers = config.workers;
-    let server = Server::bind_with(registry, &opts.addr, config)
+    let server = Server::bind_with(registry, &opts.addr, opts.config)
         .map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
     let addr = server.local_addr();
     if let Some(path) = &opts.addr_file {
         pbo_core::checkpoint::atomic_write(path, &format!("{addr}\n"))?;
     }
     println!(
-        "pbo-server listening on {addr} ({workers} workers, sessions: {restored} restored, dir: {})",
+        "pbo-server listening on {addr} (sessions: {restored} restored, dir: {})",
         opts.dir.display()
     );
     server.run().map_err(|e| format!("serve: {e}"))

@@ -2,10 +2,12 @@
 //! every malformed input is unit-testable (same discipline as the
 //! `repro` CLI: no panics, `Err` + usage + exit status 2).
 
+use crate::server::ServerConfig;
 use pbo_core::algorithms::AlgorithmKind;
 use pbo_core::budget::Budget;
 use pbo_core::session::{ProblemSpec, SessionConfig, SessionProfile};
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Usage text printed on any argument error (and for `pbo-server help`).
 pub const USAGE: &str = "usage: pbo-server <command> [options]
@@ -22,8 +24,6 @@ serve options:
                      picks an ephemeral port)
   --dir DIR          session checkpoint directory (default pbo-sessions)
   --addr-file FILE   write the bound address to FILE once listening
-  --workers N        connection-worker pool size (default: available
-                     parallelism; the pool multiplexes all connections)
   --idle-timeout-s N close connections idle for N seconds with a typed
                      idle_timeout error (default 300, minimum 1)
   --max-line-bytes N answer request lines over N bytes with a typed
@@ -68,26 +68,8 @@ pub struct ServeOpts {
     pub dir: PathBuf,
     /// Optional file to write the bound address to.
     pub addr_file: Option<PathBuf>,
-    /// Connection-worker pool size (available parallelism when absent).
-    pub workers: Option<usize>,
-    /// Idle-connection timeout, seconds.
-    pub idle_timeout_s: u64,
-    /// Request-line byte cap.
-    pub max_line_bytes: usize,
-}
-
-impl ServeOpts {
-    /// The pool configuration these options describe.
-    pub fn server_config(&self) -> crate::server::ServerConfig {
-        let mut cfg = crate::server::ServerConfig::default();
-        if let Some(workers) = self.workers {
-            cfg.workers = workers;
-            cfg.max_conns = workers.max(1) * 64;
-        }
-        cfg.idle_timeout = std::time::Duration::from_secs(self.idle_timeout_s);
-        cfg.max_line_bytes = self.max_line_bytes;
-        cfg
-    }
+    /// Containment limits (`--idle-timeout-s`, `--max-line-bytes`).
+    pub config: ServerConfig,
 }
 
 /// Parsed `status` options.
@@ -240,16 +222,13 @@ fn parse_serve(args: &[String]) -> Result<ServeOpts, String> {
         addr: DEFAULT_ADDR.into(),
         dir: PathBuf::from(DEFAULT_DIR),
         addr_file: None,
-        workers: None,
-        idle_timeout_s: 300,
-        max_line_bytes: 1 << 20,
+        config: ServerConfig::default(),
     };
     parse_flags(args, &[], |flag, value| {
         match flag {
             "--addr" => opts.addr = value.into(),
             "--dir" => opts.dir = PathBuf::from(value),
             "--addr-file" => opts.addr_file = Some(PathBuf::from(value)),
-            "--workers" => opts.workers = Some(parse_count(flag, value)?),
             "--idle-timeout-s" => {
                 let n: u64 = value
                     .parse()
@@ -257,7 +236,7 @@ fn parse_serve(args: &[String]) -> Result<ServeOpts, String> {
                 if n == 0 {
                     return Err(format!("{flag}: must be at least 1 second"));
                 }
-                opts.idle_timeout_s = n;
+                opts.config.idle_timeout = Duration::from_secs(n);
             }
             "--max-line-bytes" => {
                 let n = parse_count(flag, value)?;
@@ -267,7 +246,7 @@ fn parse_serve(args: &[String]) -> Result<ServeOpts, String> {
                 if n < 1024 {
                     return Err(format!("{flag}: must be at least 1024"));
                 }
-                opts.max_line_bytes = n;
+                opts.config.max_line_bytes = n;
             }
             _ => return Ok(false),
         }
@@ -425,7 +404,7 @@ mod tests {
 
         let Cmd::Serve(o) = parse_args(&args(&[
             "serve", "--addr", "127.0.0.1:0", "--dir", "tmp/s", "--addr-file", "tmp/a",
-            "--workers", "4", "--idle-timeout-s", "30", "--max-line-bytes", "65536",
+            "--idle-timeout-s", "30", "--max-line-bytes", "65536",
         ]))
         .unwrap() else {
             panic!("expected serve")
@@ -433,24 +412,14 @@ mod tests {
         assert_eq!(o.addr, "127.0.0.1:0");
         assert_eq!(o.dir, PathBuf::from("tmp/s"));
         assert_eq!(o.addr_file, Some(PathBuf::from("tmp/a")));
-        assert_eq!(o.workers, Some(4));
-        assert_eq!(o.idle_timeout_s, 30);
-        assert_eq!(o.max_line_bytes, 65536);
-        let cfg = o.server_config();
-        assert_eq!(cfg.workers, 4);
-        assert_eq!(cfg.max_conns, 4 * 64);
-        assert_eq!(cfg.idle_timeout, std::time::Duration::from_secs(30));
-        assert_eq!(cfg.max_line_bytes, 65536);
+        assert_eq!(o.config.idle_timeout, Duration::from_secs(30));
+        assert_eq!(o.config.max_line_bytes, 65536);
+        assert_eq!(o.config.max_conns, ServerConfig::default().max_conns);
 
-        // Without --workers the pool tracks available parallelism.
         let Cmd::Serve(o) = parse_args(&args(&["serve"])).unwrap() else {
             panic!("expected serve")
         };
-        assert_eq!(o.workers, None);
-        assert_eq!(o.idle_timeout_s, 300);
-        assert_eq!(o.max_line_bytes, 1 << 20);
-        let defaults = crate::server::ServerConfig::default();
-        assert_eq!(o.server_config().workers, defaults.workers);
+        assert_eq!(o.config, ServerConfig::default());
 
         let Cmd::Status(o) =
             parse_args(&args(&["status", "--addr", "h:1", "--id", "s7"])).unwrap()
@@ -550,10 +519,9 @@ mod tests {
     }
 
     #[test]
-    fn serve_pool_flags_are_validated() {
+    fn serve_front_flags_are_validated() {
         let cases: &[(&[&str], &str)] = &[
-            (&["--workers", "0"], "at least 1"),
-            (&["--workers", "many"], "invalid count"),
+            (&["--workers", "2"], "unknown option"),
             (&["--idle-timeout-s", "0"], "at least 1 second"),
             (&["--idle-timeout-s", "-5"], "invalid seconds"),
             (&["--idle-timeout-s", "soon"], "invalid seconds"),
@@ -570,6 +538,5 @@ mod tests {
         // The floor itself is accepted.
         assert!(parse_args(&args(&["serve", "--max-line-bytes", "1024"])).is_ok());
         assert!(parse_args(&args(&["serve", "--idle-timeout-s", "1"])).is_ok());
-        assert!(parse_args(&args(&["serve", "--workers", "1"])).is_ok());
     }
 }

@@ -14,7 +14,7 @@
 //! `{"ok":false,"error":{"code":…,"message":…}}`. Error codes are
 //! stable API (tests pin them) and come from exactly two typed enums:
 //! [`RequestErrorKind`] for envelope/transport-level failures and
-//! [`SessionError`](pbo_core::session::SessionError) for
+//! [`SessionError`] for
 //! session-state-machine failures — one table in DESIGN.md documents
 //! both, and a conformance test asserts the table is exhaustive.
 //! Malformed input of any kind — bad JSON, wrong types, unknown ops —

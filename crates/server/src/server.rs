@@ -1,39 +1,39 @@
-//! The TCP daemon: a bounded worker pool, newline-delimited JSON.
+//! The TCP daemon: one blocking thread per connection, capped;
+//! newline-delimited JSON.
 //!
 //! Failure containment is the design rule: a malformed line answers a
 //! typed error and the connection lives on; a session-layer error
 //! answers a typed error and the *session* lives on; a dropped, idle
-//! or hostile connection costs at most one worker visit. The accept
+//! or hostile connection costs at most its own thread. The accept
 //! loop ends on a `shutdown` request — which *drains* in-flight
-//! requests and joins every worker before [`Server::run`] returns —
-//! or on the process being killed, which is exactly what the
+//! requests and joins every connection thread before [`Server::run`]
+//! returns — or on the process being killed, which is exactly what the
 //! crash/restart conformance suite does.
 //!
 //! ## Concurrency model (DESIGN.md §14)
 //!
-//! One acceptor (the thread inside `run`) feeds accepted sockets into
-//! a bounded queue served by a fixed pool of `workers` connection
-//! workers. Connections are *rotated*, not owned: a worker pops a
-//! connection, serves every request already buffered on it (up to a
-//! fairness budget), and requeues it — so N workers multiplex M ≫ N
-//! live connections without a thread per connection. Containment:
+//! One acceptor (the thread inside `run`) hands each accepted socket
+//! to a thread of its own, which does blocking reads and owns the
+//! connection from accept to close. Containment:
 //!
 //! - **Backpressure**: past `max_conns` live connections the acceptor
 //!   answers a typed `server_busy` error and closes — never a silent
 //!   stall, never an unbounded thread spawn.
 //! - **Idle timeout**: a connection with no complete request for
 //!   `idle_timeout` is answered a typed `idle_timeout` error and
-//!   closed, freeing its slot.
+//!   closed, freeing its slot. Each read waits only for the time left
+//!   to that deadline, and only a served request moves it, so a peer
+//!   trickling bytes cannot keep a connection alive.
 //! - **Line cap**: a request line exceeding `max_line_bytes` is
 //!   answered a typed `line_too_long` error; the oversized line is
 //!   discarded as it streams in (bounded memory) and the connection
 //!   stays usable.
 //! - **Slow reader**: reply writes carry a write timeout; a peer that
-//!   stops reading is disconnected instead of pinning a worker.
+//!   stops reading is disconnected instead of pinning its thread.
 //!
 //! Scheduling can never perturb a session trajectory: every session
 //! transition runs under that session's own lock in the registry and
-//! depends only on the session's journal — which worker ran it, and
+//! depends only on the session's journal — which thread ran it, and
 //! in what order relative to *other* sessions' requests, is invisible
 //! to the state machine (the conformance soak pins this).
 
@@ -41,35 +41,21 @@ use crate::proto::{parse_request, ErrorBody, Request, RequestErrorKind};
 use crate::registry::Registry;
 use pbo_core::json::{push_f64_lossless, push_str_literal};
 use pbo_core::observe::metrics::{Counter, Gauge};
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Requests served on one connection per worker visit before it is
-/// requeued behind its peers (fairness under load).
-const VISIT_LINE_BUDGET: usize = 32;
-
-/// Bytes consumed from one connection per worker visit before it is
-/// requeued (bounds how long a streaming client can hold a worker).
-const VISIT_BYTE_BUDGET: usize = 256 * 1024;
 
 /// Read chunk size.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// How long an unproductive worker sleeps between queue rotations once
-/// it has seen every queued connection yield nothing.
-const ROTATION_PAUSE: Duration = Duration::from_millis(1);
-
-/// Pool sizing and containment limits for a [`Server`].
+/// Containment limits for a [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Connection workers (≥ 1). Default: available parallelism.
-    pub workers: usize,
     /// A connection with no complete request for this long is answered
     /// a typed `idle_timeout` error and closed. Also bounds how long a
     /// reply write may block on a non-reading peer.
@@ -77,19 +63,19 @@ pub struct ServerConfig {
     /// Request lines beyond this many bytes are answered a typed
     /// `line_too_long` error and discarded (bounded memory).
     pub max_line_bytes: usize,
-    /// Live-connection cap: connections accepted past it are answered
-    /// a typed `server_busy` error and closed.
+    /// Live-connection (and so connection-thread) cap: connections
+    /// accepted past it are answered a typed `server_busy` error and
+    /// closed. Default: 64 × available parallelism.
     pub max_conns: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         ServerConfig {
-            workers,
             idle_timeout: Duration::from_secs(300),
             max_line_bytes: 1 << 20,
-            max_conns: workers.max(1) * 64,
+            max_conns: cores * 64,
         }
     }
 }
@@ -131,7 +117,7 @@ impl Server {
         Server::bind_with(registry, addr, ServerConfig::default())
     }
 
-    /// Bind with an explicit pool configuration.
+    /// Bind with explicit containment limits.
     pub fn bind_with(
         registry: Arc<Registry>,
         addr: &str,
@@ -154,61 +140,70 @@ impl Server {
     }
 
     /// Serve until a `shutdown` request arrives, then drain: stop
-    /// accepting, answer every in-flight request, close every
-    /// connection and join every worker. Blocking; when it returns, no
-    /// worker thread survives.
+    /// accepting, answer every request already received, close every
+    /// connection and join every connection thread. Blocking; when it
+    /// returns, no connection thread survives.
     pub fn run(self) -> std::io::Result<()> {
-        let pool = Arc::new(Pool::new(
+        let front = Arc::new(Front::new(
             self.registry,
             self.addr,
             self.shutdown.clone(),
-            self.config.clone(),
+            self.config,
         ));
-        let workers: Vec<JoinHandle<()>> = (0..self.config.workers.max(1))
-            .map(|i| {
-                let pool = pool.clone();
-                std::thread::Builder::new()
-                    .name(format!("pbo-conn-worker-{i}"))
-                    .spawn(move || worker_loop(&pool))
-            })
-            .collect::<std::io::Result<_>>()?;
+        let mut threads: Vec<JoinHandle<()>> = Vec::new();
+        let mut panicked = false;
+        let mut next_id = 0u64;
 
         for stream in self.listener.incoming() {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             let Ok(stream) = stream else { continue };
-            pool.accepted.inc();
-            if pool.live.load(Ordering::SeqCst) >= self.config.max_conns.max(1) {
-                pool.busy_rejected.inc();
-                reject_busy(stream, self.config.max_conns);
-                continue;
+            front.accepted.inc();
+            // Reap finished connection threads so the handle list stays
+            // bounded by the live-connection cap.
+            let (done, running): (Vec<_>, Vec<_>) =
+                threads.into_iter().partition(|t| t.is_finished());
+            threads = running;
+            for t in done {
+                panicked |= t.join().is_err();
             }
-            if stream.set_nonblocking(true).is_err() {
+            let setup = stream.set_write_timeout(Some(front.cfg.idle_timeout));
+            let Ok(drain_handle) = setup.and_then(|()| stream.try_clone()) else {
                 continue;
-            }
-            pool.live.fetch_add(1, Ordering::SeqCst);
-            pool.live_gauge.set(pool.live.load(Ordering::SeqCst) as f64);
-            let conn = Conn {
-                stream,
-                buf: Vec::new(),
-                scanned: 0,
-                discard: false,
-                idle_deadline: Instant::now() + self.config.idle_timeout,
             };
-            pool.push(conn);
+            let Some(slot) = front.admit(drain_handle, next_id) else {
+                front.busy_rejected.inc();
+                reject_busy(stream, front.cfg.max_conns);
+                continue;
+            };
+            next_id += 1;
+            let conn_front = front.clone();
+            // A failed spawn drops the closure, and with it the slot.
+            if let Ok(t) = std::thread::Builder::new()
+                .name(format!("pbo-conn-{}", slot.id))
+                .spawn(move || {
+                    let _slot = slot;
+                    serve_conn(&conn_front, stream);
+                })
+            {
+                threads.push(t);
+            }
         }
 
-        // Drain: wake every worker so each one empties its share of
-        // the queue (answering buffered requests) and exits.
+        // Drain: end every live connection's read side. A blocked read
+        // returns EOF at once, bytes already received are still read
+        // first, and the write half stays open — so every request that
+        // has arrived is answered, and no later one is started.
         self.shutdown.store(true, Ordering::SeqCst);
-        pool.ready.notify_all();
-        let mut worker_panicked = false;
-        for w in workers {
-            worker_panicked |= w.join().is_err();
+        for stream in front.live.lock().unwrap_or_else(PoisonError::into_inner).values() {
+            let _ = stream.shutdown(Shutdown::Read);
         }
-        if worker_panicked {
-            return Err(std::io::Error::other("a connection worker panicked"));
+        for t in threads {
+            panicked |= t.join().is_err();
+        }
+        if panicked {
+            return Err(std::io::Error::other("a connection thread panicked"));
         }
         Ok(())
     }
@@ -233,28 +228,18 @@ fn reject_busy(mut stream: TcpStream, max_conns: usize) {
     let _ = stream.write_all(line.as_bytes());
 }
 
-/// One live connection, rotated through the worker queue. `buf` holds
-/// bytes received but not yet parsed into a complete line; `scanned`
-/// marks the prefix already known newline-free (no re-scans).
-struct Conn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    scanned: usize,
-    discard: bool,
-    idle_deadline: Instant,
-}
-
-/// State shared by the acceptor and every connection worker.
-struct Pool {
+/// State shared by the acceptor and every connection thread.
+struct Front {
     registry: Arc<Registry>,
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     cfg: ServerConfig,
-    queue: Mutex<VecDeque<Conn>>,
-    ready: Condvar,
-    live: AtomicUsize,
+    /// A clone of every live connection's stream, keyed by connection
+    /// id — the drain's handle on each blocked read. Every update is a
+    /// single insert or remove, so a poisoned lock still guards a valid
+    /// map (and the slot guard's `Drop` must not panic).
+    live: Mutex<HashMap<u64, TcpStream>>,
     live_gauge: Arc<Gauge>,
-    queue_gauge: Arc<Gauge>,
     accepted: Arc<Counter>,
     busy_rejected: Arc<Counter>,
     idle_timeouts: Arc<Counter>,
@@ -262,24 +247,20 @@ struct Pool {
     write_timeouts: Arc<Counter>,
 }
 
-impl Pool {
+impl Front {
     fn new(
         registry: Arc<Registry>,
         addr: SocketAddr,
         shutdown: Arc<AtomicBool>,
         cfg: ServerConfig,
-    ) -> Pool {
+    ) -> Front {
         let m = registry.metrics().clone();
-        m.gauge("server.pool.workers").set(cfg.workers.max(1) as f64);
-        Pool {
+        Front {
             addr,
             shutdown,
             cfg,
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            live: AtomicUsize::new(0),
+            live: Mutex::new(HashMap::new()),
             live_gauge: m.gauge("server.conns.live"),
-            queue_gauge: m.gauge("server.queue.depth"),
             accepted: m.counter("server.conns.accepted"),
             busy_rejected: m.counter("server.conns.busy_rejected"),
             idle_timeouts: m.counter("server.conns.idle_timeout"),
@@ -289,125 +270,72 @@ impl Pool {
         }
     }
 
-    fn push(&self, conn: Conn) {
-        let mut q = self.queue.lock().expect("connection queue poisoned");
-        q.push_back(conn);
-        self.queue_gauge.set(q.len() as f64);
-        drop(q);
-        self.ready.notify_one();
-    }
-
-    /// Pop the next connection; `None` once shutdown is flagged and
-    /// the queue is empty (the worker's exit signal).
-    fn pop(&self) -> Option<Conn> {
-        let mut q = self.queue.lock().expect("connection queue poisoned");
-        loop {
-            if let Some(conn) = q.pop_front() {
-                self.queue_gauge.set(q.len() as f64);
-                return Some(conn);
-            }
-            if self.shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(q, Duration::from_millis(50))
-                .expect("connection queue poisoned");
-            q = guard;
+    /// Claim a live slot for connection `id`, keeping `drain_handle` (a
+    /// clone of its stream) for the drain; `None` at the cap.
+    fn admit(self: &Arc<Front>, drain_handle: TcpStream, id: u64) -> Option<Slot> {
+        let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
+        if live.len() >= self.cfg.max_conns.max(1) {
+            return None;
         }
-    }
-
-    fn queue_len(&self) -> usize {
-        self.queue.lock().expect("connection queue poisoned").len()
-    }
-
-    fn close(&self, conn: Conn) {
-        drop(conn);
-        self.live.fetch_sub(1, Ordering::SeqCst);
-        self.live_gauge.set(self.live.load(Ordering::SeqCst) as f64);
+        live.insert(id, drain_handle);
+        self.live_gauge.set(live.len() as f64);
+        Some(Slot { front: self.clone(), id })
     }
 }
 
-/// What one worker visit decided about a connection.
-enum Visit {
-    /// Still healthy: requeue (or close, during drain). `productive`
-    /// is whether any request was served — the rotation-pacing signal.
-    Keep { productive: bool },
-    /// Peer closed, errored, idled out or stalled: drop it.
-    Close,
-    /// This connection requested `shutdown` (reply already sent).
-    Stop,
+/// One live connection's claim on the cap. Dropping it — on a normal
+/// close or while a panicking connection thread unwinds — frees the
+/// slot and closes the drain's clone of the stream.
+struct Slot {
+    front: Arc<Front>,
+    id: u64,
 }
 
-fn worker_loop(pool: &Pool) {
-    let mut streak = 0usize; // consecutive unproductive visits
-    while let Some(mut conn) = pool.pop() {
-        let draining = pool.shutdown.load(Ordering::SeqCst);
-        match serve_visit(pool, &mut conn, draining) {
-            Visit::Keep { productive } => {
-                if draining {
-                    // Buffered requests were just answered; drain ends
-                    // the connection rather than requeueing it.
-                    pool.close(conn);
-                } else {
-                    pool.push(conn);
-                    if productive {
-                        streak = 0;
-                    } else {
-                        streak += 1;
-                        // Every queued connection yielded nothing this
-                        // rotation: pause instead of spinning.
-                        if streak >= pool.queue_len().max(1) {
-                            streak = 0;
-                            std::thread::sleep(ROTATION_PAUSE);
-                        }
-                    }
-                }
-            }
-            Visit::Close => pool.close(conn),
-            Visit::Stop => {
-                pool.close(conn);
-                pool.shutdown.store(true, Ordering::SeqCst);
-                pool.ready.notify_all();
-                // Unblock the acceptor so it observes the flag.
-                let _ = TcpStream::connect(pool.addr);
-            }
-        }
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let mut live = self.front.live.lock().unwrap_or_else(PoisonError::into_inner);
+        live.remove(&self.id);
+        self.front.live_gauge.set(live.len() as f64);
     }
 }
 
-/// Serve one worker visit on `conn`: answer every complete line already
-/// received (plus whatever arrives while reading), within the fairness
-/// budgets. Never blocks on reads — the socket is non-blocking; reply
-/// writes carry a timeout.
-fn serve_visit(pool: &Pool, conn: &mut Conn, draining: bool) -> Visit {
-    let mut productive = false;
-    let mut lines = 0usize;
-    let mut bytes = 0usize;
+/// Serve one connection until the peer closes, errors, idles out or
+/// stalls, or the drain ends its read side. `buf` holds bytes received
+/// but not yet parsed into a complete line; `scanned` marks the prefix
+/// already known newline-free (no re-scans).
+fn serve_conn(front: &Front, mut stream: TcpStream) {
+    let cfg = &front.cfg;
+    let mut buf: Vec<u8> = Vec::new();
+    let mut scanned = 0usize;
+    let mut discard = false;
+    let mut idle_deadline = Instant::now() + cfg.idle_timeout;
     let mut chunk = [0u8; READ_CHUNK];
+    let too_long = || {
+        front.oversize.inc();
+        ErrorBody::request(
+            RequestErrorKind::LineTooLong,
+            format!("request line exceeds {} bytes", cfg.max_line_bytes),
+        )
+        .to_line()
+    };
     loop {
         // Answer every complete line currently buffered.
-        while let Some(at) = conn.buf[conn.scanned..].iter().position(|&b| b == b'\n') {
-            let pos = conn.scanned + at;
-            let line: Vec<u8> = conn.buf.drain(..=pos).collect();
-            conn.scanned = 0;
-            if conn.discard {
+        while let Some(at) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let pos = scanned + at;
+            let line: Vec<u8> = buf.drain(..=pos).collect();
+            scanned = 0;
+            if discard {
                 // Tail of an oversized line: the error was already
                 // answered when the cap tripped; swallow the rest.
-                conn.discard = false;
+                discard = false;
                 continue;
             }
             // A whole line can slip past the partial-line cap below if
-            // it arrives (newline included) within one read burst, so
-            // the cap is also enforced per complete line.
-            if line.len() - 1 > pool.cfg.max_line_bytes {
-                pool.oversize.inc();
-                let e = ErrorBody::request(
-                    RequestErrorKind::LineTooLong,
-                    format!("request line exceeds {} bytes", pool.cfg.max_line_bytes),
-                );
-                if write_reply(pool, conn, &e.to_line()).is_err() {
-                    return Visit::Close;
+            // it arrives (newline included) within one read, so the cap
+            // is also enforced per complete line.
+            if line.len() - 1 > cfg.max_line_bytes {
+                if write_reply(front, &mut stream, &too_long()).is_err() {
+                    return;
                 }
                 continue;
             }
@@ -415,88 +343,74 @@ fn serve_visit(pool: &Pool, conn: &mut Conn, draining: bool) -> Visit {
             if text.trim().is_empty() {
                 continue;
             }
-            let (response, stop) = dispatch(&pool.registry, &text);
-            if write_reply(pool, conn, &response).is_err() {
-                return Visit::Close;
+            let (response, stop) = dispatch(&front.registry, &text);
+            if write_reply(front, &mut stream, &response).is_err() {
+                return;
             }
             if stop {
-                return Visit::Stop;
+                front.shutdown.store(true, Ordering::SeqCst);
+                // Unblock the acceptor so it observes the flag.
+                let _ = TcpStream::connect(front.addr);
+                return;
             }
-            productive = true;
-            conn.idle_deadline = Instant::now() + pool.cfg.idle_timeout;
-            lines += 1;
-            if lines >= VISIT_LINE_BUDGET {
-                return Visit::Keep { productive };
-            }
+            idle_deadline = Instant::now() + cfg.idle_timeout;
         }
-        conn.scanned = conn.buf.len();
+        scanned = buf.len();
 
         // Cap the partial line: answer the typed error once, then
         // discard the stream until its newline (bounded memory).
-        if conn.discard {
-            conn.buf.clear();
-            conn.scanned = 0;
-        } else if conn.buf.len() > pool.cfg.max_line_bytes {
-            pool.oversize.inc();
+        if discard {
+            buf.clear();
+            scanned = 0;
+        } else if buf.len() > cfg.max_line_bytes {
+            if write_reply(front, &mut stream, &too_long()).is_err() {
+                return;
+            }
+            discard = true;
+            buf.clear();
+            scanned = 0;
+        }
+
+        // Wait only for the time left to the idle deadline, which a
+        // partial line does not move.
+        let left = idle_deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            front.idle_timeouts.inc();
             let e = ErrorBody::request(
-                RequestErrorKind::LineTooLong,
-                format!("request line exceeds {} bytes", pool.cfg.max_line_bytes),
+                RequestErrorKind::IdleTimeout,
+                format!("no request for {:?}; closing idle connection", cfg.idle_timeout),
             );
-            if write_reply(pool, conn, &e.to_line()).is_err() {
-                return Visit::Close;
-            }
-            conn.discard = true;
-            conn.buf.clear();
-            conn.scanned = 0;
+            let _ = write_reply(front, &mut stream, &e.to_line());
+            return;
         }
-
-        if bytes >= VISIT_BYTE_BUDGET {
-            return Visit::Keep { productive };
+        if stream.set_read_timeout(Some(left)).is_err() {
+            return;
         }
-
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => return Visit::Close,
-            Ok(n) => {
-                bytes += n;
-                conn.buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if !draining && Instant::now() >= conn.idle_deadline {
-                    pool.idle_timeouts.inc();
-                    let e = ErrorBody::request(
-                        RequestErrorKind::IdleTimeout,
-                        format!(
-                            "no request for {:?}; closing idle connection",
-                            pool.cfg.idle_timeout
-                        ),
-                    );
-                    let _ = write_reply(pool, conn, &e.to_line());
-                    return Visit::Close;
-                }
-                return Visit::Keep { productive };
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Visit::Close,
+        match stream.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(_) => return,
         }
     }
 }
 
-/// Write one reply line with a bounded write timeout, so a peer that
-/// stops reading cannot pin a worker. Restores non-blocking mode.
-fn write_reply(pool: &Pool, conn: &mut Conn, response: &str) -> std::io::Result<()> {
-    conn.stream.set_nonblocking(false)?;
-    conn.stream.set_write_timeout(Some(pool.cfg.idle_timeout))?;
-    let result = conn
-        .stream
+/// Write one reply line under the connection's write timeout (set at
+/// accept), so a peer that stops reading cannot pin its thread.
+fn write_reply(front: &Front, stream: &mut TcpStream, response: &str) -> std::io::Result<()> {
+    let result = stream
         .write_all(response.as_bytes())
-        .and_then(|()| conn.stream.write_all(b"\n"))
-        .and_then(|()| conn.stream.flush());
+        .and_then(|()| stream.write_all(b"\n"))
+        .and_then(|()| stream.flush());
     if let Err(e) = &result {
         if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-            pool.write_timeouts.inc();
+            front.write_timeouts.inc();
         }
     }
-    conn.stream.set_nonblocking(true)?;
     result
 }
 
@@ -737,8 +651,8 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let cfg = ServerConfig::default();
-        assert!(cfg.workers >= 1);
-        assert!(cfg.max_conns >= cfg.workers);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(cfg.max_conns, 64 * cores);
         assert_eq!(cfg.max_line_bytes, 1 << 20);
         assert_eq!(cfg.idle_timeout, Duration::from_secs(300));
     }

@@ -17,8 +17,21 @@ if [[ "${1:-}" != "--quick" ]]; then
   cargo build --release
 fi
 
+# The root manifest's default-members make plain `cargo test` run every
+# workspace suite (unit, integration and doc tests of the facade and all
+# crates/*). Fail if that coverage shrinks: a suite that silently drops
+# out of the default set is a gate that no longer runs.
+MIN_SUITES=47
 echo "== cargo test -q (workspace, warnings are errors) =="
-cargo test -q
+test_log="$(mktemp)"
+cargo test -q 2>&1 | tee "$test_log"
+suites="$(grep -c '^test result: ' "$test_log" || true)"
+rm -f "$test_log"
+if (( suites < MIN_SUITES )); then
+  echo "cargo test ran $suites suites; expected at least $MIN_SUITES" >&2
+  exit 1
+fi
+echo "cargo test ran $suites suites (floor $MIN_SUITES)"
 
 echo "== cargo clippy (workspace, -D warnings -W clippy::perf) =="
 cargo clippy --workspace -- -D warnings -W clippy::perf
@@ -80,10 +93,8 @@ if [[ "${1:-}" != "--quick" ]]; then
   srv=target/ci-server
   rm -rf "$srv"; mkdir -p "$srv"
   cargo build --release -q -p pbo-server
-  # All smokes run against the bounded 2-worker connection pool — the
-  # crash/restart contract must hold under pooled scheduling too.
   start_daemon() {
-    target/release/pbo-server serve --addr 127.0.0.1:0 --workers 2 \
+    target/release/pbo-server serve --addr 127.0.0.1:0 \
       --dir "$srv/sessions" --addr-file "$srv/addr" >"$srv/daemon.log" 2>&1 &
     daemon_pid=$!
     for _ in $(seq 1 100); do [[ -s "$srv/addr" ]] && break; sleep 0.1; done
@@ -127,12 +138,12 @@ if [[ "${1:-}" != "--quick" ]]; then
   grep -q '"qs":' "$srv/sessions/ci-vq.session.json"
   rm -rf "$srv"
 
-  # Bounded-pool leg: hammer the 2-worker daemon with parallel client
+  # Parallel-client leg: hammer the daemon with parallel client
   # processes mid-session, kill -9, restart, resume every session in
   # parallel again — each record must still be byte-identical to its
-  # in-process reference. Pool scheduling must never perturb a
+  # in-process reference. Connection scheduling must never perturb a
   # trajectory, even across a crash.
-  echo "== pbo-server smoke: 2-worker pool, parallel clients, kill -9 / restart =="
+  echo "== pbo-server smoke: parallel clients, kill -9 / restart =="
   rm -rf "$srv"; mkdir -p "$srv"
   pool_session() { # i extra...
     local i=$1; shift
@@ -164,6 +175,13 @@ if [[ "${1:-}" != "--quick" ]]; then
     cmp "$srv/pool-$i.json" "$srv/local-$i.json"
   done
   rm -rf "$srv"
+
+  # Benchmark smoke: every workload for a few seconds, including its
+  # correctness checks — served records byte-identical to in-process
+  # runs, server counters equal to client counts. Exits non-zero on a
+  # failed check.
+  echo "== benchmark smoke (benchmark/run.sh --smoke) =="
+  bash benchmark/run.sh --smoke >/dev/null
 
   # The public API surface is documented; rustdoc warnings (broken
   # intra-doc links, missing docs) are errors.

@@ -558,7 +558,7 @@ fn nan_design_values_are_dropped_like_in_process_doe_faults() {
 }
 
 // ---------------------------------------------------------------------
-// Bounded-pool hardening (DESIGN §14): containment, backpressure, drain.
+// Server front hardening (DESIGN §14): containment, backpressure, drain.
 // ---------------------------------------------------------------------
 
 use pbo_server::server::ServerConfig;
@@ -646,7 +646,7 @@ fn oversize_line_gets_typed_error_and_connection_survives() {
 /// spawning without bound; established connections are untouched.
 #[test]
 fn connection_cap_refuses_with_typed_server_busy() {
-    let config = ServerConfig { workers: 1, max_conns: 1, ..ServerConfig::default() };
+    let config = ServerConfig { max_conns: 1, ..ServerConfig::default() };
     let server =
         Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
@@ -714,14 +714,13 @@ fn idle_connection_gets_typed_timeout_and_is_closed() {
 /// Satellite bugfix — shutdown used to leave handler threads detached,
 /// racing a severed in-flight tell. The drain contract: a tell issued
 /// just before shutdown either completes with a reply or is refused —
-/// never half-applied — `run()` returns only after every worker is
-/// joined, and every surviving connection is closed (EOF), not
-/// abandoned to a detached thread.
+/// never half-applied — `run()` returns only after every connection
+/// thread is joined, and every surviving connection is closed (EOF),
+/// not abandoned to a detached thread.
 #[test]
 fn shutdown_drains_in_flight_tell_and_joins_workers() {
     let registry = Arc::new(Registry::in_memory());
-    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
-    let server = Server::bind_with(registry.clone(), "127.0.0.1:0", config).unwrap();
+    let server = Server::bind(registry.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let handle = server.spawn();
 
@@ -772,8 +771,8 @@ fn shutdown_drains_in_flight_tell_and_joins_workers() {
     assert_eq!(c_reader.read_to_string(&mut rest).unwrap(), 0, "idle bystander must be closed");
 }
 
-/// Tentpole soak — 64 simultaneous client threads against a 4-worker
-/// pool, with an oversize offender driving interleaved create/ask/tell
+/// Soak — 64 simultaneous client threads, each on a connection thread
+/// of its own, with an oversize offender driving interleaved create/ask/tell
 /// traffic on a damaged connection and a silent connection parked
 /// across the whole run. Every session's record must be byte-identical
 /// to its in-process `drive --local` reference, and the containment
@@ -781,13 +780,11 @@ fn shutdown_drains_in_flight_tell_and_joins_workers() {
 #[test]
 fn pooled_soak_64_threaded_clients_are_byte_identical() {
     let config = ServerConfig {
-        workers: 4,
         max_conns: 128,
         // Generous: a client thread starved by the scheduler must never
         // be mistaken for an idle offender.
         idle_timeout: Duration::from_secs(60),
         max_line_bytes: 64 * 1024,
-        ..ServerConfig::default()
     };
     let server =
         Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
@@ -834,7 +831,7 @@ fn pooled_soak_64_threaded_clients_are_byte_identical() {
 
     for d in drivers {
         let (id, got, want) = d.join().unwrap();
-        assert_eq!(got, want, "session {id} was perturbed by pool concurrency");
+        assert_eq!(got, want, "session {id} was perturbed by concurrent connections");
     }
 
     // Containment counters reconcile exactly: one oversize line, no
@@ -845,7 +842,6 @@ fn pooled_soak_64_threaded_clients_are_byte_identical() {
     assert_eq!(counter(&status, "server.conns.busy_rejected"), 0);
     assert_eq!(counter(&status, "server.conns.idle_timeout"), 0);
     assert_eq!(counter(&status, "server.sessions.created"), 65);
-    assert_eq!(gauge(&status, "server.pool.workers"), 4.0);
 
     offender.shutdown().unwrap();
     handle.join().unwrap();
@@ -853,4 +849,152 @@ fn pooled_soak_64_threaded_clients_are_byte_identical() {
     // The drain closed the parked silent connection too.
     let mut rest = String::new();
     assert_eq!(idle_reader.read_to_string(&mut rest).unwrap(), 0, "drain must close idle conns");
+}
+
+/// A peer trickling bytes of a line it never finishes completes no
+/// request, so it must not move the idle deadline: each read waits
+/// only for the time left to that deadline, and the connection is
+/// answered the typed `idle_timeout` error on schedule. A per-read
+/// timeout would keep this connection alive for as long as the trickle
+/// lasts.
+#[test]
+fn trickled_partial_line_does_not_reset_the_idle_deadline() {
+    let config = ServerConfig {
+        idle_timeout: Duration::from_millis(400),
+        ..ServerConfig::default()
+    };
+    let server =
+        Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn();
+
+    let (mut reader, stream) = raw_conn(addr);
+    let start = std::time::Instant::now();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // One byte of a partial line every 100 ms for up to 4 s, offset by
+    // 50 ms so no byte lands on the 400 ms deadline itself.
+    let trickler = {
+        let mut stream = stream.try_clone().unwrap();
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            for byte in "{\"proto\":2,\"op\":\"list\"".bytes().cycle().take(40) {
+                if stop.load(std::sync::atomic::Ordering::SeqCst)
+                    || stream.write_all(&[byte]).is_err()
+                {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        })
+    };
+
+    let line = read_line(&mut reader);
+    let elapsed = start.elapsed();
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    trickler.join().unwrap();
+    let v = pbo::core::json::parse(&line).unwrap();
+    assert_eq!(
+        v.get("error").and_then(|e| e.get("code")).and_then(pbo::core::json::Json::as_str),
+        Some("idle_timeout"),
+        "{line}"
+    );
+    assert!(elapsed < Duration::from_millis(1500), "trickle kept the connection alive {elapsed:?}");
+    // Closed after the refusal. A trickled byte racing the close may
+    // turn the EOF into a reset; either way nothing more is sent.
+    let mut rest = String::new();
+    match reader.read_to_string(&mut rest) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("trickling connection must be closed, got {other:?} {rest:?}"),
+    }
+
+    let mut client = Client::connect(addr).unwrap();
+    let status = client.server_status().unwrap();
+    assert_eq!(counter(&status, "server.conns.idle_timeout"), 1);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// No head-of-line blocking: with one compute-heavy `ask` in flight on
+/// each of as many connections as there are cores, a cheap request on
+/// one more connection is still answered while every one of those asks
+/// is unanswered — each connection is served by a thread of its own.
+#[test]
+fn cheap_request_is_not_blocked_behind_compute_heavy_asks() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let registry = Arc::new(Registry::in_memory());
+    let server = Server::bind(registry.clone(), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn();
+
+    // kb-q-EGO past a large design: its first model-based ask fits a GP
+    // to every design point and runs the acquisition.
+    let p = SyntheticFn::ackley(6);
+    let mut heavy = Vec::new();
+    for i in 0..cores {
+        let cfg = SessionConfig {
+            algorithm: AlgorithmKind::KbQEgo,
+            problem: ProblemSpec::of(&p),
+            budget: Budget::cycles(1, 4).with_initial_samples(256),
+            profile: SessionProfile::Test,
+            seed: 40 + i as u64,
+        };
+        let id = format!("hol-{i}");
+        let (mut reader, mut stream) = raw_conn(addr);
+        stream.set_read_timeout(Some(Duration::from_secs(600))).unwrap();
+        send_line(&mut stream, &proto::encode_create(&id, &cfg));
+        read_line(&mut reader);
+        send_line(&mut stream, &proto::encode_ask(&id));
+        let ask = pbo::core::json::parse(&read_line(&mut reader)).unwrap();
+        let turn = ask.get("turn").and_then(pbo::core::json::Json::as_usize).unwrap();
+        let values: Vec<f64> = ask
+            .get("points")
+            .and_then(pbo::core::json::Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|row| {
+                let x: Vec<f64> =
+                    row.as_array().unwrap().iter().filter_map(|v| v.as_f64()).collect();
+                p.eval(&x)
+            })
+            .collect();
+        send_line(&mut stream, &proto::encode_tell(&id, turn, &values));
+        read_line(&mut reader);
+        heavy.push((reader, stream, id));
+    }
+    for (_, stream, id) in &mut heavy {
+        send_line(stream, &proto::encode_ask(id));
+    }
+    // The ask counter ticks as an ask starts: once it counts every
+    // design ask and every heavy ask, each heavy ask is being computed.
+    let started = || registry.metrics().snapshot().counter("server.requests.ask");
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while started() < 2 * cores as u64 {
+        assert!(std::time::Instant::now() < deadline, "heavy asks never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut bystander = Client::connect(addr).unwrap();
+    let status = bystander.server_status().unwrap();
+    assert_eq!(status.get("ok").and_then(pbo::core::json::Json::as_bool), Some(true));
+    for (reader, _, id) in &mut heavy {
+        assert!(reader.buffer().is_empty());
+        reader.get_ref().set_nonblocking(true).unwrap();
+        let mut probe = [0u8; 1];
+        let pending = matches!(
+            reader.get_mut().read(&mut probe),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+        );
+        assert!(pending, "{id}'s ask was answered before a cheap status request");
+        reader.get_ref().set_nonblocking(false).unwrap();
+    }
+    for (reader, _, _) in &mut heavy {
+        let reply = pbo::core::json::parse(&read_line(reader)).unwrap();
+        assert_eq!(reply.get("ok").and_then(pbo::core::json::Json::as_bool), Some(true));
+    }
+
+    bystander.shutdown().unwrap();
+    handle.join().unwrap();
 }
