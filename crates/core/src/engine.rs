@@ -54,6 +54,17 @@ fn emit<'a>(observer: &mut Option<Box<dyn Observer + Send + 'a>>, build: impl Fn
     }
 }
 
+/// Map unit-cube points into `problem`'s native box.
+fn scale_points(problem: &dyn Problem, unit: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    unit.iter()
+        .map(|u| {
+            let mut x = u.clone();
+            pbo_sampling::scale_to_box(&mut x, problem.lower(), problem.upper());
+            x
+        })
+        .collect()
+}
+
 /// Re-borrow the boxed observer as the plain trait object the executor
 /// expects (dropping the `Send` marker is a no-op unsizing coercion).
 fn as_dyn<'b>(
@@ -232,14 +243,6 @@ impl<'a> EngineBuilder<'a> {
         let mut doe_seeds = root.fork_named("doe");
         let n0 = budget.initial_samples.max(2);
         let unit_pts = lhs::maximin_latin_hypercube(&mut doe_seeds.rng(), n0, d, 4);
-        let native: Vec<Vec<f64>> = unit_pts
-            .iter()
-            .map(|u| {
-                let mut x = u.clone();
-                pbo_sampling::scale_to_box(&mut x, problem.get().lower(), problem.get().upper());
-                x
-            })
-            .collect();
         emit(&mut obs, || Event::RunStarted {
             algorithm: algorithm.clone(),
             problem: problem.get().name().to_string(),
@@ -254,7 +257,6 @@ impl<'a> EngineBuilder<'a> {
             seed,
             algorithm,
             design_unit: unit_pts,
-            design_native: native,
             observer: obs,
         })
     }
@@ -285,16 +287,23 @@ pub struct PreparedEngine<'a> {
     cfg: AlgoConfig,
     seed: u64,
     algorithm: String,
+    /// The design in unit coordinates — the only copy held; native
+    /// points are scaled from it on demand.
     design_unit: Vec<Vec<f64>>,
-    design_native: Vec<Vec<f64>>,
     observer: Option<Box<dyn Observer + Send + 'a>>,
 }
 
 impl<'a> PreparedEngine<'a> {
     /// The initial design in the problem's native box — the points a
-    /// remote evaluator must simulate before the run can start.
-    pub fn design_native(&self) -> &[Vec<f64>] {
-        &self.design_native
+    /// remote evaluator must simulate before the run can start. Built
+    /// from the unit design on each call.
+    pub fn design_native(&self) -> Vec<Vec<f64>> {
+        scale_points(self.problem.get(), &self.design_unit)
+    }
+
+    /// Number of initial-design points.
+    pub fn design_len(&self) -> usize {
+        self.design_unit.len()
     }
 
     /// The problem being optimized.
@@ -328,7 +337,7 @@ impl<'a> PreparedEngine<'a> {
         // is exactly what the paper's cluster would deliver.
         let report = evaluate_batch_ft_observed(
             self.problem.get(),
-            &self.design_native,
+            &self.design_native(),
             self.budget.sim_seconds,
             &self.cfg.ft,
             as_dyn(&mut self.observer),
@@ -349,7 +358,6 @@ impl<'a> PreparedEngine<'a> {
             seed,
             algorithm,
             design_unit,
-            design_native: _,
             observer: mut obs,
         } = self;
         let d = problem.get().dim();
@@ -805,15 +813,7 @@ impl<'a> Engine<'a> {
     /// Map a unit-cube batch into the problem's native box — the points
     /// an (in-process or remote) evaluator actually simulates.
     pub fn to_native(&self, batch: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let p = self.problem.get();
-        batch
-            .iter()
-            .map(|u| {
-                let mut x = u.clone();
-                pbo_sampling::scale_to_box(&mut x, p.lower(), p.upper());
-                x
-            })
-            .collect()
+        scale_points(self.problem.get(), batch)
     }
 
     /// Emit the per-point fault events a batch report carries, in input
@@ -956,6 +956,25 @@ mod tests {
             .algorithm("test")
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn design_native_is_the_scaled_unit_design_bit_for_bit() {
+        let p = SyntheticFn::ackley(5);
+        let prep = Engine::builder(&p)
+            .budget(Budget::cycles(2, 2).with_initial_samples(9))
+            .config(AlgoConfig::test_profile())
+            .seed(3)
+            .prepare()
+            .unwrap();
+        let native = prep.design_native();
+        assert_eq!(native.len(), prep.design_len());
+        for (u, x) in prep.design_unit.iter().zip(&native) {
+            let mut want = u.clone();
+            pbo_sampling::scale_to_box(&mut want, p.lower(), p.upper());
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(x), bits(&want));
+        }
     }
 
     #[test]

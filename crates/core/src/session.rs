@@ -536,11 +536,6 @@ impl SessionState {
         self.journal.len()
     }
 
-    /// The journal of told value vectors.
-    pub fn journal(&self) -> &[Vec<f64>] {
-        &self.journal
-    }
-
     /// The closed record once the session is done.
     pub fn record(&self) -> Option<&RunRecord> {
         match &self.phase {
@@ -603,7 +598,7 @@ impl SessionState {
         let turn = self.journal.len();
         match &mut self.phase {
             Phase::Design(prep) => {
-                let points = prep.design_native().to_vec();
+                let points = prep.design_native();
                 Ok(AskReply { turn, q: points.len(), points })
             }
             Phase::Cycle { engine, stepper, pending } => {
@@ -637,7 +632,7 @@ impl SessionState {
         }
         match &mut self.phase {
             Phase::Design(prep) => {
-                let n = prep.design_native().len();
+                let n = prep.design_len();
                 if values.len() != n {
                     return Err(SessionError::WrongPointCount { expected: n, got: values.len() });
                 }
@@ -747,12 +742,17 @@ impl SessionState {
     }
 
     /// Rebuild a session from its checkpoint line: parse, validate the
-    /// content-addressed key, then replay the journal. Every failure —
-    /// malformed JSON, schema drift, key mismatch, a journal the
-    /// engine rejects — is the typed [`SessionError::Corrupt`], so a
-    /// damaged checkpoint quarantines one session instead of panicking
-    /// the server.
-    pub fn from_checkpoint_line(line: &str) -> Result<(String, SessionState), SessionError> {
+    /// content-addressed key, then replay the journal once, into a
+    /// session observed by `observer` (the replay re-emits every event,
+    /// so observer state is rebuilt along with the engine). Every
+    /// failure — malformed JSON, schema drift, key mismatch, a journal
+    /// the engine rejects — is the typed [`SessionError::Corrupt`], so
+    /// a damaged checkpoint quarantines one session instead of
+    /// panicking the server.
+    pub fn from_checkpoint_line(
+        line: &str,
+        observer: impl Observer + Send + 'static,
+    ) -> Result<(String, SessionState), SessionError> {
         let corrupt = |m: String| SessionError::Corrupt(m);
         let v = parse(line.trim_end()).map_err(|e| corrupt(format!("parse: {e}")))?;
         if v.get("event").and_then(Json::as_str) != Some("pbo-session") {
@@ -811,7 +811,7 @@ impl SessionState {
                 )));
             }
         }
-        let state = replay(cfg, &tells)?;
+        let state = replay(cfg, &tells, observer)?;
         Ok((id, state))
     }
 }
@@ -847,10 +847,15 @@ fn synth_report(values: &[f64], maximize: bool, sim_seconds: f64) -> BatchReport
 }
 
 /// Rebuild a session by replaying a journal of tells against a fresh
-/// engine. Any rejection along the way means the journal cannot have
-/// come from a healthy run of this config → [`SessionError::Corrupt`].
-pub fn replay(cfg: SessionConfig, tells: &[Vec<f64>]) -> Result<SessionState, SessionError> {
-    let mut state = SessionState::create(cfg)?;
+/// engine observed by `observer`. Any rejection along the way means the
+/// journal cannot have come from a healthy run of this config →
+/// [`SessionError::Corrupt`].
+pub fn replay(
+    cfg: SessionConfig,
+    tells: &[Vec<f64>],
+    observer: impl Observer + Send + 'static,
+) -> Result<SessionState, SessionError> {
+    let mut state = SessionState::create_observed(cfg, observer)?;
     for (i, values) in tells.iter().enumerate() {
         state
             .tell(i, values)
@@ -862,6 +867,7 @@ pub fn replay(cfg: SessionConfig, tells: &[Vec<f64>]) -> Result<SessionState, Se
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::NullObserver;
     use pbo_problems::SyntheticFn;
 
     fn toy_cfg(algorithm: AlgorithmKind, cycles: usize, q: usize, seed: u64) -> SessionConfig {
@@ -903,6 +909,24 @@ mod tests {
         )
         .unwrap();
         assert_eq!(remote.to_json_line(), local.to_json_line());
+    }
+
+    #[test]
+    fn huge_cycle_budget_still_takes_its_design_tell() {
+        // The cycle count arrives from the client unbounded: nothing may
+        // size memory from it.
+        let p = SyntheticFn::ackley(3);
+        for cycles in [usize::MAX / 2, 1_000_000_000_000] {
+            let cfg = toy_cfg(AlgorithmKind::RandomSearch, cycles, 2, 12);
+            let mut s = SessionState::create(cfg).unwrap();
+            for _ in 0..2 {
+                let ask = s.ask().unwrap();
+                let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
+                s.tell(ask.turn, &values).unwrap();
+            }
+            assert_eq!(s.turn(), 2);
+            assert!(!s.is_done());
+        }
     }
 
     #[test]
@@ -960,12 +984,36 @@ mod tests {
             a.tell(ask.turn, &values).unwrap();
         }
         let line = a.to_checkpoint_line("s-1");
-        let (id, b) = SessionState::from_checkpoint_line(&line).unwrap();
+        let (id, b) = SessionState::from_checkpoint_line(&line, NullObserver).unwrap();
         assert_eq!(id, "s-1");
         assert_eq!(b.turn(), a.turn());
         let ra = drive_locally(a);
         let rb = drive_locally(b);
         assert_eq!(ra.to_json_line(), rb.to_json_line());
+    }
+
+    #[test]
+    fn restore_replays_once_into_the_given_observer() {
+        use crate::observe::CollectingObserver;
+        use std::sync::{Arc, Mutex};
+        let p = SyntheticFn::ackley(3);
+        let cfg = toy_cfg(AlgorithmKind::KbQEgo, 3, 2, 23);
+        let mut a = SessionState::create(cfg).unwrap();
+        for _ in 0..3 {
+            let ask = a.ask().unwrap();
+            let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
+            a.tell(ask.turn, &values).unwrap();
+        }
+        let seen = Arc::new(Mutex::new(CollectingObserver::new()));
+        let (_, b) =
+            SessionState::from_checkpoint_line(&a.to_checkpoint_line("c"), seen.clone()).unwrap();
+        assert_eq!(b.status(), a.status());
+        let seen = seen.lock().unwrap();
+        // Design + 2 cycles told: every event of each, exactly once.
+        assert_eq!(seen.count("run_started"), 1);
+        assert_eq!(seen.count("design_evaluated"), 1);
+        assert_eq!(seen.count("cycle_started"), 2);
+        assert_eq!(seen.count("batch_evaluated"), 2);
     }
 
     #[test]
@@ -980,7 +1028,7 @@ mod tests {
             &line.replace("\"schema\":2", "\"schema\":99"),
             &line.replace(&s.config().key(), "0000000000000000"),
         ] {
-            match SessionState::from_checkpoint_line(bad) {
+            match SessionState::from_checkpoint_line(bad, NullObserver) {
                 Err(SessionError::Corrupt(_)) => {}
                 Err(other) => panic!("expected Corrupt, got {other:?}"),
                 Ok(_) => panic!("expected Corrupt, got Ok"),
@@ -1009,7 +1057,7 @@ mod tests {
             line[..qs_start].replace("\"schema\":2", "\"schema\":1"),
             &line[qs_end..]
         );
-        let (id, b) = SessionState::from_checkpoint_line(&v1_line).unwrap();
+        let (id, b) = SessionState::from_checkpoint_line(&v1_line, NullObserver).unwrap();
         assert_eq!(id, "old");
         let ra = drive_locally(a);
         let rb = drive_locally(b);
@@ -1029,7 +1077,7 @@ mod tests {
         for bad in [line.replace(",\"qs\":[6]", ",\"qs\":[5]"),
                     line.replace(",\"qs\":[6]", ",\"qs\":[6,2]"),
                     line.replace(",\"qs\":[6]", ",\"qs\":[]")] {
-            match SessionState::from_checkpoint_line(&bad) {
+            match SessionState::from_checkpoint_line(&bad, NullObserver) {
                 Err(SessionError::Corrupt(m)) => assert!(m.contains("qs"), "{m}"),
                 Err(other) => panic!("expected Corrupt, got {other:?}"),
                 Ok(_) => panic!("expected Corrupt, got Ok"),

@@ -2,11 +2,13 @@
 //! ask/tell optimization sessions. See `pbo-server help`.
 
 use pbo_core::json::Json;
+use pbo_core::observe::NullObserver;
 use pbo_core::session::SessionState;
 use pbo_server::cli::{self, Cmd, DriveOpts, GcOpts, ServeOpts, StatusOpts};
 use pbo_server::client::{drive, Client};
 use pbo_server::registry::{GcPolicy, Registry};
 use pbo_server::server::Server;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn main() {
@@ -143,21 +145,25 @@ fn gc(opts: GcOpts) -> Result<(), String> {
 fn validate(dir: &std::path::Path) -> Result<(), String> {
     let mut ok = 0usize;
     let mut corrupt = 0usize;
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
+    let mut mismatched = 0usize;
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
         .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(".session.json"))
-        })
         .collect();
-    entries.sort();
-    for path in entries {
-        let verdict = std::fs::read_to_string(&path)
+    paths.sort();
+    let suffixed = |suffix: &'static str| {
+        paths.iter().filter_map(move |p| {
+            let name = p.file_name()?.to_str()?;
+            name.strip_suffix(suffix).map(|stem| (p, stem))
+        })
+    };
+    // The record file each replayed finished session should have.
+    let mut records: HashMap<String, String> = HashMap::new();
+    for (path, _) in suffixed(".session.json") {
+        let verdict = std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
             .and_then(|body| {
-                SessionState::from_checkpoint_line(&body).map_err(|e| e.to_string())
+                SessionState::from_checkpoint_line(&body, NullObserver).map_err(|e| e.to_string())
             });
         match verdict {
             Ok((id, state)) => {
@@ -168,6 +174,9 @@ fn validate(dir: &std::path::Path) -> Result<(), String> {
                     state.status().phase,
                     state.turn()
                 );
+                if let Some(record) = state.record() {
+                    records.insert(id, format!("{}\n", record.to_json_line()));
+                }
             }
             Err(e) => {
                 corrupt += 1;
@@ -175,9 +184,27 @@ fn validate(dir: &std::path::Path) -> Result<(), String> {
             }
         }
     }
-    println!("{ok} ok, {corrupt} corrupt");
-    if corrupt > 0 {
-        return Err(format!("{corrupt} corrupt session checkpoint(s)"));
+    for (path, id) in suffixed(".record.json") {
+        let body = std::fs::read_to_string(path).map_err(|e| e.to_string());
+        let verdict = match (records.get(id), body) {
+            (Some(want), Ok(body)) if *want == body => Ok(()),
+            (Some(_), Ok(_)) => Err("differs from its replayed checkpoint".to_string()),
+            (None, Ok(_)) => Err("no finished checkpoint replays to it".to_string()),
+            (_, Err(e)) => Err(e),
+        };
+        match verdict {
+            Ok(()) => println!("ok      {} (matches its replayed checkpoint)", path.display()),
+            Err(e) => {
+                mismatched += 1;
+                println!("MISMATCH {}: {e}", path.display());
+            }
+        }
+    }
+    println!("{ok} ok, {corrupt} corrupt, {mismatched} record mismatch(es)");
+    if corrupt > 0 || mismatched > 0 {
+        return Err(format!(
+            "{corrupt} corrupt session checkpoint(s), {mismatched} record mismatch(es)"
+        ));
     }
     Ok(())
 }

@@ -16,7 +16,7 @@ commands:
   serve      run the session daemon
   status     query a running daemon
   drive      drive one session end to end (test client)
-  validate   check session checkpoint files offline
+  validate   check session checkpoints and record files offline
   gc         evict finished sessions' checkpoints offline
 
 serve options:

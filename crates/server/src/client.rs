@@ -42,17 +42,18 @@ impl Client {
     /// Connect to a daemon.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, RpcError> {
         let stream = TcpStream::connect(addr).map_err(|e| transport(format!("connect: {e}")))?;
+        stream.set_nodelay(true).map_err(|e| transport(format!("nodelay: {e}")))?;
         let writer = stream.try_clone().map_err(|e| transport(format!("clone: {e}")))?;
         Ok(Client { reader: BufReader::new(stream), writer })
     }
 
     /// Send one raw line, return the raw response — even `ok:false`
-    /// ones (the fuzz tests inspect those directly).
+    /// ones (the fuzz tests inspect those directly). The line and its
+    /// newline leave in one write.
     pub fn raw(&mut self, line: &str) -> Result<Json, RpcError> {
+        let framed = format!("{line}\n");
         self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
+            .write_all(framed.as_bytes())
             .map_err(|e| transport(format!("send: {e}")))?;
         let mut response = String::new();
         let n = self

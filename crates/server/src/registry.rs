@@ -8,6 +8,12 @@
 //! a daemon killed at any instant restarts into exactly the set of
 //! states it acknowledged.
 //!
+//! A finished session costs a fixed few bytes: the tell that closes it
+//! writes `<id>.record.json` after the closing checkpoint, and the
+//! table entry shrinks to a [`FinishedStub`] that answers every later
+//! request byte-identically. Restart replays the checkpoint, rewrites a
+//! missing or differing record file and keeps the stub.
+//!
 //! A checkpoint file that fails to parse or replay is *quarantined*:
 //! the session id stays visible with a typed `session_corrupt` error
 //! and every other session loads normally. Nothing panics on bad disk
@@ -16,20 +22,50 @@
 use crate::proto::{validate_id, ErrorBody, RequestErrorKind};
 use pbo_core::checkpoint::atomic_write;
 use pbo_core::observe::metrics::{MetricsObserver, MetricsRegistry};
-use pbo_core::session::{AskReply, SessionConfig, SessionState, SessionStatus};
+use pbo_core::session::{AskReply, SessionConfig, SessionError, SessionState, SessionStatus};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// One slot in the session table.
 pub enum SessionEntry {
-    /// A healthy, drivable session.
+    /// A healthy session still being driven.
     Live(Box<SessionState>),
+    /// A finished session, reduced to what its replies need.
+    Finished(FinishedStub),
     /// A quarantined session whose checkpoint could not be restored.
     Corrupt {
         /// Why the restore failed.
         reason: String,
     },
+}
+
+/// What the table keeps of a finished session: the same size however
+/// long the run was. The record itself lives in `<id>.record.json`.
+pub struct FinishedStub {
+    /// Content-addressed config key.
+    key: String,
+    /// Whether the algorithm chose its batch size per cycle.
+    variable_q: bool,
+    /// The final status snapshot.
+    status: SessionStatus,
+    /// The record line, held here only when it has no file: on a
+    /// registry without a directory, or after a failed record write
+    /// (the next restart rewrites the file from the checkpoint).
+    record: Option<String>,
+}
+
+impl FinishedStub {
+    /// The stub of finished session `state`; `record` is its line when
+    /// it has no record file.
+    fn of(state: &SessionState, record: Option<String>) -> FinishedStub {
+        FinishedStub {
+            key: state.config().key(),
+            variable_q: state.config().algorithm.is_variable_q(),
+            status: state.status(),
+            record,
+        }
+    }
 }
 
 /// Reply to a `create`.
@@ -70,8 +106,11 @@ impl Registry {
     }
 
     /// Open (creating if needed) a persistent registry rooted at `dir`
-    /// and restore every `*.session.json` checkpoint found there.
-    /// Corrupt checkpoints are quarantined, never fatal.
+    /// and restore every `*.session.json` checkpoint found there. Each
+    /// journal is replayed once, into a session that streams its events
+    /// to the metrics registry; a finished one becomes a stub, and its
+    /// record file is rewritten if missing. Corrupt checkpoints are
+    /// quarantined, never fatal.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Registry, String> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
@@ -103,15 +142,26 @@ impl Registry {
             let entry = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))
                 .and_then(|body| {
-                    SessionState::from_checkpoint_line(&body).map_err(|e| e.to_string())
+                    let observer = MetricsObserver::new(reg.metrics.clone());
+                    SessionState::from_checkpoint_line(&body, observer).map_err(|e| e.to_string())
                 });
             let (id, entry) = match entry {
                 Ok((id, state)) => {
-                    // Metrics observers do not survive serialization;
-                    // rebuild by replaying into a fresh one.
-                    let state = reobserve(&state, &reg.metrics).unwrap_or(state);
                     resumed.inc();
-                    (id, SessionEntry::Live(Box::new(state)))
+                    let entry = match state.record().map(|r| r.to_json_line()) {
+                        Some(line) => {
+                            // Rewrite the record file only when it is
+                            // missing or differs from the replay.
+                            let on_disk = reg
+                                .record_path(&id)
+                                .and_then(|p| std::fs::read_to_string(p).ok())
+                                .is_some_and(|body| body.strip_suffix('\n') == Some(&*line));
+                            let record = if on_disk { None } else { reg.write_record(&id, line) };
+                            SessionEntry::Finished(FinishedStub::of(&state, record))
+                        }
+                        None => SessionEntry::Live(Box::new(state)),
+                    };
+                    (id, entry)
                 }
                 Err(reason) => {
                     quarantined.inc();
@@ -132,7 +182,7 @@ impl Registry {
         &self.metrics
     }
 
-    /// Number of sessions (live + quarantined).
+    /// Number of sessions (live, finished and quarantined).
     pub fn len(&self) -> usize {
         self.sessions.lock().expect("session table poisoned").len()
     }
@@ -146,6 +196,10 @@ impl Registry {
         self.dir.as_ref().map(|d| d.join(format!("{id}.session.json")))
     }
 
+    fn record_path(&self, id: &str) -> Option<PathBuf> {
+        self.dir.as_ref().map(|d| d.join(format!("{id}.record.json")))
+    }
+
     fn persist(&self, id: &str, state: &SessionState) -> Result<(), ErrorBody> {
         let Some(path) = self.checkpoint_path(id) else { return Ok(()) };
         let mut body = state.to_checkpoint_line(id);
@@ -154,28 +208,28 @@ impl Registry {
             .map_err(|e| ErrorBody::request(RequestErrorKind::Io, format!("persist failed: {e}")))
     }
 
-    fn entry(&self, id: &str) -> Result<Arc<Mutex<SessionEntry>>, ErrorBody> {
-        self.sessions.lock().expect("session table poisoned").get(id).cloned().ok_or_else(|| {
-            ErrorBody::request(RequestErrorKind::UnknownSession, format!("no session '{id}'"))
-        })
+    /// Write a finished session's record line to `<id>.record.json`.
+    /// Returns the line back when it has no file — no directory, or the
+    /// write failed — so the stub keeps it instead.
+    fn write_record(&self, id: &str, line: String) -> Option<String> {
+        match self.record_path(id) {
+            Some(path) => atomic_write(&path, &format!("{line}\n")).is_err().then_some(line),
+            None => Some(line),
+        }
     }
 
-    /// Run `f` on a live session; quarantined entries answer
-    /// `session_corrupt`.
-    fn with_live<R>(
+    /// Lock session `id`'s entry and run `f` on it.
+    fn with_entry<R>(
         &self,
         id: &str,
-        f: impl FnOnce(&mut SessionState) -> Result<R, ErrorBody>,
+        f: impl FnOnce(&mut SessionEntry) -> Result<R, ErrorBody>,
     ) -> Result<R, ErrorBody> {
-        let entry = self.entry(id)?;
+        let entry =
+            self.sessions.lock().expect("session table poisoned").get(id).cloned().ok_or_else(
+                || ErrorBody::request(RequestErrorKind::UnknownSession, format!("no session '{id}'")),
+            )?;
         let mut guard = entry.lock().expect("session entry poisoned");
-        match &mut *guard {
-            SessionEntry::Live(state) => f(state),
-            SessionEntry::Corrupt { reason } => Err(ErrorBody::new(
-                "session_corrupt",
-                format!("session '{id}' is quarantined: {reason}"),
-            )),
-        }
+        f(&mut guard)
     }
 
     /// Create a session, idempotently: re-creating an existing id with
@@ -190,29 +244,36 @@ impl Registry {
         let mut table = self.sessions.lock().expect("session table poisoned");
         if let Some(entry) = table.get(id).cloned() {
             let guard = entry.lock().expect("session entry poisoned");
-            return match &*guard {
-                SessionEntry::Live(state) => {
-                    let have = state.config().key();
-                    if have == key {
-                        Ok(CreateReply { created: false, key, turn: state.turn() })
-                    } else {
-                        Err(ErrorBody::request(
-                            RequestErrorKind::ConfigMismatch,
-                            format!(
-                                "session '{id}' exists with config key {have}, request hashes to {key}"
-                            ),
-                        ))
-                    }
-                }
-                SessionEntry::Corrupt { reason } => Err(ErrorBody::new(
-                    "session_corrupt",
-                    format!("session '{id}' is quarantined: {reason}"),
-                )),
+            let (have, turn) = match &*guard {
+                SessionEntry::Live(state) => (state.config().key(), state.turn()),
+                SessionEntry::Finished(stub) => (stub.key.clone(), stub.status.turn),
+                SessionEntry::Corrupt { reason } => return Err(quarantined(id, reason)),
+            };
+            return if have == key {
+                Ok(CreateReply { created: false, key, turn })
+            } else {
+                Err(ErrorBody::request(
+                    RequestErrorKind::ConfigMismatch,
+                    format!("session '{id}' exists with config key {have}, request hashes to {key}"),
+                ))
             };
         }
         let observer = MetricsObserver::new(self.metrics.clone());
         let state = SessionState::create_observed(cfg, observer)
             .map_err(|e| ErrorBody::from_session(&e))?;
+        // A closed session of the same id may have left a record file;
+        // it belongs to the checkpoint about to be overwritten.
+        if let Some(path) = self.record_path(id) {
+            match std::fs::remove_file(&path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(ErrorBody::request(
+                        RequestErrorKind::Io,
+                        format!("cannot remove stale {}: {e}", path.display()),
+                    ));
+                }
+                _ => {}
+            }
+        }
         self.persist(id, &state)?;
         self.metrics.counter("server.sessions.created").inc();
         table.insert(id.to_string(), Arc::new(Mutex::new(SessionEntry::Live(Box::new(state)))));
@@ -222,38 +283,86 @@ impl Registry {
     /// Ask a session for its next batch.
     pub fn ask(&self, id: &str) -> Result<AskReply, ErrorBody> {
         self.metrics.counter("server.requests.ask").inc();
-        self.with_live(id, |s| s.ask().map_err(|e| ErrorBody::from_session(&e)))
+        self.with_entry(id, |entry| match entry {
+            SessionEntry::Live(s) => s.ask().map_err(|e| ErrorBody::from_session(&e)),
+            SessionEntry::Finished(_) => Err(ErrorBody::from_session(&SessionError::Finished)),
+            SessionEntry::Corrupt { reason } => Err(quarantined(id, reason)),
+        })
     }
 
     /// Whether the session's algorithm chooses its own batch size each
     /// cycle. Dispatch uses this to refuse proto-1 `ask`s that could
     /// not carry the cycle's q back to the client.
     pub fn variable_q(&self, id: &str) -> Result<bool, ErrorBody> {
-        self.with_live(id, |s| Ok(s.config().algorithm.is_variable_q()))
+        self.with_entry(id, |entry| match entry {
+            SessionEntry::Live(s) => Ok(s.config().algorithm.is_variable_q()),
+            SessionEntry::Finished(stub) => Ok(stub.variable_q),
+            SessionEntry::Corrupt { reason } => Err(quarantined(id, reason)),
+        })
     }
 
     /// Tell a session its evaluated values; the new journal state is
-    /// durable before the reply.
+    /// durable before the reply. The tell that finishes the session
+    /// then writes its record file and shrinks the entry to a stub.
     pub fn tell(&self, id: &str, turn: usize, values: &[f64]) -> Result<TellReply, ErrorBody> {
         self.metrics.counter("server.requests.tell").inc();
-        self.with_live(id, |s| {
+        self.with_entry(id, |entry| {
+            let s = match entry {
+                SessionEntry::Live(s) => s,
+                SessionEntry::Finished(stub) => {
+                    // The same checks, in the same order, as a finished
+                    // `SessionState::tell`.
+                    let expected = stub.status.turn;
+                    let e = if turn == expected {
+                        SessionError::Finished
+                    } else {
+                        SessionError::WrongTurn { expected, got: turn }
+                    };
+                    return Err(ErrorBody::from_session(&e));
+                }
+                SessionEntry::Corrupt { reason } => return Err(quarantined(id, reason)),
+            };
             s.tell(turn, values).map_err(|e| ErrorBody::from_session(&e))?;
             self.persist(id, s)?;
-            Ok(TellReply { turn: s.turn(), done: s.is_done() })
+            let reply = TellReply { turn: s.turn(), done: s.is_done() };
+            if let Some(line) = s.record().map(|r| r.to_json_line()) {
+                let stub = FinishedStub::of(s, self.write_record(id, line));
+                *entry = SessionEntry::Finished(stub);
+            }
+            Ok(reply)
         })
     }
 
     /// A session's status snapshot plus its config key.
     pub fn status(&self, id: &str) -> Result<(SessionStatus, String), ErrorBody> {
-        self.with_live(id, |s| Ok((s.status(), s.config().key())))
+        self.with_entry(id, |entry| match entry {
+            SessionEntry::Live(s) => Ok((s.status(), s.config().key())),
+            SessionEntry::Finished(stub) => Ok((stub.status.clone(), stub.key.clone())),
+            SessionEntry::Corrupt { reason } => Err(quarantined(id, reason)),
+        })
     }
 
     /// The finished record's canonical JSON line.
     pub fn record_line(&self, id: &str) -> Result<String, ErrorBody> {
-        self.with_live(id, |s| {
-            s.record().map(|r| r.to_json_line()).ok_or_else(|| {
+        self.with_entry(id, |entry| match entry {
+            // Done only when the closing checkpoint failed to persist.
+            SessionEntry::Live(s) => s.record().map(|r| r.to_json_line()).ok_or_else(|| {
                 ErrorBody::request(RequestErrorKind::NotDone, format!("session '{id}' has not finished"))
-            })
+            }),
+            SessionEntry::Finished(FinishedStub { record: Some(line), .. }) => Ok(line.clone()),
+            SessionEntry::Finished(_) => {
+                // Only a registry with a directory leaves the line out.
+                let path = self.record_path(id).unwrap_or_default();
+                let mut body = std::fs::read_to_string(&path).map_err(|e| {
+                    ErrorBody::request(
+                        RequestErrorKind::Io,
+                        format!("cannot read {}: {e}", path.display()),
+                    )
+                })?;
+                body.pop(); // the trailing newline
+                Ok(body)
+            }
+            SessionEntry::Corrupt { reason } => Err(quarantined(id, reason)),
         })
     }
 
@@ -269,6 +378,9 @@ impl Registry {
                 let guard = entry.lock().expect("session entry poisoned");
                 match &*guard {
                     SessionEntry::Live(s) => (id, s.status().phase.to_string(), s.turn()),
+                    SessionEntry::Finished(stub) => {
+                        (id, stub.status.phase.to_string(), stub.status.turn)
+                    }
                     SessionEntry::Corrupt { .. } => (id, "corrupt".to_string(), 0),
                 }
             })
@@ -277,8 +389,8 @@ impl Registry {
         out
     }
 
-    /// Drop a session from the live table. Its checkpoint file stays
-    /// on disk, so the next daemon start restores it.
+    /// Drop a session from the live table. Its files stay on disk, so
+    /// the next daemon start restores it.
     pub fn close(&self, id: &str) -> Result<(), ErrorBody> {
         self.sessions
             .lock()
@@ -290,8 +402,8 @@ impl Registry {
             })
     }
 
-    /// Evict finished sessions' checkpoints per `policy`: table entry
-    /// and on-disk file both go. Only `Done`-phase sessions are ever
+    /// Evict finished sessions per `policy`: table entry, record file
+    /// and checkpoint all go. Only finished sessions are ever
     /// candidates — in-flight sessions are untouched, and quarantined
     /// (corrupt) checkpoints are *never* deleted: they hold the only
     /// evidence of what went wrong and are reported in
@@ -310,7 +422,7 @@ impl Registry {
             let guard = entry.lock().expect("session entry poisoned");
             match &*guard {
                 SessionEntry::Corrupt { .. } => report.quarantined_kept += 1,
-                SessionEntry::Live(s) if s.is_done() => {
+                SessionEntry::Finished(_) => {
                     let age = self
                         .checkpoint_path(&id)
                         .and_then(|p| std::fs::metadata(p).ok())
@@ -332,15 +444,21 @@ impl Registry {
                 report.kept += 1;
                 continue;
             }
-            if let Some(path) = self.checkpoint_path(&id) {
-                if let Err(e) = std::fs::remove_file(&path) {
-                    if e.kind() != std::io::ErrorKind::NotFound {
-                        // Leave the table entry in place: disk state and
-                        // table must not diverge.
-                        report.kept += 1;
-                        continue;
-                    }
-                }
+            // The record goes first: a crash between the two removals
+            // leaves a checkpoint whose restart rewrites the record,
+            // never an orphaned record file.
+            let removed = [self.record_path(&id), self.checkpoint_path(&id)]
+                .into_iter()
+                .flatten()
+                .all(|path| match std::fs::remove_file(path) {
+                    Ok(()) => true,
+                    Err(e) => e.kind() == std::io::ErrorKind::NotFound,
+                });
+            if !removed {
+                // Leave the table entry in place: disk state and table
+                // must not diverge.
+                report.kept += 1;
+                continue;
             }
             self.sessions.lock().expect("session table poisoned").remove(&id);
             self.metrics.counter("server.sessions.gc_evicted").inc();
@@ -348,6 +466,11 @@ impl Registry {
         }
         report
     }
+}
+
+/// The typed answer for a request on a quarantined session.
+fn quarantined(id: &str, reason: &str) -> ErrorBody {
+    ErrorBody::new("session_corrupt", format!("session '{id}' is quarantined: {reason}"))
 }
 
 /// Eviction policy for [`Registry::gc`]. A finished session survives if
@@ -366,26 +489,13 @@ pub struct GcPolicy {
 /// What [`Registry::gc`] did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Ids whose checkpoint and table entry were removed, in eviction
+    /// Ids whose files and table entry were removed, in eviction
     /// order (oldest last by the sort above).
     pub evicted: Vec<String>,
     /// Finished sessions kept by the policy (count or age shield).
     pub kept: usize,
     /// Quarantined checkpoints encountered — never deleted.
     pub quarantined_kept: usize,
-}
-
-/// Re-attach a metrics observer to a restored session by replaying its
-/// journal into a fresh observed session. Returns `None` when the
-/// replay unexpectedly fails (the caller keeps the plain state).
-fn reobserve(state: &SessionState, metrics: &Arc<MetricsRegistry>) -> Option<SessionState> {
-    let cfg = state.config().clone();
-    let observer = MetricsObserver::new(metrics.clone());
-    let mut fresh = SessionState::create_observed(cfg, observer).ok()?;
-    for (i, values) in state.journal().iter().enumerate() {
-        fresh.tell(i, values).ok()?;
-    }
-    Some(fresh)
 }
 
 #[cfg(test)]
@@ -474,6 +584,88 @@ mod tests {
         }
     }
 
+    /// The entry a finished session leaves in the table.
+    fn is_stub(reg: &Registry, id: &str) -> bool {
+        let entry = reg.sessions.lock().unwrap().get(id).cloned().unwrap();
+        let guard = entry.lock().unwrap();
+        matches!(&*guard, SessionEntry::Finished(_))
+    }
+
+    #[test]
+    fn finished_session_is_a_stub_on_disk_and_in_memory() {
+        let dir = tmp_dir("stub");
+        let persistent = Registry::open(&dir).unwrap();
+        let memory = Registry::in_memory();
+        for reg in [&persistent, &memory] {
+            reg.create("s", cfg(6)).unwrap();
+            assert!(!is_stub(reg, "s"));
+            finish(reg, "s");
+            assert!(is_stub(reg, "s"));
+        }
+        let line = memory.record_line("s").unwrap();
+        assert_eq!(persistent.record_line("s").unwrap(), line);
+        assert_eq!(std::fs::read_to_string(dir.join("s.record.json")).unwrap(), line + "\n");
+        drop(persistent);
+        // Restart restores the stub and rewrites a missing record file.
+        std::fs::remove_file(dir.join("s.record.json")).unwrap();
+        let reg = Registry::open(&dir).unwrap();
+        assert!(is_stub(&reg, "s"));
+        assert!(dir.join("s.record.json").exists());
+        assert_eq!(reg.record_line("s").unwrap(), memory.record_line("s").unwrap());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn create_after_close_drops_the_old_record_file() {
+        let dir = tmp_dir("reuse");
+        let reg = Registry::open(&dir).unwrap();
+        reg.create("s", cfg(6)).unwrap();
+        finish(&reg, "s");
+        assert!(dir.join("s.record.json").exists());
+        reg.close("s").unwrap();
+        // Any config: the fresh session owns the id's files.
+        assert!(reg.create("s", cfg(9)).unwrap().created);
+        assert!(!dir.join("s.record.json").exists());
+        // The restarted daemon sees one in-flight session and no
+        // record file a finished checkpoint does not replay to.
+        drop(reg);
+        let reg = Registry::open(&dir).unwrap();
+        assert!(!is_stub(&reg, "s"));
+        assert!(!dir.join("s.record.json").exists());
+        finish(&reg, "s");
+        let fresh = Registry::in_memory();
+        fresh.create("s", cfg(9)).unwrap();
+        finish(&fresh, "s");
+        assert_eq!(reg.record_line("s").unwrap(), fresh.record_line("s").unwrap());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn restore_replays_each_checkpoint_once_into_the_metrics() {
+        let dir = tmp_dir("reobserve");
+        let reg = Registry::open(&dir).unwrap();
+        reg.create("done", cfg(7)).unwrap();
+        finish(&reg, "done");
+        reg.create("mid", cfg(8)).unwrap();
+        let p = SyntheticFn::ackley(2);
+        let ask = reg.ask("mid").unwrap();
+        let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
+        reg.tell("mid", ask.turn, &values).unwrap();
+        let ask = reg.ask("mid").unwrap();
+        let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
+        reg.tell("mid", ask.turn, &values).unwrap();
+        drop(reg);
+
+        let reg = Registry::open(&dir).unwrap();
+        let snap = reg.metrics().snapshot();
+        // `done`: 2 cycles; `mid`: 1 cycle. Every cycle's events are
+        // folded into the metrics exactly once.
+        assert_eq!(snap.counter("engine.cycles"), 3);
+        assert_eq!(snap.counter("engine.evaluations"), (4 + 2 * 2) + (4 + 2));
+        assert_eq!(snap.counter("server.sessions.resumed"), 2);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn gc_evicts_only_finished_sessions_past_policy() {
         let dir = tmp_dir("gc");
@@ -496,6 +688,9 @@ mod tests {
         assert_eq!(report.quarantined_kept, 0);
         let gone = &report.evicted[0];
         assert!(!dir.join(format!("{gone}.session.json")).exists());
+        assert!(!dir.join(format!("{gone}.record.json")).exists());
+        let kept = if gone == "done-a" { "done-b" } else { "done-a" };
+        assert!(dir.join(format!("{kept}.record.json")).exists());
         // In-flight session untouched, on disk and in the table.
         assert!(dir.join("inflight.session.json").exists());
         assert!(reg.ask("inflight").is_ok());

@@ -168,7 +168,9 @@ impl Server {
             for t in done {
                 panicked |= t.join().is_err();
             }
-            let setup = stream.set_write_timeout(Some(front.cfg.idle_timeout));
+            let setup = stream
+                .set_write_timeout(Some(front.cfg.idle_timeout))
+                .and_then(|()| stream.set_nodelay(true));
             let Ok(drain_handle) = setup.and_then(|()| stream.try_clone()) else {
                 continue;
             };
@@ -334,7 +336,7 @@ fn serve_conn(front: &Front, mut stream: TcpStream) {
             // it arrives (newline included) within one read, so the cap
             // is also enforced per complete line.
             if line.len() - 1 > cfg.max_line_bytes {
-                if write_reply(front, &mut stream, &too_long()).is_err() {
+                if write_reply(front, &mut stream, too_long()).is_err() {
                     return;
                 }
                 continue;
@@ -344,7 +346,7 @@ fn serve_conn(front: &Front, mut stream: TcpStream) {
                 continue;
             }
             let (response, stop) = dispatch(&front.registry, &text);
-            if write_reply(front, &mut stream, &response).is_err() {
+            if write_reply(front, &mut stream, response).is_err() {
                 return;
             }
             if stop {
@@ -363,7 +365,7 @@ fn serve_conn(front: &Front, mut stream: TcpStream) {
             buf.clear();
             scanned = 0;
         } else if buf.len() > cfg.max_line_bytes {
-            if write_reply(front, &mut stream, &too_long()).is_err() {
+            if write_reply(front, &mut stream, too_long()).is_err() {
                 return;
             }
             discard = true;
@@ -380,7 +382,7 @@ fn serve_conn(front: &Front, mut stream: TcpStream) {
                 RequestErrorKind::IdleTimeout,
                 format!("no request for {:?}; closing idle connection", cfg.idle_timeout),
             );
-            let _ = write_reply(front, &mut stream, &e.to_line());
+            let _ = write_reply(front, &mut stream, e.to_line());
             return;
         }
         if stream.set_read_timeout(Some(left)).is_err() {
@@ -400,12 +402,12 @@ fn serve_conn(front: &Front, mut stream: TcpStream) {
 }
 
 /// Write one reply line under the connection's write timeout (set at
-/// accept), so a peer that stops reading cannot pin its thread.
-fn write_reply(front: &Front, stream: &mut TcpStream, response: &str) -> std::io::Result<()> {
-    let result = stream
-        .write_all(response.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush());
+/// accept), so a peer that stops reading cannot pin its thread. The
+/// newline is appended to the owned reply so the line leaves in one
+/// write: a split write would sit behind the peer's delayed ACK.
+fn write_reply(front: &Front, stream: &mut TcpStream, mut response: String) -> std::io::Result<()> {
+    response.push('\n');
+    let result = stream.write_all(response.as_bytes());
     if let Err(e) = &result {
         if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
             front.write_timeouts.inc();

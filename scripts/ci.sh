@@ -89,6 +89,9 @@ if [[ "${1:-}" != "--quick" ]]; then
   # partway, kill -9 the daemon, restart it over the same directory,
   # resume the session to completion — and require the final record to
   # be byte-identical to the in-process reference (`drive --local`).
+  # Then kill -9 and restart once more: the finished session's record,
+  # served from its record file, must still match, and `validate` must
+  # cross-check that file against the replayed checkpoint.
   echo "== pbo-server smoke: kill -9 / restart / resume is byte-identical =="
   srv=target/ci-server
   rm -rf "$srv"; mkdir -p "$srv"
@@ -110,10 +113,23 @@ if [[ "${1:-}" != "--quick" ]]; then
   start_daemon
   target/release/pbo-server drive --addr "$(cat "$srv/addr")" \
     "${session[@]}" --record-out "$srv/served.json" >/dev/null
+  kill -9 "$daemon_pid"; wait "$daemon_pid" 2>/dev/null || true
+  rm -f "$srv/addr"
+  start_daemon
+  target/release/pbo-server drive --addr "$(cat "$srv/addr")" \
+    "${session[@]}" --record-out "$srv/restarted.json" >/dev/null
+  kill -9 "$daemon_pid"; wait "$daemon_pid" 2>/dev/null || true
   target/release/pbo-server drive --local \
     "${session[@]}" --record-out "$srv/local.json" >/dev/null
-  kill -9 "$daemon_pid"; wait "$daemon_pid" 2>/dev/null || true
   cmp "$srv/served.json" "$srv/local.json"
+  cmp "$srv/restarted.json" "$srv/local.json"
+  cmp "$srv/sessions/ci-smoke.record.json" "$srv/local.json"
+  target/release/pbo-server validate "$srv/sessions" >/dev/null
+  echo '{}' >"$srv/sessions/ci-smoke.record.json"
+  if target/release/pbo-server validate "$srv/sessions" >/dev/null 2>&1; then
+    echo "validate accepted a record file that disagrees with its checkpoint" >&2
+    exit 1
+  fi
   rm -rf "$srv"
 
   # Variable-q leg: the same kill -9 / restart / resume contract for a

@@ -10,7 +10,7 @@ use pbo::prelude::*;
 use pbo::core::session::{ProblemSpec, SessionConfig, SessionProfile, SessionState};
 use pbo_server::client::{drive, Client};
 use pbo_server::proto;
-use pbo_server::registry::Registry;
+use pbo_server::registry::{GcPolicy, Registry};
 use pbo_server::server::Server;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -571,15 +571,15 @@ use std::time::Duration;
 /// silence, oversized lines).
 fn raw_conn(addr: std::net::SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
     let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let reader = BufReader::new(stream.try_clone().unwrap());
     (reader, stream)
 }
 
+/// Send one request line in a single write, as [`Client`] does.
 fn send_line(stream: &mut TcpStream, line: &str) {
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    stream.flush().unwrap();
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
 }
 
 fn read_line(reader: &mut BufReader<TcpStream>) -> String {
@@ -997,4 +997,110 @@ fn cheap_request_is_not_blocked_behind_compute_heavy_asks() {
 
     bystander.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+/// No per-request wire stall: a request line and a reply line each
+/// leave in one write on a `TCP_NODELAY` socket, so a round trip never
+/// waits on the peer's delayed ACK (about 40 ms per direction when a
+/// line is split into two writes under Nagle's algorithm).
+#[test]
+fn sequential_round_trips_on_one_connection_do_not_stall() {
+    let server = Server::bind(Arc::new(Registry::in_memory()), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn();
+    let mut client = Client::connect(addr).unwrap();
+    let (_, cfg) = session_cfg(AlgorithmKind::RandomSearch, 5, 2, 2);
+    client.create("rtt", &cfg).unwrap();
+
+    let start = std::time::Instant::now();
+    for _ in 0..200 {
+        client.status("rtt").unwrap();
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(2), "200 round trips took {elapsed:?}");
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A finished session shrinks to a table stub plus `<id>.record.json`,
+/// and answers every request exactly as the full finished session did.
+/// The expected replies are pinned from the server that kept the whole
+/// session in its table; they must hold on a persistent registry, after
+/// a restart of it, and on an in-memory one. `gc` then removes both of
+/// a session's files.
+#[test]
+fn finished_session_stub_answers_byte_identically_across_restart() {
+    use pbo_server::server::dispatch;
+    let p = SyntheticFn::ackley(2);
+    let (_, fin) = session_cfg(AlgorithmKind::RandomSearch, 61, 2, 2);
+    let (_, vq) = session_cfg(AlgorithmKind::HybridQ, 62, 2, 2);
+    let (_, live) = session_cfg(AlgorithmKind::RandomSearch, 63, 2, 2);
+    let (_, other) = session_cfg(AlgorithmKind::RandomSearch, 99, 2, 2);
+    let finished = "{\"ok\":false,\"error\":{\"code\":\"finished\",\"message\":\"session already finished\"}}";
+    let pinned: Vec<(String, &str)> = vec![
+        (proto::encode_create("fin", &fin),
+         "{\"ok\":true,\"id\":\"fin\",\"key\":\"ccd841f6c30a4536\",\"created\":false,\"turn\":3}"),
+        (proto::encode_create("fin", &other),
+         "{\"ok\":false,\"error\":{\"code\":\"config_mismatch\",\"message\":\"session 'fin' exists with config key ccd841f6c30a4536, request hashes to cd0449f6c32f8db9\"}}"),
+        (proto::encode_ask("fin"), finished),
+        (proto::encode_tell("fin", 3, &[1.0, 2.0]), finished),
+        (proto::encode_tell("fin", 0, &[1.0, 2.0]),
+         "{\"ok\":false,\"error\":{\"code\":\"wrong_turn\",\"message\":\"wrong turn: expected 3, got 0\"}}"),
+        (proto::encode_id_op("status", "fin"),
+         "{\"ok\":true,\"id\":\"fin\",\"phase\":\"done\",\"turn\":3,\"cycles\":2,\"n_data\":8,\"best_y\":6.638700009287518,\"clock\":21.2,\"key\":\"ccd841f6c30a4536\"}"),
+        (proto::encode_id_op("status", "vq"),
+         "{\"ok\":true,\"id\":\"vq\",\"phase\":\"done\",\"turn\":3,\"cycles\":2,\"n_data\":8,\"best_y\":4.38390231252054,\"clock\":25.2,\"key\":\"f92e5454b05b25bc\"}"),
+        (proto::encode_bare_op("list"),
+         "{\"ok\":true,\"sessions\":[{\"id\":\"fin\",\"phase\":\"done\",\"turn\":3},{\"id\":\"live\",\"phase\":\"design\",\"turn\":0},{\"id\":\"vq\",\"phase\":\"done\",\"turn\":3}]}"),
+        ("{\"proto\":1,\"op\":\"ask\",\"id\":\"vq\"}".to_string(),
+         "{\"ok\":false,\"error\":{\"code\":\"unsupported_version\",\"message\":\"session 'vq' chooses its batch size per cycle; proto 2 is required to carry q\"}}"),
+        ("{\"proto\":1,\"op\":\"ask\",\"id\":\"fin\"}".to_string(), finished),
+        (proto::encode_ask("vq"), finished),
+    ];
+    let mut record_reply = String::from("{\"ok\":true,\"record\":");
+    pbo::core::json::push_str_literal(&mut record_reply, &reference_line(&p, &fin));
+    record_reply.push('}');
+    assert_eq!(record_reply.len(), 1173, "the pinned server's record reply length");
+    let check = |reg: &Registry, when: &str| {
+        for (request, want) in &pinned {
+            assert_eq!(dispatch(reg, request).0, *want, "{when}: {request}");
+        }
+        let (reply, _) = dispatch(reg, &proto::encode_id_op("record", "fin"));
+        assert_eq!(reply, record_reply, "{when}: record");
+    };
+    let populate = |reg: &Registry| {
+        for (id, cfg) in [("fin", &fin), ("vq", &vq)] {
+            reg.create(id, cfg.clone()).unwrap();
+            loop {
+                let ask = reg.ask(id).unwrap();
+                let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
+                if reg.tell(id, ask.turn, &values).unwrap().done {
+                    break;
+                }
+            }
+        }
+        reg.create("live", live.clone()).unwrap();
+    };
+
+    let memory = Registry::in_memory();
+    populate(&memory);
+    check(&memory, "in memory");
+
+    let dir = tmp_dir("stub");
+    let reg = Registry::open(&dir).unwrap();
+    populate(&reg);
+    check(&reg, "persistent");
+    drop(reg); // "kill -9": every state was persisted before its reply
+    let reg = Registry::open(&dir).unwrap();
+    check(&reg, "after restart");
+
+    let report = reg.gc(&GcPolicy { max_age_secs: None, keep_newest: 0 });
+    assert_eq!(report.evicted.len(), 2);
+    for id in ["fin", "vq"] {
+        assert!(!dir.join(format!("{id}.session.json")).exists(), "{id} checkpoint kept");
+        assert!(!dir.join(format!("{id}.record.json")).exists(), "{id} record kept");
+    }
+    assert!(dir.join("live.session.json").exists());
+    let _ = std::fs::remove_dir_all(dir);
 }
