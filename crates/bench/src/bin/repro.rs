@@ -22,9 +22,10 @@ use pbo_bench::grid::{run_seed, ProblemSpec, UPHES_DAY_SEED};
 use pbo_bench::orchestrate::{execute_grid, GridPlan, GridRecords, OrchestratorConfig};
 use pbo_bench::profiles::Profile;
 use pbo_bench::report;
-use pbo_core::algorithms::{run_algorithm_with, AlgorithmKind};
+use pbo_core::algorithms::{run_algorithm_observed, AlgorithmKind};
 use pbo_core::budget::Stopping;
 use pbo_core::observe::metrics::MetricsRegistry;
+use pbo_core::observe::NullObserver;
 use pbo_core::record::RunRecord;
 use pbo_problems::Problem;
 use std::path::Path;
@@ -322,7 +323,8 @@ fn calibrate(opts: &Opts) {
     for algo in [AlgorithmKind::Turbo, AlgorithmKind::KbQEgo, AlgorithmKind::McQEgo] {
         let budget = opts.profile.budget(1);
         let t0 = std::time::Instant::now();
-        let r = run_algorithm_with(algo, problem.as_ref(), &budget, cfg.clone(), 4242);
+        let r = run_algorithm_observed(algo, problem.as_ref(), &budget, cfg.clone(), 4242, NullObserver)
+            .expect("profile configurations are valid");
         println!(
             "{:<10} -> {:>4} cycles ({:.1}s wall), time split fit/acq/sim = {:.0}/{:.0}/{:.0} s",
             algo.name(),
@@ -355,13 +357,15 @@ fn ablation_fantasy(opts: &Opts) {
         cfg.acq.kb_fantasy = kind;
         let recs: Vec<RunRecord> = (0..runs)
             .map(|r| {
-                run_algorithm_with(
+                run_algorithm_observed(
                     AlgorithmKind::KbQEgo,
                     problem.as_ref(),
                     &budget,
                     cfg.clone(),
                     run_seed(ProblemSpec::Ackley, q, r),
+                    NullObserver,
                 )
+                .expect("profile configurations are valid")
             })
             .collect();
         let s = report::summarize_final(&recs);
@@ -386,13 +390,15 @@ fn extensions(opts: &Opts) {
     for &kind in &kinds {
         let recs: Vec<RunRecord> = (0..runs)
             .map(|r| {
-                run_algorithm_with(
+                run_algorithm_observed(
                     kind,
                     problem.as_ref(),
                     &budget,
                     cfg.clone(),
                     run_seed(ProblemSpec::Schwefel, q, r),
+                    NullObserver,
                 )
+                .expect("profile configurations are valid")
             })
             .collect();
         let s = report::summarize_final(&recs);

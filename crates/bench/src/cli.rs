@@ -105,6 +105,11 @@ pub fn parse_args(args: &[String]) -> Result<Opts, String> {
                         if m.is_nan() || m <= 0.0 {
                             return Err(format!("--minutes: must be positive, got '{value}'"));
                         }
+                        // The budget is `minutes × 60` virtual seconds;
+                        // it must stay finite (1e308 × 60 overflows).
+                        if !(m * 60.0).is_finite() {
+                            return Err(format!("--minutes: must be finite, got '{value}'"));
+                        }
                         opts.minutes = Some(m);
                     }
                     "--out" => {
@@ -221,6 +226,9 @@ mod tests {
             .unwrap_err()
             .contains("invalid number"));
         assert!(parse_args(&args(&["t", "--minutes", "-3"])).unwrap_err().contains("positive"));
+        for huge in ["inf", "1e308"] {
+            assert!(parse_args(&args(&["t", "--minutes", huge])).unwrap_err().contains("finite"));
+        }
         assert!(parse_args(&args(&["t", "--profile", "warp"]))
             .unwrap_err()
             .contains("unknown profile"));

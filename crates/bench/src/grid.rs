@@ -1,7 +1,8 @@
 //! Experiment grids: (problem × algorithm × batch size × repetition).
 
 use crate::profiles::Profile;
-use pbo_core::algorithms::{run_algorithm_with, AlgorithmKind};
+use pbo_core::algorithms::{run_algorithm_observed, AlgorithmKind};
+use pbo_core::observe::NullObserver;
 use pbo_core::record::RunRecord;
 use pbo_problems::{Problem, SyntheticFn, UphesProblem};
 
@@ -94,7 +95,8 @@ pub fn run_cell(
     (0..runs)
         .map(|r| {
             let seed = run_seed(spec, q, r);
-            run_algorithm_with(algo, problem.as_ref(), &budget, cfg.clone(), seed)
+            run_algorithm_observed(algo, problem.as_ref(), &budget, cfg.clone(), seed, NullObserver)
+                .expect("profile configurations are valid")
         })
         .collect()
 }

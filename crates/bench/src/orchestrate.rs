@@ -33,12 +33,13 @@
 
 use crate::grid::{run_seed, ProblemSpec};
 use crate::profiles::Profile;
-use pbo_core::algorithms::{run_algorithm_observed, run_algorithm_with, AlgorithmKind};
+use pbo_core::algorithms::{run_algorithm_observed, AlgorithmKind};
 use pbo_core::budget::{Budget, Stopping};
 use pbo_core::checkpoint::fnv1a64;
 use pbo_core::json::{self, push_str_literal};
 use pbo_core::observe::jsonl::JsonlTraceWriter;
 use pbo_core::observe::metrics::MetricsRegistry;
+use pbo_core::observe::FanoutObserver;
 use pbo_core::record::{RunRecord, RECORD_SCHEMA_VERSION};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -353,15 +354,19 @@ fn run_task(task: &RunTask, plan: &GridPlan, cfg: &OrchestratorConfig) -> Result
     let budget = plan.budget(task.q);
     let algo_cfg = plan.profile.algo_config();
     let t0 = std::time::Instant::now();
-    let record = if cfg.trace {
+    // One run call for both modes, so an invalid budget is this run's
+    // `Err` whether or not it is traced; an empty fanout is disabled and
+    // builds no events.
+    let mut observer = FanoutObserver::new();
+    if cfg.trace {
         let trace_path = path.with_extension("trace.jsonl");
         let writer = JsonlTraceWriter::create(&trace_path)
             .map_err(|e| format!("cannot create trace {}: {e}", trace_path.display()))?;
-        run_algorithm_observed(task.algo, problem.as_ref(), &budget, algo_cfg, task.seed, writer)
-            .map_err(|e| format!("invalid configuration for {key}: {e:?}"))?
-    } else {
-        run_algorithm_with(task.algo, problem.as_ref(), &budget, algo_cfg, task.seed)
-    };
+        observer = observer.with(writer);
+    }
+    let record =
+        run_algorithm_observed(task.algo, problem.as_ref(), &budget, algo_cfg, task.seed, observer)
+            .map_err(|e| format!("invalid configuration for {key}: {e:?}"))?;
     write_checkpoint(&path, &key, plan.profile, &record)?;
     eprintln!(
         "[orchestrate] {} {} q={} r={}: {} cycles, {} sims in {:.1}s wall (checkpointed)",
@@ -438,5 +443,25 @@ mod tests {
         std::fs::write(&path, body.lines().next().unwrap()).unwrap();
         assert!(read_checkpoint(&path, &key).is_err());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn infinite_budget_is_the_runs_error_traced_or_not() {
+        let p = GridPlan {
+            algos: vec![AlgorithmKind::RandomSearch],
+            batches: vec![1],
+            runs: 1,
+            minutes: Some(f64::INFINITY),
+            ..plan()
+        };
+        for trace in [false, true] {
+            let dir = std::env::temp_dir().join(format!("pbo-inf-{}-{trace}", std::process::id()));
+            let cfg = OrchestratorConfig { trace, ..OrchestratorConfig::sequential(&dir) };
+            match execute_grid(&p, &cfg, None) {
+                Err(e) => assert!(e.contains("budget.stopping.virtual_time"), "trace={trace}: {e}"),
+                Ok(_) => panic!("trace={trace}: an infinite budget must not run"),
+            }
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }

@@ -14,14 +14,11 @@
 //! geometry alone.
 
 use super::acq_multistart;
-use crate::budget::Budget;
-use crate::engine::{AlgoConfig, Engine};
-use crate::record::RunRecord;
+use crate::engine::AlgoConfig;
 use pbo_acq::single::{optimize_single, UpperConfidenceBound};
 use pbo_gp::Surrogate;
 use pbo_linalg::Matrix;
 use pbo_opt::Bounds;
-use pbo_problems::Problem;
 use pbo_sampling::sobol::Sobol;
 
 /// Variances below this are treated as already-determined: conditioning
@@ -98,26 +95,11 @@ pub fn gp_ucb_pe_batch(
     (batch, leader.restart_shortfall)
 }
 
-/// Drive a prepared engine with GP-UCB-PE to budget exhaustion.
-pub fn drive(e: Engine) -> RunRecord {
-    super::drive_stepper(super::AlgorithmKind::GpUcbPe, e)
-}
-
-/// Run GP-UCB-PE to budget exhaustion.
-pub fn run(problem: &dyn Problem, budget: Budget, cfg: AlgoConfig, seed: u64) -> RunRecord {
-    let e = Engine::builder(problem)
-        .budget(budget)
-        .config(cfg)
-        .seed(seed)
-        .algorithm("gp-ucb-pe")
-        .build()
-        .expect("invalid GP-UCB-PE configuration");
-    drive(e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{run_test, AlgorithmKind};
+    use crate::budget::Budget;
     use pbo_gp::kernel::{Kernel, KernelType};
     use pbo_gp::GaussianProcess;
     use pbo_problems::SyntheticFn;
@@ -179,7 +161,7 @@ mod tests {
     fn full_run_improves_over_doe() {
         let p = SyntheticFn::ackley(3);
         let budget = Budget::cycles(4, 2).with_initial_samples(10);
-        let r = run(&p, budget, AlgoConfig::test_profile(), 3);
+        let r = run_test(AlgorithmKind::GpUcbPe, &p, budget, AlgoConfig::test_profile(), 3);
         assert_eq!(r.algorithm, "gp-ucb-pe");
         assert_eq!(r.n_simulations(), 10 + 8);
         let doe_best: f64 = r.y_min[..10].iter().copied().fold(f64::INFINITY, f64::min);

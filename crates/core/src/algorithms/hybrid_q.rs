@@ -16,13 +16,10 @@
 //! ([`crate::algorithms::BatchStepper::propose_q`]) exists to carry.
 
 use super::acq_multistart;
-use crate::budget::Budget;
-use crate::engine::{AlgoConfig, Engine};
-use crate::record::RunRecord;
+use crate::engine::AlgoConfig;
 use pbo_acq::single::{optimize_single, ExpectedImprovement};
 use pbo_gp::FantasySurrogate;
 use pbo_opt::Bounds;
-use pbo_problems::Problem;
 
 /// Build one adaptive batch of between 1 and `q_max` candidates.
 /// Returns the batch plus the summed multistart restart shortfall
@@ -72,28 +69,10 @@ pub fn hybrid_batch<S: FantasySurrogate>(
     (batch, shortfall)
 }
 
-/// Drive a prepared engine with the adaptive-q hybrid to budget
-/// exhaustion.
-pub fn drive(e: Engine) -> RunRecord {
-    super::drive_stepper(super::AlgorithmKind::HybridQ, e)
-}
-
-/// Run the adaptive-q hybrid to budget exhaustion. The budget's q acts
-/// as the per-cycle cap `q_max`.
-pub fn run(problem: &dyn Problem, budget: Budget, cfg: AlgoConfig, seed: u64) -> RunRecord {
-    let e = Engine::builder(problem)
-        .budget(budget)
-        .config(cfg)
-        .seed(seed)
-        .algorithm("hybrid-q")
-        .build()
-        .expect("invalid hybrid-q configuration");
-    drive(e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{run_test, AlgorithmKind};
     use crate::budget::Budget;
     use pbo_problems::SyntheticFn;
 
@@ -101,7 +80,7 @@ mod tests {
     fn batch_size_respects_the_cap() {
         let p = SyntheticFn::ackley(3);
         let budget = Budget::cycles(4, 4).with_initial_samples(10);
-        let r = run(&p, budget, AlgoConfig::test_profile(), 3);
+        let r = run_test(AlgorithmKind::HybridQ, &p, budget, AlgoConfig::test_profile(), 3);
         assert_eq!(r.algorithm, "hybrid-q");
         assert_eq!(r.n_cycles(), 4);
         // Every cycle commits between 1 and q_max points.
@@ -121,8 +100,8 @@ mod tests {
         tight.acq.hybrid_eta = 1.0;
         let mut loose = AlgoConfig::test_profile();
         loose.acq.hybrid_eta = 0.01;
-        let a = run(&p, budget, tight, 9);
-        let b = run(&p, budget, loose, 9);
+        let a = run_test(AlgorithmKind::HybridQ, &p, budget, tight, 9);
+        let b = run_test(AlgorithmKind::HybridQ, &p, budget, loose, 9);
         assert!(a.n_simulations() <= b.n_simulations());
     }
 
@@ -130,8 +109,8 @@ mod tests {
     fn deterministic_given_seed() {
         let p = SyntheticFn::ackley(3);
         let budget = Budget::cycles(2, 3).with_initial_samples(8);
-        let a = run(&p, budget, AlgoConfig::test_profile(), 11);
-        let b = run(&p, budget, AlgoConfig::test_profile(), 11);
+        let a = run_test(AlgorithmKind::HybridQ, &p, budget, AlgoConfig::test_profile(), 11);
+        let b = run_test(AlgorithmKind::HybridQ, &p, budget, AlgoConfig::test_profile(), 11);
         assert_eq!(a.y_min, b.y_min);
         assert_eq!(a.n_simulations(), b.n_simulations());
     }

@@ -9,13 +9,10 @@
 //! paper highlights; they are charged to the acquisition clock.
 
 use super::acq_multistart;
-use crate::budget::Budget;
-use crate::engine::{AlgoConfig, Engine, FantasyKind};
-use crate::record::RunRecord;
+use crate::engine::{AlgoConfig, FantasyKind};
 use pbo_acq::single::{optimize_single, ExpectedImprovement};
 use pbo_gp::FantasySurrogate;
 use pbo_opt::Bounds;
-use pbo_problems::Problem;
 
 /// Build one Kriging-Believer batch of `q` candidates. Returns the
 /// batch plus the summed multistart restart shortfall. Generic over the
@@ -54,26 +51,10 @@ pub fn kb_batch<S: FantasySurrogate>(
     (batch, shortfall)
 }
 
-/// Drive a prepared engine with KB-q-EGO to budget exhaustion.
-pub fn drive(e: Engine) -> RunRecord {
-    super::drive_stepper(super::AlgorithmKind::KbQEgo, e)
-}
-
-/// Run KB-q-EGO to budget exhaustion.
-pub fn run(problem: &dyn Problem, budget: Budget, cfg: AlgoConfig, seed: u64) -> RunRecord {
-    let e = Engine::builder(problem)
-        .budget(budget)
-        .config(cfg)
-        .seed(seed)
-        .algorithm("kb-q-ego")
-        .build()
-        .expect("invalid KB-q-EGO configuration");
-    drive(e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{run_test, AlgorithmKind};
     use crate::budget::Budget;
     use pbo_problems::SyntheticFn;
 
@@ -81,7 +62,7 @@ mod tests {
     fn improves_over_initial_design() {
         let p = SyntheticFn::ackley(3);
         let budget = Budget::cycles(4, 2).with_initial_samples(10);
-        let r = run(&p, budget, AlgoConfig::test_profile(), 3);
+        let r = run_test(AlgorithmKind::KbQEgo, &p, budget, AlgoConfig::test_profile(), 3);
         assert_eq!(r.n_cycles(), 4);
         assert_eq!(r.n_simulations(), 10 + 8);
         let doe_best: f64 = r.y_min[..10].iter().copied().fold(f64::INFINITY, f64::min);
@@ -92,7 +73,7 @@ mod tests {
     fn batch_points_are_distinct() {
         let p = SyntheticFn::rosenbrock(3);
         let budget = Budget::cycles(1, 4).with_initial_samples(10);
-        let r = run(&p, budget, AlgoConfig::test_profile(), 5);
+        let r = run_test(AlgorithmKind::KbQEgo, &p, budget, AlgoConfig::test_profile(), 5);
         // 4 committed points after the DoE must be pairwise distinct.
         assert_eq!(r.n_simulations(), 14);
     }
@@ -101,8 +82,8 @@ mod tests {
     fn deterministic_given_seed() {
         let p = SyntheticFn::ackley(3);
         let budget = Budget::cycles(2, 2).with_initial_samples(8);
-        let a = run(&p, budget, AlgoConfig::test_profile(), 11);
-        let b = run(&p, budget, AlgoConfig::test_profile(), 11);
+        let a = run_test(AlgorithmKind::KbQEgo, &p, budget, AlgoConfig::test_profile(), 11);
+        let b = run_test(AlgorithmKind::KbQEgo, &p, budget, AlgoConfig::test_profile(), 11);
         assert_eq!(a.y_min, b.y_min);
     }
 }

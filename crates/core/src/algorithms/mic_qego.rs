@@ -8,13 +8,10 @@
 //! the paper credits for mic-q-EGO's better large-batch behaviour.
 
 use super::acq_multistart;
-use crate::budget::Budget;
-use crate::engine::{AlgoConfig, Engine};
-use crate::record::RunRecord;
+use crate::engine::AlgoConfig;
 use pbo_acq::single::{optimize_single, ExpectedImprovement, UpperConfidenceBound};
 use pbo_gp::FantasySurrogate;
 use pbo_opt::Bounds;
-use pbo_problems::Problem;
 
 /// Build one multi-infill batch of `q` candidates. Returns the batch
 /// plus the summed multistart restart shortfall. Generic over the
@@ -64,26 +61,11 @@ pub fn mic_batch<S: FantasySurrogate>(
     (batch, shortfall)
 }
 
-/// Drive a prepared engine with mic-q-EGO to budget exhaustion.
-pub fn drive(e: Engine) -> RunRecord {
-    super::drive_stepper(super::AlgorithmKind::MicQEgo, e)
-}
-
-/// Run mic-q-EGO to budget exhaustion.
-pub fn run(problem: &dyn Problem, budget: Budget, cfg: AlgoConfig, seed: u64) -> RunRecord {
-    let e = Engine::builder(problem)
-        .budget(budget)
-        .config(cfg)
-        .seed(seed)
-        .algorithm("mic-q-ego")
-        .build()
-        .expect("invalid mic-q-EGO configuration");
-    drive(e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{run_test, AlgorithmKind};
+    use crate::budget::Budget;
     use pbo_problems::SyntheticFn;
 
     #[test]
@@ -91,7 +73,7 @@ mod tests {
         let p = SyntheticFn::ackley(3);
         for q in [1usize, 2, 3, 5] {
             let budget = Budget::cycles(1, q).with_initial_samples(8);
-            let r = run(&p, budget, AlgoConfig::test_profile(), 2);
+            let r = run_test(AlgorithmKind::MicQEgo, &p, budget, AlgoConfig::test_profile(), 2);
             assert_eq!(r.n_simulations(), 8 + q, "q = {q}");
         }
     }
@@ -107,8 +89,8 @@ mod tests {
         // cycles).
         let p = SyntheticFn::ackley(3);
         let budget = Budget::cycles(2, 4).with_initial_samples(8);
-        let mic = run(&p, budget, AlgoConfig::test_profile(), 9);
-        let kb = super::super::kb_qego::run(&p, budget, AlgoConfig::test_profile(), 9);
+        let mic = run_test(AlgorithmKind::MicQEgo, &p, budget, AlgoConfig::test_profile(), 9);
+        let kb = run_test(AlgorithmKind::KbQEgo, &p, budget, AlgoConfig::test_profile(), 9);
         assert_eq!(mic.n_cycles(), kb.n_cycles());
         assert_eq!(mic.n_simulations(), kb.n_simulations());
     }
@@ -117,7 +99,7 @@ mod tests {
     fn improves_over_initial_design() {
         let p = SyntheticFn::rosenbrock(3);
         let budget = Budget::cycles(4, 2).with_initial_samples(10);
-        let r = run(&p, budget, AlgoConfig::test_profile(), 4);
+        let r = run_test(AlgorithmKind::MicQEgo, &p, budget, AlgoConfig::test_profile(), 4);
         let doe_best: f64 = r.y_min[..10].iter().copied().fold(f64::INFINITY, f64::min);
         assert!(r.best_y() <= doe_best);
     }

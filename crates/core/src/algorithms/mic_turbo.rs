@@ -7,40 +7,22 @@
 //! implemented." This module is exactly that combination: TuRBO's
 //! lengthscale-shaped trust region provides the restricted (fast,
 //! exploitation-leaning) search space, and the batch inside it is built
-//! by the mic-q-EGO EI/UCB pair loop instead of joint MC q-EI.
-
-use crate::budget::Budget;
-use crate::engine::{AlgoConfig, Engine};
-use crate::record::RunRecord;
-use pbo_problems::Problem;
-
-/// Drive a prepared engine with mic-TuRBO to budget exhaustion.
-pub fn drive(e: Engine) -> RunRecord {
-    super::drive_stepper(super::AlgorithmKind::MicTurbo, e)
-}
-
-/// Run mic-TuRBO to budget exhaustion.
-pub fn run(problem: &dyn Problem, budget: Budget, cfg: AlgoConfig, seed: u64) -> RunRecord {
-    let e = Engine::builder(problem)
-        .budget(budget)
-        .config(cfg)
-        .seed(seed)
-        .algorithm("mic-turbo")
-        .build()
-        .expect("invalid mic-TuRBO configuration");
-    drive(e)
-}
+//! by the mic-q-EGO EI/UCB pair loop instead of joint MC q-EI. The
+//! cycle and the trust-region state live in
+//! [`super::BatchStepper::MicTurbo`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::algorithms::{run_test, AlgorithmKind};
+    use crate::budget::Budget;
+    use crate::engine::AlgoConfig;
     use pbo_problems::SyntheticFn;
 
     #[test]
     fn runs_and_improves() {
         let p = SyntheticFn::ackley(3);
         let budget = Budget::cycles(5, 2).with_initial_samples(10);
-        let r = run(&p, budget, AlgoConfig::test_profile(), 3);
+        let r = run_test(AlgorithmKind::MicTurbo, &p, budget, AlgoConfig::test_profile(), 3);
         assert_eq!(r.algorithm, "mic-turbo");
         assert_eq!(r.n_cycles(), 5);
         let doe_best: f64 = r.y_min[..10].iter().copied().fold(f64::INFINITY, f64::min);
@@ -51,7 +33,7 @@ mod tests {
     fn handles_odd_batch_sizes() {
         let p = SyntheticFn::rosenbrock(3);
         let budget = Budget::cycles(2, 3).with_initial_samples(8);
-        let r = run(&p, budget, AlgoConfig::test_profile(), 5);
+        let r = run_test(AlgorithmKind::MicTurbo, &p, budget, AlgoConfig::test_profile(), 5);
         assert_eq!(r.n_simulations(), 8 + 6);
     }
 }

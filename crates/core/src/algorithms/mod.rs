@@ -1,10 +1,13 @@
-//! The five batch-acquisition PBO algorithms of the paper, plus the
-//! random-search baseline.
+//! The ten algorithms: the paper's five batch-acquisition PBO
+//! algorithms, the random-search baseline, and four extensions along
+//! the directions the paper names as future work.
 //!
 //! All share the same [`crate::engine::Engine`] and differ only in how
 //! they build each cycle's batch — exactly the paper's framing ("the
 //! mentioned parallel algorithms follow the same scheme but differ in
-//! the candidate selection phase").
+//! the candidate selection phase"). Every run starts the same way:
+//! [`run_algorithm_observed`], which is `Engine::builder(..).build()`
+//! plus [`drive_stepper`] over the per-cycle [`BatchStepper`].
 //!
 //! | Algorithm | Acquisition process |
 //! |---|---|
@@ -13,6 +16,11 @@
 //! | [`mc_qego`]  | joint q-point MC-EI over the q·d space |
 //! | [`bsp_ego`]  | 2q parallel local EI maximizations over a BSP partition |
 //! | [`turbo`]    | MC q-EI restricted to a lengthscale-shaped trust region |
+//! | [`random`]   | q uniform points; no surrogate, no acquisition cost |
+//! | [`thompson`] | q minimizers of joint posterior draws over a Sobol candidate set |
+//! | [`mic_turbo`] | the mic-q-EGO EI/UCB pair loop inside a TuRBO trust region |
+//! | [`gp_ucb_pe`] | one UCB leader + q − 1 variance-greedy pure-exploration fillers |
+//! | [`hybrid_q`] | KB-style growth while fantasy EI ≥ η·(leader EI), up to q points |
 
 pub mod bsp_ego;
 pub mod gp_ucb_pe;
@@ -70,6 +78,21 @@ pub enum AlgorithmKind {
 }
 
 impl AlgorithmKind {
+    /// Every algorithm, in canonical order: the paper's five in
+    /// declaration order, random search, then the four extensions.
+    pub const ALL: [AlgorithmKind; 10] = [
+        AlgorithmKind::KbQEgo,
+        AlgorithmKind::MicQEgo,
+        AlgorithmKind::McQEgo,
+        AlgorithmKind::BspEgo,
+        AlgorithmKind::Turbo,
+        AlgorithmKind::RandomSearch,
+        AlgorithmKind::ThompsonSampling,
+        AlgorithmKind::MicTurbo,
+        AlgorithmKind::GpUcbPe,
+        AlgorithmKind::HybridQ,
+    ];
+
     /// Stable display name (matches the paper's labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -98,21 +121,9 @@ impl AlgorithmKind {
         ]
     }
 
-    /// Parse a display name.
+    /// Parse a display name (the inverse of [`AlgorithmKind::name`]).
     pub fn from_name(s: &str) -> Option<AlgorithmKind> {
-        Some(match s {
-            "kb-q-ego" => AlgorithmKind::KbQEgo,
-            "mic-q-ego" => AlgorithmKind::MicQEgo,
-            "mc-q-ego" => AlgorithmKind::McQEgo,
-            "bsp-ego" => AlgorithmKind::BspEgo,
-            "turbo" => AlgorithmKind::Turbo,
-            "random" => AlgorithmKind::RandomSearch,
-            "thompson" => AlgorithmKind::ThompsonSampling,
-            "mic-turbo" => AlgorithmKind::MicTurbo,
-            "gp-ucb-pe" => AlgorithmKind::GpUcbPe,
-            "hybrid-q" => AlgorithmKind::HybridQ,
-            _ => return None,
-        })
+        AlgorithmKind::ALL.into_iter().find(|k| k.name() == s)
     }
 
     /// The extension algorithms built on top of the paper's five
@@ -135,33 +146,13 @@ impl AlgorithmKind {
     }
 }
 
-/// Run an algorithm with the default configuration.
-pub fn run_algorithm(
-    kind: AlgorithmKind,
-    problem: &dyn Problem,
-    budget: &Budget,
-    seed: u64,
-) -> RunRecord {
-    run_algorithm_with(kind, problem, budget, AlgoConfig::default(), seed)
-}
-
-/// Run an algorithm with an explicit configuration. Panics on an
-/// invalid configuration; use [`run_algorithm_observed`] for typed
-/// errors and observability.
-pub fn run_algorithm_with(
-    kind: AlgorithmKind,
-    problem: &dyn Problem,
-    budget: &Budget,
-    cfg: AlgoConfig,
-    seed: u64,
-) -> RunRecord {
-    run_algorithm_observed(kind, problem, budget, cfg, seed, crate::observe::NullObserver)
-        .expect("invalid algorithm configuration")
-}
-
-/// Run an algorithm with an explicit configuration and an observer
-/// receiving the engine's event stream. The observer never perturbs the
-/// run: results are bit-identical with and without it.
+/// Run an algorithm to budget exhaustion: the one entry point for an
+/// in-process run. Validates the budget and configuration (a typed
+/// [`ConfigError`] instead of a panic), evaluates the initial design
+/// and drives the engine through [`drive_stepper`]. The observer
+/// (pass [`crate::observe::NullObserver`] for none) receives the
+/// engine's event stream and never perturbs the run: results are
+/// bit-identical with and without it.
 pub fn run_algorithm_observed<'a>(
     kind: AlgorithmKind,
     problem: &'a dyn Problem,
@@ -201,24 +192,27 @@ pub fn qei_multistart(cfg: &AlgoConfig, seed: u64) -> MultistartConfig {
     }
 }
 
+/// Run `kind` to budget exhaustion, panicking on an invalid
+/// configuration (unit tests of the algorithm modules).
+#[cfg(test)]
+pub(crate) fn run_test(
+    kind: AlgorithmKind,
+    problem: &dyn Problem,
+    budget: Budget,
+    cfg: AlgoConfig,
+    seed: u64,
+) -> RunRecord {
+    run_algorithm_observed(kind, problem, &budget, cfg, seed, crate::observe::NullObserver)
+        .expect("valid test configuration")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn names_roundtrip() {
-        for kind in [
-            AlgorithmKind::KbQEgo,
-            AlgorithmKind::MicQEgo,
-            AlgorithmKind::McQEgo,
-            AlgorithmKind::BspEgo,
-            AlgorithmKind::Turbo,
-            AlgorithmKind::RandomSearch,
-            AlgorithmKind::ThompsonSampling,
-            AlgorithmKind::MicTurbo,
-            AlgorithmKind::GpUcbPe,
-            AlgorithmKind::HybridQ,
-        ] {
+        for kind in AlgorithmKind::ALL {
             assert_eq!(AlgorithmKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(AlgorithmKind::from_name("nope"), None);

@@ -1,6 +1,6 @@
 //! Algorithm-agnostic cycle stepping: every algorithm's per-cycle
-//! batch construction, factored out of its `drive` loop so a cycle can
-//! *suspend at the evaluate boundary*.
+//! batch construction, split so a cycle can *suspend at the evaluate
+//! boundary*.
 //!
 //! [`BatchStepper::propose`] runs the pre-evaluate half of one cycle
 //! (fit, acquisition, sanitization) and returns the unit-cube batch;
@@ -11,8 +11,9 @@
 //! [`BatchStepper::after_commit`] runs the post-evaluate half (trust
 //! region feedback). [`drive_stepper`] composes the three into the
 //! classic in-process loop, so the stepper IS the reference trajectory:
-//! ask/tell sessions reproduce `pbo::run` bit-for-bit because both
-//! paths execute this exact code.
+//! ask/tell sessions reproduce
+//! [`crate::algorithms::run_algorithm_observed`] bit-for-bit because
+//! both paths execute this exact code.
 //!
 //! Cross-cycle algorithm state (the BSP partition, the trust region)
 //! lives in the stepper variants — everything else an algorithm needs
@@ -123,10 +124,10 @@ impl BatchStepper {
 
     /// Run the pre-evaluate half of one cycle: open the cycle (fitting
     /// the surrogate for every algorithm but random search), build the
-    /// batch through the algorithm's acquisition process — charged to
-    /// the acquisition clock exactly as the original drive loops did —
-    /// and sanitize duplicates (again except random search, which never
-    /// did). Returns the unit-cube batch to evaluate.
+    /// batch through the algorithm's acquisition process, charged to
+    /// the acquisition clock with [`Engine::charge_acquisition`], and
+    /// sanitize duplicates (again except random search). Returns the
+    /// unit-cube batch to evaluate.
     pub fn propose(&mut self, e: &mut Engine) -> Vec<Vec<f64>> {
         match self {
             BatchStepper::KbQEgo => {
@@ -204,8 +205,11 @@ impl BatchStepper {
                 // (`pbo_linalg::parallel`), so the nested fan-out
                 // degrades to the serial schedule instead of
                 // oversubscribing — and stays bit-identical to it by
-                // construction.
-                let results: Vec<(Vec<f64>, f64, usize)> = e.charge_acquisition(q, || {
+                // construction. The closure returns the top-q batch
+                // and leaves the per-leaf scores, which drive the
+                // partition evolution, in `scores`.
+                let mut scores = Vec::new();
+                let mut batch = e.charge_acquisition(q, || {
                     let per_cell = pbo_linalg::parallel::par_map(cells.len(), 1, |k| {
                         let ei = ExpectedImprovement { f_best };
                         let ms = acq_multistart(&cfg, acq_seed.wrapping_add(k as u64));
@@ -213,18 +217,13 @@ impl BatchStepper {
                         (r.x, r.value, r.restart_shortfall)
                     });
                     let shortfall = per_cell.iter().map(|(_, _, s)| *s).sum();
-                    (per_cell, shortfall)
+                    scores = per_cell.iter().map(|(_, v, _)| *v).collect();
+                    // Top-q candidates by EI across all cells.
+                    let mut order: Vec<usize> = (0..per_cell.len()).collect();
+                    order.sort_by(|&a, &b| per_cell[b].1.total_cmp(&per_cell[a].1));
+                    let top = order.iter().take(q).map(|&k| per_cell[k].0.clone()).collect();
+                    (top, shortfall)
                 });
-
-                // Per-leaf scores drive the partition evolution.
-                let scores: Vec<f64> = results.iter().map(|(_, v, _)| *v).collect();
-
-                // Top-q candidates by EI across all cells.
-                let mut order: Vec<usize> = (0..results.len()).collect();
-                order.sort_by(|&a, &b| results[b].1.total_cmp(&results[a].1));
-                let mut batch: Vec<Vec<f64>> =
-                    order.iter().take(q).map(|&k| results[k].0.clone()).collect();
-
                 tree.evolve(&leaves, &scores);
                 e.sanitize_batch(&mut batch);
                 batch
@@ -353,7 +352,7 @@ fn hybrid_propose(e: &mut Engine) -> Vec<Vec<f64>> {
     let cfg = e.cfg().clone();
     let acq_seed = e.seeds().fork(0xACC).next_seed();
     let gp = e.model().clone();
-    let mut batch = e.charge_batch_acquisition(1, || {
+    let mut batch = e.charge_acquisition(1, || {
         super::hybrid_q::hybrid_batch(&gp, &bounds, q_max, &cfg, acq_seed)
     });
     e.sanitize_batch(&mut batch);
@@ -361,8 +360,9 @@ fn hybrid_propose(e: &mut Engine) -> Vec<Vec<f64>> {
 }
 
 /// Drive a prepared engine to budget exhaustion through the stepper —
-/// the in-process reference loop every `drive` wrapper and ask/tell
-/// session shares.
+/// the in-process reference loop that
+/// [`super::run_algorithm_observed`] runs and ask/tell sessions
+/// replicate step by step.
 pub fn drive_stepper(kind: AlgorithmKind, mut e: Engine) -> RunRecord {
     let mut stepper = BatchStepper::new(kind, &e);
     while e.should_continue() {

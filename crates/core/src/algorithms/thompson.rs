@@ -8,12 +8,8 @@
 //! optimization at all. Included here as the paper's "future work"
 //! exploration of cheaper acquisition processes.
 
-use crate::budget::Budget;
-use crate::engine::{AlgoConfig, Engine};
-use crate::record::RunRecord;
 use pbo_gp::Surrogate;
 use pbo_linalg::{Cholesky, Matrix};
-use pbo_problems::Problem;
 use pbo_sampling::{normal, sobol::Sobol};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,27 +56,12 @@ pub fn thompson_batch(
     chosen.into_iter().map(|i| cands.row(i).to_vec()).collect()
 }
 
-/// Drive a prepared engine with Thompson-sampling BO to budget
-/// exhaustion.
-pub fn drive(e: Engine) -> RunRecord {
-    super::drive_stepper(super::AlgorithmKind::ThompsonSampling, e)
-}
-
-/// Run Thompson-sampling BO to budget exhaustion.
-pub fn run(problem: &dyn Problem, budget: Budget, cfg: AlgoConfig, seed: u64) -> RunRecord {
-    let e = Engine::builder(problem)
-        .budget(budget)
-        .config(cfg)
-        .seed(seed)
-        .algorithm("thompson")
-        .build()
-        .expect("invalid Thompson-sampling configuration");
-    drive(e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{run_test, AlgorithmKind};
+    use crate::budget::Budget;
+    use crate::engine::AlgoConfig;
     use pbo_gp::kernel::{Kernel, KernelType};
     use pbo_gp::GaussianProcess;
     use pbo_problems::SyntheticFn;
@@ -131,7 +112,7 @@ mod tests {
     fn full_run_improves_over_doe() {
         let p = SyntheticFn::ackley(3);
         let budget = Budget::cycles(4, 2).with_initial_samples(10);
-        let r = run(&p, budget, AlgoConfig::test_profile(), 3);
+        let r = run_test(AlgorithmKind::ThompsonSampling, &p, budget, AlgoConfig::test_profile(), 3);
         assert_eq!(r.algorithm, "thompson");
         let doe_best: f64 = r.y_min[..10].iter().copied().fold(f64::INFINITY, f64::min);
         assert!(r.best_y() <= doe_best);

@@ -6,40 +6,21 @@
 //! q = 1) **inside the region**, evaluate, and update the region —
 //! expand on improvement streaks, shrink on failure streaks, restart on
 //! collapse. The restricted inner search space is why TuRBO's
-//! acquisition is the fastest of the five (paper §3.1).
-
-use crate::budget::Budget;
-use crate::engine::{AlgoConfig, Engine};
-use crate::record::RunRecord;
-use pbo_problems::Problem;
-
-/// Drive a prepared engine with TuRBO to budget exhaustion.
-pub fn drive(e: Engine) -> RunRecord {
-    super::drive_stepper(super::AlgorithmKind::Turbo, e)
-}
-
-/// Run TuRBO to budget exhaustion.
-pub fn run(problem: &dyn Problem, budget: Budget, cfg: AlgoConfig, seed: u64) -> RunRecord {
-    let e = Engine::builder(problem)
-        .budget(budget)
-        .config(cfg)
-        .seed(seed)
-        .algorithm("turbo")
-        .build()
-        .expect("invalid TuRBO configuration");
-    drive(e)
-}
+//! acquisition is the fastest of the five (paper §3.1). The cycle and
+//! the trust-region state live in [`super::BatchStepper::Turbo`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::algorithms::{run_test, AlgorithmKind};
+    use crate::budget::Budget;
+    use crate::engine::AlgoConfig;
     use pbo_problems::SyntheticFn;
 
     #[test]
     fn runs_to_cycle_budget() {
         let p = SyntheticFn::ackley(3);
         let budget = Budget::cycles(4, 2).with_initial_samples(8);
-        let r = run(&p, budget, AlgoConfig::test_profile(), 2);
+        let r = run_test(AlgorithmKind::Turbo, &p, budget, AlgoConfig::test_profile(), 2);
         assert_eq!(r.n_cycles(), 4);
         assert_eq!(r.n_simulations(), 8 + 8);
     }
@@ -48,7 +29,7 @@ mod tests {
     fn improves_over_initial_design() {
         let p = SyntheticFn::ackley(3);
         let budget = Budget::cycles(5, 2).with_initial_samples(10);
-        let r = run(&p, budget, AlgoConfig::test_profile(), 4);
+        let r = run_test(AlgorithmKind::Turbo, &p, budget, AlgoConfig::test_profile(), 4);
         let doe_best: f64 = r.y_min[..10].iter().copied().fold(f64::INFINITY, f64::min);
         assert!(r.best_y() <= doe_best);
     }
@@ -57,7 +38,7 @@ mod tests {
     fn q1_path_works() {
         let p = SyntheticFn::rosenbrock(3);
         let budget = Budget::cycles(3, 1).with_initial_samples(8);
-        let r = run(&p, budget, AlgoConfig::test_profile(), 6);
+        let r = run_test(AlgorithmKind::Turbo, &p, budget, AlgoConfig::test_profile(), 6);
         assert_eq!(r.n_simulations(), 11);
     }
 }

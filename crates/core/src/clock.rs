@@ -94,33 +94,13 @@ impl VirtualClock {
         self.add(cat, secs);
     }
 
-    /// Run `work`, charging its (scaled) measured duration.
-    pub fn charge<T>(&mut self, cat: TimeCategory, work: impl FnOnce() -> T) -> T {
-        match self.model {
-            CostModel::Measured { overhead_scale } => {
-                let t0 = Instant::now();
-                let out = work();
-                self.add(cat, t0.elapsed().as_secs_f64() * overhead_scale);
-                out
-            }
-            CostModel::Fixed { per_call } => {
-                let out = work();
-                self.add(cat, per_call);
-                out
-            }
-        }
-    }
-
-    /// Run `work` that *would* execute on `workers` parallel cores
-    /// (BSP-EGO's parallel acquisition): the measured serial time is
-    /// divided by the worker count before scaling — this models the
-    /// paper's cluster, where the sub-acquisitions genuinely overlap.
-    pub fn charge_parallel<T>(
-        &mut self,
-        cat: TimeCategory,
-        workers: usize,
-        work: impl FnOnce() -> T,
-    ) -> T {
+    /// Run `work`, charging its (scaled) measured duration divided by
+    /// `workers` (clamped to ≥ 1). A worker count above one models work
+    /// that *would* execute on that many parallel cores — BSP-EGO's
+    /// parallel acquisition on the paper's cluster, where the
+    /// sub-acquisitions genuinely overlap. Dividing by `1.0` is exact,
+    /// so single-worker charges are the plain scaled duration.
+    pub fn charge<T>(&mut self, cat: TimeCategory, workers: usize, work: impl FnOnce() -> T) -> T {
         let w = workers.max(1) as f64;
         match self.model {
             CostModel::Measured { overhead_scale } => {
@@ -145,9 +125,9 @@ mod tests {
     #[test]
     fn fixed_model_is_deterministic() {
         let mut c = VirtualClock::new(CostModel::Fixed { per_call: 2.0 });
-        let v = c.charge(TimeCategory::Fit, || 42);
+        let v = c.charge(TimeCategory::Fit, 1, || 42);
         assert_eq!(v, 42);
-        c.charge(TimeCategory::Acquisition, || ());
+        c.charge(TimeCategory::Acquisition, 1, || ());
         c.charge_virtual(TimeCategory::Simulation, 10.0);
         assert_eq!(c.now(), 14.0);
         assert_eq!(c.split(), (2.0, 2.0, 10.0));
@@ -156,14 +136,14 @@ mod tests {
     #[test]
     fn parallel_charge_divides_by_workers() {
         let mut c = VirtualClock::new(CostModel::Fixed { per_call: 8.0 });
-        c.charge_parallel(TimeCategory::Acquisition, 4, || ());
+        c.charge(TimeCategory::Acquisition, 4, || ());
         assert_eq!(c.now(), 2.0);
     }
 
     #[test]
     fn measured_model_charges_positive_time() {
         let mut c = VirtualClock::new(CostModel::Measured { overhead_scale: 10.0 });
-        c.charge(TimeCategory::Fit, || {
+        c.charge(TimeCategory::Fit, 1, || {
             // Busy work long enough to register on any timer.
             let mut s = 0.0f64;
             for i in 0..200_000 {
@@ -179,7 +159,7 @@ mod tests {
     fn categories_accumulate_independently() {
         let mut c = VirtualClock::new(CostModel::Fixed { per_call: 1.0 });
         for _ in 0..3 {
-            c.charge(TimeCategory::Fit, || ());
+            c.charge(TimeCategory::Fit, 1, || ());
         }
         c.charge_virtual(TimeCategory::Simulation, 5.0);
         let (f, a, s) = c.split();

@@ -1,19 +1,22 @@
 //! Shared BO-loop machinery: normalization, dataset, model management,
 //! time accounting, observability and run recording.
 //!
-//! Every algorithm drives the same [`Engine`]:
+//! Every algorithm drives the same [`Engine`], through one loop —
+//! [`crate::algorithms::drive_stepper`] in process, or an ask/tell
+//! session stepping the same [`crate::algorithms::BatchStepper`]:
 //!
 //! 1. [`Engine::builder`] validates the configuration and draws the
 //!    Latin-hypercube initial design — from a seed stream that depends
-//!    only on the run seed, **not** on the algorithm, so all five
-//!    algorithms start from identical initial sets (the paper's
+//!    only on the run seed, **not** on the algorithm, so every
+//!    algorithm starts from identical initial sets (the paper's
 //!    protocol) — and evaluates it outside the timed budget (Table 2
 //!    excludes the DoE from the 20 minutes);
 //! 2. each cycle calls [`Engine::fit_model`] (charged as fitting time),
 //!    builds a batch through its acquisition process (charged as
 //!    acquisition time, via [`Engine::charge_acquisition`]), and
-//!    commits it with [`Engine::commit_batch`] (charged the fixed
-//!    virtual simulation cost);
+//!    commits it with [`Engine::commit_batch`], which runs the
+//!    fault-tolerant executor [`crate::exec::evaluate_batch`], emits
+//!    its per-point faults and charges the virtual simulation cost;
 //! 3. [`Engine::should_continue`] implements the stopping rule, and
 //!    [`Engine::finish`] emits the [`RunRecord`].
 //!
@@ -29,7 +32,7 @@
 use crate::budget::{Budget, Stopping};
 use crate::clock::{TimeCategory, VirtualClock};
 use crate::error::ConfigError;
-use crate::exec::{evaluate_batch_ft_observed, BatchReport};
+use crate::exec::{evaluate_batch, BatchReport};
 use crate::observe::{Event, Observer};
 use crate::record::{CycleRecord, FaultCounters, RunRecord};
 use pbo_gp::{fit, FitWorkspace, GaussianProcess, SparseGaussianProcess, Surrogate, SurrogateModel};
@@ -65,21 +68,13 @@ fn scale_points(problem: &dyn Problem, unit: &[Vec<f64>]) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Re-borrow the boxed observer as the plain trait object the executor
-/// expects (dropping the `Send` marker is a no-op unsizing coercion).
-fn as_dyn<'b>(
-    observer: &'b mut Option<Box<dyn Observer + Send + '_>>,
-) -> Option<&'b mut (dyn Observer + 'b)> {
-    match observer {
-        Some(b) => Some(&mut **b),
-        None => None,
-    }
-}
-
-/// Emit one [`Event::PointFaulted`] per faulted outcome, in input
-/// order — the same stream [`evaluate_batch_ft_observed`] produces.
-/// Session tells synthesize their reports instead of evaluating, so
-/// they need the emission on its own.
+/// Emit one [`Event::PointFaulted`] for every outcome that absorbed a
+/// fault or needed more than one attempt, in **input order**, on the
+/// engine's thread after the batch completes. Executor workers never
+/// touch the observer, so sinks need not be `Sync` and the stream is
+/// deterministic whatever the fan-out schedule. In-process evaluation
+/// and session tells (whose reports are synthesized from remote
+/// values) share this one emission.
 fn emit_report_faults<'a>(
     observer: &mut Option<Box<dyn Observer + Send + 'a>>,
     report: &BatchReport,
@@ -335,13 +330,13 @@ impl<'a> PreparedEngine<'a> {
         // design points are *dropped*, not imputed: with no dataset yet
         // there is no liar value to borrow, and a slightly smaller DoE
         // is exactly what the paper's cluster would deliver.
-        let report = evaluate_batch_ft_observed(
+        let report = evaluate_batch(
             self.problem.get(),
             &self.design_native(),
             self.budget.sim_seconds,
             &self.cfg.ft,
-            as_dyn(&mut self.observer),
         );
+        self.emit_report_faults(&report);
         self.absorb_design(&report)
     }
 
@@ -576,7 +571,7 @@ impl<'a> Engine<'a> {
         let mut seeds = self.seeds.fork(0xF17 + self.cycle_idx as u64);
         let mut ws = std::mem::take(&mut self.fit_ws);
         let wall = Instant::now();
-        let fitted = self.clock.charge(TimeCategory::Fit, || {
+        let fitted = self.clock.charge(TimeCategory::Fit, 1, || {
             if let Some(m) = sparse_m {
                 let stub = fit::FitReport { mll: f64::NAN, evals: 0, starts: 0 };
                 if full {
@@ -692,55 +687,20 @@ impl<'a> Engine<'a> {
     /// (`workers > 1` divides the measured time, modelling genuinely
     /// parallel sub-acquisitions as in BSP-EGO) and emit the
     /// [`Event::AcquisitionCompleted`] telemetry. `work` returns the
-    /// built batch (or any payload) plus its multistart restart
-    /// shortfall; the event is emitted *after* charging, outside the
-    /// timed region.
-    pub fn charge_acquisition<T>(
-        &mut self,
-        workers: usize,
-        work: impl FnOnce() -> (T, usize),
-    ) -> T {
-        let a0 = self.clock.split().1;
-        let wall = Instant::now();
-        let (out, restart_shortfall) = if workers > 1 {
-            self.clock.charge_parallel(TimeCategory::Acquisition, workers, work)
-        } else {
-            self.clock.charge(TimeCategory::Acquisition, work)
-        };
-        let wall_ns = wall.elapsed().as_nanos() as u64;
-        let virtual_s = self.clock.split().1 - a0;
-        let cycle = self.cycle_idx;
-        let q = self.budget.batch_size;
-        let algorithm = &self.algorithm;
-        emit(&mut self.observer, || Event::AcquisitionCompleted {
-            cycle,
-            algo: algorithm.clone(),
-            q,
-            restart_shortfall,
-            wall_ns,
-            virtual_s,
-        });
-        out
-    }
-
-    /// [`Engine::charge_acquisition`] for variable-q algorithms: the
-    /// acquisition process itself decides the cycle's batch size, so
-    /// the [`Event::AcquisitionCompleted`] telemetry reports the batch
-    /// it actually built rather than the configured q. Fixed-q
-    /// algorithms keep using `charge_acquisition`, whose event stream
-    /// is pinned bit-identical to the pre-variable-q engine.
-    pub fn charge_batch_acquisition(
+    /// built batch plus its multistart restart shortfall. The event
+    /// reports the batch's length — the configured q for fixed-q
+    /// algorithms, the size the process chose for the adaptive-q
+    /// hybrid — and is emitted *after* charging, outside the timed
+    /// region.
+    pub fn charge_acquisition(
         &mut self,
         workers: usize,
         work: impl FnOnce() -> (Vec<Vec<f64>>, usize),
     ) -> Vec<Vec<f64>> {
         let a0 = self.clock.split().1;
         let wall = Instant::now();
-        let (batch, restart_shortfall) = if workers > 1 {
-            self.clock.charge_parallel(TimeCategory::Acquisition, workers, work)
-        } else {
-            self.clock.charge(TimeCategory::Acquisition, work)
-        };
+        let (batch, restart_shortfall) =
+            self.clock.charge(TimeCategory::Acquisition, workers, work);
         let wall_ns = wall.elapsed().as_nanos() as u64;
         let virtual_s = self.clock.split().1 - a0;
         let cycle = self.cycle_idx;
@@ -800,13 +760,9 @@ impl<'a> Engine<'a> {
     pub fn commit_batch(&mut self, batch: Vec<Vec<f64>>) {
         assert!(!batch.is_empty(), "cannot commit an empty batch");
         let native = self.to_native(&batch);
-        let report: BatchReport = evaluate_batch_ft_observed(
-            self.problem.get(),
-            &native,
-            self.budget.sim_seconds,
-            &self.cfg.ft,
-            as_dyn(&mut self.observer),
-        );
+        let report =
+            evaluate_batch(self.problem.get(), &native, self.budget.sim_seconds, &self.cfg.ft);
+        self.emit_report_faults(&report);
         self.commit_report(batch, &report);
     }
 
@@ -817,10 +773,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Emit the per-point fault events a batch report carries, in input
-    /// order — exactly what the in-process evaluator would have emitted.
-    /// Ask/tell sessions call this before [`Engine::commit_report`]
-    /// because their reports are synthesized from remote values instead
-    /// of coming out of [`evaluate_batch_ft_observed`].
+    /// order. [`Engine::commit_batch`] calls it on the executor's
+    /// report; ask/tell sessions call it before [`Engine::commit_report`]
+    /// on a report synthesized from remote values, so both paths emit
+    /// the same stream.
     pub fn emit_report_faults(&mut self, report: &BatchReport) {
         emit_report_faults(&mut self.observer, report);
     }
@@ -1333,6 +1289,46 @@ mod tests {
         // cover the batch.
         assert!(log.straggles >= 8);
         assert!((c.faults.virtual_secs_lost - (c.sim_time - 10.6)) > -1e-9);
+    }
+
+    #[test]
+    fn faulted_points_report_in_input_order_and_healthy_batches_stay_silent() {
+        use crate::exec::FtPolicy;
+        use pbo_problems::fault::{silence_injected_panics, FaultPlan, FaultyProblem};
+        silence_injected_panics();
+        let inner = SyntheticFn::ackley(3);
+        let sink = Arc::new(Mutex::new(CollectingObserver::new()));
+        let mut e = Engine::builder(&inner)
+            .budget(Budget::cycles(1, 4).with_initial_samples(8))
+            .config(AlgoConfig::test_profile())
+            .observer(sink.clone())
+            .build()
+            .unwrap();
+        sink.lock().unwrap().events.clear();
+        let pts: Vec<Vec<f64>> = (0..4)
+            .map(|i| (0..3).map(|j| ((i * 13 + j * 5) % 29) as f64 * 0.03).collect())
+            .collect();
+        let faulty = FaultyProblem::new(&inner, FaultPlan { p_panic: 1.0, ..FaultPlan::none(7) });
+        e.emit_report_faults(&evaluate_batch(&faulty, &pts, 10.0, &FtPolicy::default()));
+        let events = std::mem::take(&mut sink.lock().unwrap().events);
+        assert_eq!(events.len(), 4, "every point panics, every point reports");
+        for (i, ev) in events.iter().enumerate() {
+            match ev {
+                Event::PointFaulted { index, attempts, recovered, faults } => {
+                    assert_eq!(*index, i);
+                    assert_eq!(*attempts, 3);
+                    assert!(!recovered);
+                    assert_eq!(faults.panics, 3);
+                }
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        // Healthy evaluations stay silent, reported or committed.
+        e.emit_report_faults(&evaluate_batch(&inner, &pts, 10.0, &FtPolicy::default()));
+        assert!(sink.lock().unwrap().events.is_empty());
+        e.fit_model();
+        e.commit_batch(pts);
+        assert_eq!(sink.lock().unwrap().count("point_faulted"), 0);
     }
 
     /// Unit-box problem whose evaluation always returns NaN at the

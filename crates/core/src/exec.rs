@@ -3,64 +3,25 @@
 //!
 //! The candidates of one cycle are evaluated concurrently. The paper maps
 //! one MPI rank per batch element; here the fan-out is capped at the
-//! machine's available parallelism, with each worker draining a contiguous
-//! chunk of the batch, so a q = 64 scalability sweep does not spawn 64 OS
-//! threads on an 8-core box. The virtual clock is charged by the *engine*
-//! (fixed 10 s + dispatch overhead), not here: this module only runs the
-//! real Rust simulator, whose actual speed is irrelevant to the protocol.
+//! machine's available parallelism (or [`FtPolicy::eval_workers`]), with
+//! each worker draining a contiguous chunk of the batch, so a q = 64
+//! scalability sweep does not spawn 64 OS threads on an 8-core box.
 //!
-//! Two entry points:
-//!
-//! - [`evaluate_batch`] — the happy-path fan-out (panics propagate,
-//!   values land unchecked); kept for callers that evaluate trusted
-//!   closed-form problems.
-//! - [`evaluate_batch_ft`] — the fault-tolerant pool: per-point
-//!   [`std::panic::catch_unwind`] isolation, NaN/Inf quarantine, bounded
-//!   retry with exponential backoff and a per-attempt timeout. All fault
-//!   handling is charged in **virtual seconds** (retries and backoff
-//!   waits serialize on the failing rank; the batch's wall time is the
-//!   max over ranks, exactly the paper's MPI accounting), so injected
-//!   faults change reported evaluation budgets, never host wall-clock.
-//!   With a healthy problem its values are bit-identical to
-//!   [`evaluate_batch`].
+//! [`evaluate_batch`] is the one executor, and it is fault tolerant:
+//! per-point [`std::panic::catch_unwind`] isolation, NaN/Inf
+//! quarantine, bounded retry with exponential backoff and a per-attempt
+//! timeout. All fault handling is charged in **virtual seconds**
+//! (retries and backoff waits serialize on the failing rank; the
+//! batch's wall time is the max over ranks, exactly the paper's MPI
+//! accounting), so injected faults change reported evaluation budgets,
+//! never host wall-clock. With a healthy problem every value is exactly
+//! [`pbo_problems::eval_min`] of its point. The virtual clock itself is
+//! charged by the *engine*, which also turns the [`BatchReport`] into
+//! `PointFaulted` events; this module only runs the problem.
 
-use crate::observe::{Event, Observer};
 use crate::record::FaultCounters;
-use pbo_problems::{eval_min, Problem};
+use pbo_problems::Problem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Evaluate each point with the problem, in parallel when the batch has
-/// more than one element. Returns minimization-oriented values.
-pub fn evaluate_batch(problem: &dyn Problem, points: &[Vec<f64>]) -> Vec<f64> {
-    match points.len() {
-        0 => Vec::new(),
-        1 => vec![eval_min(problem, &points[0])],
-        n => {
-            let workers = std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1)
-                .min(n);
-            let mut out = vec![0.0f64; n];
-            if workers <= 1 {
-                for (slot, p) in out.iter_mut().zip(points) {
-                    *slot = eval_min(problem, p);
-                }
-                return out;
-            }
-            let per = n.div_ceil(workers);
-            std::thread::scope(|s| {
-                for (slots, pts) in out.chunks_mut(per).zip(points.chunks(per)) {
-                    s.spawn(move || {
-                        for (slot, p) in slots.iter_mut().zip(pts) {
-                            *slot = eval_min(problem, p);
-                        }
-                    });
-                }
-            });
-            out
-        }
-    }
-}
 
 /// Retry/timeout policy of the fault-tolerant executor. Durations are
 /// **virtual seconds** (the paper's simulator-time currency), not host
@@ -198,16 +159,13 @@ pub fn eval_point_ft(
 /// Fault-tolerant parallel batch evaluation. Per-point outcomes are a
 /// pure function of `(problem, point, policy)` — independent of worker
 /// count and thread schedule — so runs replay identically on any host.
-pub fn evaluate_batch_ft(
+pub fn evaluate_batch(
     problem: &dyn Problem,
     points: &[Vec<f64>],
     sim_seconds: f64,
     policy: &FtPolicy,
 ) -> BatchReport {
     let n = points.len();
-    if n == 0 {
-        return BatchReport { outcomes: Vec::new() };
-    }
     let placeholder = PointOutcome {
         value: None,
         virtual_secs: 0.0,
@@ -220,7 +178,7 @@ pub fn evaluate_batch_ft(
         .unwrap_or_else(|| std::thread::available_parallelism().map(|w| w.get()).unwrap_or(1))
         .max(1)
         .min(n);
-    if workers <= 1 || n == 1 {
+    if workers <= 1 {
         for (slot, p) in outcomes.iter_mut().zip(points) {
             *slot = eval_point_ft(problem, p, sim_seconds, policy);
         }
@@ -239,72 +197,21 @@ pub fn evaluate_batch_ft(
     BatchReport { outcomes }
 }
 
-/// [`evaluate_batch_ft`] plus observer notification: after the batch
-/// completes, a [`Event::PointFaulted`] is emitted for every point that
-/// absorbed any fault or needed more than one attempt — in **input
-/// order**, on the caller's thread. Worker threads never touch the
-/// observer, so sinks need not be `Sync` and the event stream is
-/// deterministic regardless of the fan-out schedule.
-pub fn evaluate_batch_ft_observed(
-    problem: &dyn Problem,
-    points: &[Vec<f64>],
-    sim_seconds: f64,
-    policy: &FtPolicy,
-    observer: Option<&mut (dyn Observer + '_)>,
-) -> BatchReport {
-    let report = evaluate_batch_ft(problem, points, sim_seconds, policy);
-    if let Some(obs) = observer {
-        if obs.enabled() {
-            for (index, o) in report.outcomes.iter().enumerate() {
-                if o.attempts > 1 || o.faults.any() {
-                    obs.on_event(&Event::PointFaulted {
-                        index,
-                        attempts: o.attempts,
-                        recovered: o.value.is_some(),
-                        faults: o.faults,
-                    });
-                }
-            }
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pbo_problems::fault::{silence_injected_panics, FaultPlan, FaultyProblem};
-    use pbo_problems::SyntheticFn;
+    use pbo_problems::{eval_min, SyntheticFn};
 
-    #[test]
-    fn observed_wrapper_emits_faulted_points_in_input_order() {
-        silence_injected_panics();
-        let inner = SyntheticFn::ackley(3);
-        let plan = FaultPlan { p_panic: 1.0, ..FaultPlan::none(7) };
-        let p = FaultyProblem::new(&inner, plan);
-        let pts = grid(4, 3);
-        let mut sink = crate::observe::CollectingObserver::new();
-        let report =
-            evaluate_batch_ft_observed(&p, &pts, 10.0, &FtPolicy::default(), Some(&mut sink));
-        assert_eq!(sink.events.len(), 4, "every point panics, every point reports");
-        for (i, ev) in sink.events.iter().enumerate() {
-            match ev {
-                Event::PointFaulted { index, attempts, recovered, faults } => {
-                    assert_eq!(*index, i);
-                    assert_eq!(*attempts, 3);
-                    assert!(!recovered);
-                    assert_eq!(faults.panics, 3);
-                }
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-        // The wrapper returns the same report as the plain executor.
-        let plain = evaluate_batch_ft(&p, &pts, 10.0, &FtPolicy::default());
-        assert_eq!(report.outcomes, plain.outcomes);
-        // Healthy evaluations stay silent.
-        let mut sink = crate::observe::CollectingObserver::new();
-        evaluate_batch_ft_observed(&inner, &pts, 10.0, &FtPolicy::default(), Some(&mut sink));
-        assert!(sink.events.is_empty());
+    /// The worker settings every fan-out test covers: forced serial,
+    /// an odd chunking, and the host's available parallelism.
+    const WORKERS: [Option<usize>; 3] = [Some(1), Some(3), None];
+
+    /// Run the executor with `workers` and unwrap every (healthy) value.
+    fn values(p: &dyn Problem, pts: &[Vec<f64>], workers: Option<usize>) -> Vec<f64> {
+        let policy = FtPolicy { eval_workers: workers, ..FtPolicy::default() };
+        let report = evaluate_batch(p, pts, 10.0, &policy);
+        report.outcomes.iter().map(|o| o.value.expect("healthy point")).collect()
     }
 
     #[test]
@@ -313,9 +220,11 @@ mod tests {
         let pts: Vec<Vec<f64>> = (0..7)
             .map(|i| (0..5).map(|j| (i * 5 + j) as f64 * 0.1 - 1.0).collect())
             .collect();
-        let par = evaluate_batch(&p, &pts);
-        for (v, x) in par.iter().zip(&pts) {
-            assert_eq!(*v, p.eval(x));
+        for workers in WORKERS {
+            let par = values(&p, &pts, workers);
+            for (v, x) in par.iter().zip(&pts) {
+                assert_eq!(*v, eval_min(&p, x));
+            }
         }
     }
 
@@ -323,15 +232,23 @@ mod tests {
     fn flips_sign_for_maximizers() {
         let p = pbo_problems::UphesProblem::maizeret(2);
         let pts = vec![vec![0.45; 12], vec![0.2; 12]];
-        let vals = evaluate_batch(&p, &pts);
-        assert_eq!(vals[0], -p.eval(&pts[0]));
-        assert_eq!(vals[1], -p.eval(&pts[1]));
+        for workers in WORKERS {
+            let vals = values(&p, &pts, workers);
+            assert_eq!(vals[0], -p.eval(&pts[0]));
+            assert_eq!(vals[1], -p.eval(&pts[1]));
+            assert_eq!(vals[0], eval_min(&p, &pts[0]));
+        }
     }
 
     #[test]
     fn empty_batch_ok() {
         let p = SyntheticFn::ackley(3);
-        assert!(evaluate_batch(&p, &[]).is_empty());
+        for workers in WORKERS {
+            let policy = FtPolicy { eval_workers: workers, ..FtPolicy::default() };
+            let report = evaluate_batch(&p, &[], 10.0, &policy);
+            assert!(report.outcomes.is_empty());
+            assert_eq!(report.max_rank_secs(), 0.0);
+        }
     }
 
     #[test]
@@ -342,9 +259,11 @@ mod tests {
         let pts: Vec<Vec<f64>> = (0..130)
             .map(|i| (0..4).map(|j| ((i * 7 + j * 3) % 40) as f64 * 0.05 - 1.0).collect())
             .collect();
-        let par = evaluate_batch(&p, &pts);
-        for (v, x) in par.iter().zip(&pts) {
-            assert_eq!(*v, p.eval(x));
+        for workers in WORKERS {
+            let par = values(&p, &pts, workers);
+            for (v, x) in par.iter().zip(&pts) {
+                assert_eq!(*v, eval_min(&p, x));
+            }
         }
     }
 
@@ -358,10 +277,10 @@ mod tests {
     fn ft_zero_fault_path_is_bit_identical_to_plain() {
         let p = SyntheticFn::schwefel(4);
         let pts = grid(23, 4);
-        let plain = evaluate_batch(&p, &pts);
-        for workers in [Some(1), Some(3), None] {
+        let plain: Vec<f64> = pts.iter().map(|x| eval_min(&p, x)).collect();
+        for workers in WORKERS {
             let policy = FtPolicy { eval_workers: workers, ..FtPolicy::default() };
-            let report = evaluate_batch_ft(&p, &pts, 10.0, &policy);
+            let report = evaluate_batch(&p, &pts, 10.0, &policy);
             let ft: Vec<f64> = report.outcomes.iter().map(|o| o.value.unwrap()).collect();
             assert_eq!(ft, plain);
             assert!(!report.counters().any());
@@ -380,7 +299,7 @@ mod tests {
         let p = FaultyProblem::new(&inner, plan);
         let pts = grid(5, 3);
         let policy = FtPolicy { max_retries: 2, backoff_base: 1.0, backoff_factor: 2.0, ..FtPolicy::default() };
-        let report = evaluate_batch_ft(&p, &pts, 10.0, &policy);
+        let report = evaluate_batch(&p, &pts, 10.0, &policy);
         let c = report.counters();
         assert_eq!(c.panics, 15, "5 points x 3 attempts");
         assert_eq!(c.retries, 10);
@@ -404,7 +323,7 @@ mod tests {
         let p = FaultyProblem::new(&inner, plan);
         let pts = grid(40, 2);
         let policy = FtPolicy { max_retries: 6, backoff_base: 0.5, backoff_factor: 1.0, ..FtPolicy::default() };
-        let report = evaluate_batch_ft(&p, &pts, 10.0, &policy);
+        let report = evaluate_batch(&p, &pts, 10.0, &policy);
         let c = report.counters();
         let log = p.injection_log();
         assert!(log.nans + log.infs > 0, "plan should have fired at 60% rate");
@@ -437,7 +356,7 @@ mod tests {
         let p = FaultyProblem::new(&inner, plan);
         let pts = grid(30, 2);
         let policy = FtPolicy { max_retries: 8, backoff_base: 0.0, backoff_factor: 1.0, timeout_secs: 25.0, ..FtPolicy::default() };
-        let report = evaluate_batch_ft(&p, &pts, 10.0, &policy);
+        let report = evaluate_batch(&p, &pts, 10.0, &policy);
         let c = report.counters();
         assert!(c.timeouts > 0, "some draws must exceed the cap");
         assert!(c.stragglers > 0, "some draws must fit under the cap");
@@ -460,7 +379,7 @@ mod tests {
             .map(|&w| {
                 let p = FaultyProblem::new(&inner, plan);
                 let policy = FtPolicy { eval_workers: Some(w), ..FtPolicy::default() };
-                evaluate_batch_ft(&p, &pts, 10.0, &policy).outcomes
+                evaluate_batch(&p, &pts, 10.0, &policy).outcomes
             })
             .collect();
         assert_eq!(runs[0], runs[1]);

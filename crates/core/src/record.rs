@@ -2,7 +2,7 @@
 //! paper's tables and figures from a set of optimization runs.
 
 /// Per-batch fault bookkeeping from the fault-tolerant executor
-/// (`pbo-core::exec::evaluate_batch_ft`) and the engine's degradation
+/// (`pbo-core::exec::evaluate_batch`) and the engine's degradation
 /// policy. All counts are exact and deterministic given the run seed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultCounters {

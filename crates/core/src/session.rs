@@ -495,15 +495,11 @@ pub struct SessionState {
 
 impl SessionState {
     /// Validate the config and open a session suspended before its
-    /// initial design evaluation.
-    pub fn create(cfg: SessionConfig) -> Result<SessionState, SessionError> {
-        Self::create_observed(cfg, crate::observe::NullObserver)
-    }
-
-    /// [`SessionState::create`] with an event sink attached; the server
-    /// uses this to stream per-session events into its metrics
-    /// registry. Replaying a journal re-emits the events, so a restart
-    /// rebuilds observer state along with the engine.
+    /// initial design evaluation, with an event sink attached (pass
+    /// [`crate::observe::NullObserver`] for none). The server streams
+    /// per-session events into its metrics registry this way. Replaying
+    /// a journal re-emits the events, so a restart rebuilds observer
+    /// state along with the engine.
     pub fn create_observed(
         cfg: SessionConfig,
         observer: impl Observer + Send + 'static,
@@ -896,7 +892,7 @@ mod tests {
     #[test]
     fn session_matches_in_process_run() {
         let cfg = toy_cfg(AlgorithmKind::KbQEgo, 3, 2, 42);
-        let s = SessionState::create(cfg.clone()).unwrap();
+        let s = SessionState::create_observed(cfg.clone(), NullObserver).unwrap();
         let remote = drive_locally(s);
         let p = SyntheticFn::ackley(3);
         let local = crate::algorithms::run_algorithm_observed(
@@ -918,7 +914,7 @@ mod tests {
         let p = SyntheticFn::ackley(3);
         for cycles in [usize::MAX / 2, 1_000_000_000_000] {
             let cfg = toy_cfg(AlgorithmKind::RandomSearch, cycles, 2, 12);
-            let mut s = SessionState::create(cfg).unwrap();
+            let mut s = SessionState::create_observed(cfg, NullObserver).unwrap();
             for _ in 0..2 {
                 let ask = s.ask().unwrap();
                 let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
@@ -932,7 +928,7 @@ mod tests {
     #[test]
     fn ask_is_idempotent_until_told() {
         let cfg = toy_cfg(AlgorithmKind::RandomSearch, 2, 2, 7);
-        let mut s = SessionState::create(cfg).unwrap();
+        let mut s = SessionState::create_observed(cfg, NullObserver).unwrap();
         let a1 = s.ask().unwrap();
         let a2 = s.ask().unwrap();
         assert_eq!(a1, a2);
@@ -945,7 +941,7 @@ mod tests {
     #[test]
     fn wrong_turn_and_count_are_typed_and_harmless() {
         let cfg = toy_cfg(AlgorithmKind::RandomSearch, 2, 2, 8);
-        let mut s = SessionState::create(cfg).unwrap();
+        let mut s = SessionState::create_observed(cfg, NullObserver).unwrap();
         let ask = s.ask().unwrap();
         assert_eq!(
             s.tell(ask.turn + 1, &vec![0.0; ask.points.len()]),
@@ -963,7 +959,7 @@ mod tests {
     #[test]
     fn all_nan_design_keeps_session_tellable() {
         let cfg = toy_cfg(AlgorithmKind::RandomSearch, 1, 2, 9);
-        let mut s = SessionState::create(cfg).unwrap();
+        let mut s = SessionState::create_observed(cfg, NullObserver).unwrap();
         let ask = s.ask().unwrap();
         let nans = vec![f64::NAN; ask.points.len()];
         assert_eq!(s.tell(ask.turn, &nans), Err(SessionError::EmptyDesign));
@@ -977,7 +973,7 @@ mod tests {
         let p = SyntheticFn::ackley(3);
         let cfg = toy_cfg(AlgorithmKind::Turbo, 4, 2, 11);
         // Drive two tells, checkpoint, resume, finish both copies.
-        let mut a = SessionState::create(cfg).unwrap();
+        let mut a = SessionState::create_observed(cfg, NullObserver).unwrap();
         for _ in 0..2 {
             let ask = a.ask().unwrap();
             let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
@@ -998,7 +994,7 @@ mod tests {
         use std::sync::{Arc, Mutex};
         let p = SyntheticFn::ackley(3);
         let cfg = toy_cfg(AlgorithmKind::KbQEgo, 3, 2, 23);
-        let mut a = SessionState::create(cfg).unwrap();
+        let mut a = SessionState::create_observed(cfg, NullObserver).unwrap();
         for _ in 0..3 {
             let ask = a.ask().unwrap();
             let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
@@ -1019,7 +1015,7 @@ mod tests {
     #[test]
     fn corrupt_checkpoints_yield_typed_errors() {
         let cfg = toy_cfg(AlgorithmKind::RandomSearch, 1, 1, 3);
-        let s = SessionState::create(cfg).unwrap();
+        let s = SessionState::create_observed(cfg, NullObserver).unwrap();
         let line = s.to_checkpoint_line("x");
         // Truncation, garbage, wrong schema, tampered key.
         for bad in [
@@ -1040,7 +1036,7 @@ mod tests {
     fn schema_1_checkpoints_without_qs_still_resume() {
         let p = SyntheticFn::ackley(3);
         let cfg = toy_cfg(AlgorithmKind::Turbo, 3, 2, 17);
-        let mut a = SessionState::create(cfg).unwrap();
+        let mut a = SessionState::create_observed(cfg, NullObserver).unwrap();
         for _ in 0..2 {
             let ask = a.ask().unwrap();
             let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
@@ -1068,7 +1064,7 @@ mod tests {
     fn qs_disagreeing_with_tell_widths_is_corrupt() {
         let p = SyntheticFn::ackley(3);
         let cfg = toy_cfg(AlgorithmKind::RandomSearch, 2, 2, 19);
-        let mut s = SessionState::create(cfg).unwrap();
+        let mut s = SessionState::create_observed(cfg, NullObserver).unwrap();
         let ask = s.ask().unwrap();
         let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
         s.tell(ask.turn, &values).unwrap();
@@ -1090,7 +1086,7 @@ mod tests {
         let p = SyntheticFn::ackley(3);
         let mut cfg = toy_cfg(AlgorithmKind::HybridQ, 4, 4, 7);
         cfg.budget = Budget::cycles(4, 4).with_initial_samples(6);
-        let mut s = SessionState::create(cfg).unwrap();
+        let mut s = SessionState::create_observed(cfg, NullObserver).unwrap();
         let mut qs = Vec::new();
         while !s.is_done() {
             let ask = s.ask().unwrap();

@@ -112,10 +112,10 @@ proptest! {
         workers in 1usize..64,
     ) {
         let mut c = VirtualClock::new(CostModel::Fixed { per_call });
-        c.charge_parallel(TimeCategory::Acquisition, workers, || ());
+        c.charge(TimeCategory::Acquisition, workers, || ());
         prop_assert!((c.now() - per_call / workers as f64).abs() < 1e-12);
         let mut serial = VirtualClock::new(CostModel::Fixed { per_call });
-        serial.charge(TimeCategory::Acquisition, || ());
+        serial.charge(TimeCategory::Acquisition, 1, || ());
         prop_assert!(c.now() <= serial.now() + 1e-12, "parallelism made work slower");
     }
 

@@ -6,14 +6,13 @@
 //! cargo run --release --example algorithm_comparison [q]
 //! ```
 
-use pbo::core::algorithms::{run_algorithm, AlgorithmKind};
-use pbo::core::budget::Budget;
-use pbo::problems::SyntheticFn;
+use pbo::prelude::*;
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
     let q: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(4);
     let problem = SyntheticFn::schwefel(12);
     let budget = Budget::paper(q);
+    let cfg = AlgoConfig::default();
 
     println!("Schwefel-12d, 20 virtual minutes, q = {q}");
     println!(
@@ -21,7 +20,7 @@ fn main() {
         "algorithm", "best", "cycles", "sims", "fit[s]", "acq[s]", "sim[s]"
     );
     for kind in AlgorithmKind::paper_set() {
-        let r = run_algorithm(kind, &problem, &budget, 2024);
+        let r = run_algorithm_observed(kind, &problem, &budget, cfg.clone(), 2024, NullObserver)?;
         let (fit, acq, sim) = r.time_split();
         println!(
             "{:<12} {:>10.1} {:>8} {:>8} | {:>8.0} {:>8.0} {:>8.0}",
@@ -35,7 +34,8 @@ fn main() {
         );
     }
     // The weak baseline for perspective.
-    let r = run_algorithm(AlgorithmKind::RandomSearch, &problem, &budget, 2024);
+    let random = AlgorithmKind::RandomSearch;
+    let r = run_algorithm_observed(random, &problem, &budget, cfg, 2024, NullObserver)?;
     println!(
         "{:<12} {:>10.1} {:>8} {:>8} | {:>8} {:>8} {:>8.0}",
         "random",
@@ -46,4 +46,5 @@ fn main() {
         "-",
         r.time_split().2
     );
+    Ok(())
 }

@@ -11,9 +11,7 @@
 //! cargo run --release --example custom_problem
 //! ```
 
-use pbo::core::algorithms::{run_algorithm, AlgorithmKind};
-use pbo::core::budget::Budget;
-use pbo::problems::Problem;
+use pbo::prelude::*;
 
 /// Allocate intensity `x_i ∈ [0, 1]` over 6 shifts.
 struct PressShop {
@@ -57,11 +55,13 @@ impl Problem for PressShop {
     }
 }
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
     let problem = PressShop::new();
     // A shorter engagement than the paper's: 24 cycles of 2 candidates.
     let budget = Budget::cycles(24, 2).with_initial_samples(16);
-    let record = run_algorithm(AlgorithmKind::Turbo, &problem, &budget, 11);
+    let cfg = AlgoConfig::default();
+    let record =
+        run_algorithm_observed(AlgorithmKind::Turbo, &problem, &budget, cfg, 11, NullObserver)?;
 
     println!("best profit found : {:.3}", record.best_y());
     println!("best allocation   : {:?}", record.best_x.iter().map(|v| (v * 100.0).round() / 100.0).collect::<Vec<_>>());
@@ -71,4 +71,5 @@ fn main() {
     // 10√v − 6v² is at v ≈ 0.66 (below the overheat threshold), profit
     // ≈ 5.53/shift. TuRBO should land near 6 × 5.53 ≈ 33.2.
     println!("analytic ballpark : 33.2");
+    Ok(())
 }

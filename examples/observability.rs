@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 fn main() {
     let problem = SyntheticFn::rosenbrock(6);
-    let cfg = RunConfig::cycles(8, 4).seed(42);
+    let budget = Budget::cycles(8, 4);
+    let cfg = AlgoConfig::test_profile();
 
     let path = std::env::temp_dir().join(format!("pbo_trace_{}.jsonl", std::process::id()));
     let trace = JsonlTraceWriter::create(&path).expect("create trace file");
@@ -26,8 +27,9 @@ fn main() {
         .with(MetricsObserver::new(registry.clone()));
 
     println!("tracing mic-q-ego on {} to {}", problem.name(), path.display());
-    let record = pbo::run_observed(AlgorithmKind::MicQEgo, &problem, cfg, observer)
-        .expect("valid configuration");
+    let record =
+        run_algorithm_observed(AlgorithmKind::MicQEgo, &problem, &budget, cfg, 42, observer)
+            .expect("valid configuration");
 
     // Every line of the trace must be strict single-line JSON naming a
     // known event.

@@ -5,11 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pbo::core::algorithms::{run_algorithm, AlgorithmKind};
-use pbo::core::budget::Budget;
-use pbo::problems::{Problem, SyntheticFn};
+use pbo::prelude::*;
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
     // The 12-d Ackley instance of the paper (Table 1).
     let problem = SyntheticFn::ackley(12);
 
@@ -25,7 +23,9 @@ fn main() {
         problem.dim()
     );
 
-    let record = run_algorithm(AlgorithmKind::KbQEgo, &problem, &budget, 42);
+    let cfg = AlgoConfig::default();
+    let record =
+        run_algorithm_observed(AlgorithmKind::KbQEgo, &problem, &budget, cfg, 42, NullObserver)?;
 
     let (fit, acq, sim) = record.time_split();
     println!("cycles completed        : {}", record.n_cycles());
@@ -38,4 +38,5 @@ fn main() {
     for checkpoint in [0, trace.len() / 4, trace.len() / 2, trace.len() - 1] {
         println!("best after {:>4} evaluations: {:.4}", checkpoint + 1, trace[checkpoint]);
     }
+    Ok(())
 }

@@ -7,11 +7,9 @@
 //! `algorithm` ∈ {kb-q-ego, mic-q-ego, mc-q-ego, bsp-ego, turbo};
 //! default kb-q-ego.
 
-use pbo::core::algorithms::{run_algorithm, AlgorithmKind};
-use pbo::core::budget::Budget;
-use pbo::problems::SyntheticFn;
+use pbo::prelude::*;
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
     let kind = std::env::args()
         .nth(1)
         .and_then(|s| AlgorithmKind::from_name(&s))
@@ -26,7 +24,8 @@ fn main() {
     let mut prev_sims = 0usize;
     for q in [1usize, 2, 4, 8, 16] {
         let budget = Budget::paper(q);
-        let r = run_algorithm(kind, &problem, &budget, 777);
+        let cfg = AlgoConfig::default();
+        let r = run_algorithm_observed(kind, &problem, &budget, cfg, 777, NullObserver)?;
         let (fit, acq, _) = r.time_split();
         let overhead = fit + acq;
         println!(
@@ -45,4 +44,5 @@ fn main() {
         }
         prev_sims = r.n_simulations();
     }
+    Ok(())
 }

@@ -10,25 +10,23 @@
 //! cargo run --release --example uphes_scheduling
 //! ```
 
-use pbo::core::algorithms::{run_algorithm_with, AlgorithmKind};
-use pbo::core::budget::Budget;
-use pbo::core::engine::AlgoConfig;
-use pbo::problems::UphesProblem;
+use pbo::prelude::*;
 use pbo::uphes::schedule::Schedule;
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
     let problem = UphesProblem::maizeret(20_220_530);
 
     // The operator's window: 20 minutes of optimization, 10 s per
     // profit simulation, 4 parallel workers (the paper's sweet spot).
     let budget = Budget::paper(4);
-    let record = run_algorithm_with(
+    let record = run_algorithm_observed(
         AlgorithmKind::MicQEgo,
         &problem,
         &budget,
         AlgoConfig::default(),
         7,
-    );
+        NullObserver,
+    )?;
 
     println!("=== mic-q-EGO, q = 4, 20 virtual minutes ===");
     println!("cycles      : {}", record.n_cycles());
@@ -63,4 +61,5 @@ fn main() {
     println!("  water value     : {:>8.0} EUR", breakdown.water_value);
     println!("  net profit      : {:>8.0} EUR", breakdown.profit);
     println!("  infeasible quarters/scenario: {:.2}", breakdown.infeasible_steps);
+    Ok(())
 }

@@ -11,7 +11,8 @@
 //!
 //! - a from-scratch Gaussian-process stack ([`gp`], [`linalg`],
 //!   [`sampling`], [`opt`]),
-//! - five batch-acquisition parallel BO algorithms ([`core::algorithms`]),
+//! - the paper's five batch-acquisition parallel BO algorithms, a
+//!   random-search baseline and four extensions ([`core::algorithms`]),
 //! - an Underground Pumped Hydro-Energy Storage plant simulator
 //!   ([`uphes`]),
 //! - the benchmark functions and experiment harness used in the paper's
@@ -22,26 +23,37 @@
 //!
 //! ## Quickstart
 //!
+//! One call runs one optimization: [`prelude::run_algorithm_observed`]
+//! takes the algorithm, the problem, a budget, the algorithm
+//! configuration, a seed and an observer ([`prelude::NullObserver`] for
+//! none), and returns the full [`prelude::RunRecord`] — or a typed
+//! [`prelude::ConfigError`] for an invalid configuration.
+//!
 //! ```
 //! use pbo::prelude::*;
 //!
 //! let problem = SyntheticFn::ackley(4);
-//! let cfg = RunConfig::cycles(2, 2).seed(42);
-//! let record = pbo::run(AlgorithmKind::KbQEgo, &problem, cfg).unwrap();
+//! let budget = Budget::cycles(2, 2);
+//! let cfg = AlgoConfig::test_profile();
+//! let record =
+//!     run_algorithm_observed(AlgorithmKind::KbQEgo, &problem, &budget, cfg, 42, NullObserver)
+//!         .unwrap();
 //! assert!(record.best_y().is_finite());
 //! assert_eq!(record.n_cycles(), 2);
 //! ```
 //!
 //! To watch a run live, attach any [`prelude::Observer`] — e.g. a
-//! replayable JSONL trace:
+//! replayable JSONL trace of the paper's protocol at q = 4:
 //!
 //! ```no_run
 //! use pbo::prelude::*;
 //!
 //! let problem = SyntheticFn::ackley(4);
 //! let trace = JsonlTraceWriter::create("run.jsonl").unwrap();
-//! let cfg = RunConfig::paper(4).seed(7);
-//! let record = pbo::run_observed(AlgorithmKind::Turbo, &problem, cfg, trace).unwrap();
+//! let budget = Budget::paper(4);
+//! let cfg = AlgoConfig::default();
+//! let record =
+//!     run_algorithm_observed(AlgorithmKind::Turbo, &problem, &budget, cfg, 7, trace).unwrap();
 //! # let _ = record;
 //! ```
 //!
@@ -60,9 +72,7 @@ pub use pbo_uphes as uphes;
 /// The user-facing vocabulary in one import: algorithms, budgets,
 /// configuration, records, observability and the common problems.
 pub mod prelude {
-    pub use crate::core::algorithms::{
-        run_algorithm, run_algorithm_observed, run_algorithm_with, AlgorithmKind,
-    };
+    pub use crate::core::algorithms::{run_algorithm_observed, AlgorithmKind};
     pub use crate::core::budget::{Budget, Stopping};
     pub use crate::core::config::{
         AcqConfig, AlgoConfig, FantasyKind, QeiConfig, SurrogateBackend,
@@ -78,84 +88,6 @@ pub mod prelude {
     pub use crate::core::record::{CycleRecord, FaultCounters, RunRecord};
     pub use crate::problems::fault::{FaultPlan, FaultyProblem};
     pub use crate::problems::{Problem, SyntheticFn, UphesProblem};
-    pub use crate::{run, run_observed, RunConfig};
-}
-
-use crate::core::algorithms::{run_algorithm_observed, AlgorithmKind};
-use crate::core::budget::Budget;
-use crate::core::config::AlgoConfig;
-use crate::core::error::ConfigError;
-use crate::core::observe::{NullObserver, Observer};
-use crate::core::record::RunRecord;
-use crate::problems::Problem;
-
-/// Everything one optimization run needs besides the algorithm and the
-/// problem: budget, algorithm configuration and seed.
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// Time/evaluation budget.
-    pub budget: Budget,
-    /// Algorithm configuration (defaults reproduce the paper's setup).
-    pub algo: AlgoConfig,
-    /// Run seed (the whole run is a deterministic function of it).
-    pub seed: u64,
-}
-
-impl RunConfig {
-    /// The paper's protocol at batch size `q`: 20 virtual minutes,
-    /// 10 s simulations, `16q` initial samples.
-    pub fn paper(q: usize) -> Self {
-        RunConfig { budget: Budget::paper(q), algo: AlgoConfig::default(), seed: 0 }
-    }
-
-    /// Cycle-bounded run at batch size `q` (tests, examples, demos).
-    pub fn cycles(n_cycles: usize, q: usize) -> Self {
-        RunConfig {
-            budget: Budget::cycles(n_cycles, q),
-            algo: AlgoConfig::test_profile(),
-            seed: 0,
-        }
-    }
-
-    /// Set the seed; builder-style.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replace the budget; builder-style.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Replace the algorithm configuration; builder-style.
-    pub fn algo(mut self, algo: AlgoConfig) -> Self {
-        self.algo = algo;
-        self
-    }
-}
-
-/// Run one optimization: the one-call entry point of the workspace.
-/// Validates the configuration (typed [`ConfigError`] on failure) and
-/// returns the full [`RunRecord`].
-pub fn run(
-    kind: AlgorithmKind,
-    problem: &dyn Problem,
-    cfg: RunConfig,
-) -> Result<RunRecord, ConfigError> {
-    run_observed(kind, problem, cfg, NullObserver)
-}
-
-/// [`run`] with an observer attached (JSONL trace, metrics, or any
-/// custom [`Observer`]). Observation never changes the result.
-pub fn run_observed<'a>(
-    kind: AlgorithmKind,
-    problem: &'a dyn Problem,
-    cfg: RunConfig,
-    observer: impl Observer + Send + 'a,
-) -> Result<RunRecord, ConfigError> {
-    run_algorithm_observed(kind, problem, &cfg.budget, cfg.algo, cfg.seed, observer)
 }
 
 /// Crate version string.

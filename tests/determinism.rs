@@ -4,15 +4,16 @@
 //! forking, and the fault-tolerant executor charges retries/backoff to
 //! the *virtual* clock — so a run must replay bit-identically whatever
 //! the physical worker count, with and without injected faults. These
-//! tests pin that contract at the outermost API (`run_algorithm_with`
-//! on the `pbo` facade), where any ordering leak in sampling, GP
-//! fitting, acquisition multistart, executor fan-out or fault
-//! injection would surface.
+//! tests pin that contract at the outermost API
+//! (`run_algorithm_observed`, the one run entry point), where any
+//! ordering leak in sampling, GP fitting, acquisition multistart,
+//! executor fan-out or fault injection would surface.
 
-use pbo::core::algorithms::{run_algorithm_with, AlgorithmKind};
+use pbo::core::algorithms::{run_algorithm_observed, AlgorithmKind};
 use pbo::core::budget::Budget;
 use pbo::core::engine::{AlgoConfig, SurrogateBackend};
 use pbo::core::exec::FtPolicy;
+use pbo::core::observe::NullObserver;
 use pbo::core::record::RunRecord;
 use pbo::problems::fault::{silence_injected_panics, FaultPlan, FaultyProblem};
 use pbo::problems::SyntheticFn;
@@ -54,14 +55,16 @@ fn fingerprint(r: &RunRecord) -> (Vec<u64>, Vec<u64>, Vec<(u64, u64, u64)>, Vec<
 fn run_clean(algo: AlgorithmKind, seed: u64, workers: usize) -> RunRecord {
     let p = SyntheticFn::ackley(4);
     let budget = Budget::cycles(4, 2).with_initial_samples(10);
-    run_algorithm_with(algo, &p, &budget, cfg_with_workers(workers), seed)
+    run_algorithm_observed(algo, &p, &budget, cfg_with_workers(workers), seed, NullObserver)
+        .unwrap()
 }
 
 fn run_faulty(algo: AlgorithmKind, seed: u64, workers: usize) -> RunRecord {
     let p = SyntheticFn::ackley(4);
     let faulty = FaultyProblem::new(&p, FaultPlan::uniform(seed ^ 0xFA17, 0.25));
     let budget = Budget::cycles(4, 2).with_initial_samples(10);
-    run_algorithm_with(algo, &faulty, &budget, cfg_with_workers(workers), seed)
+    run_algorithm_observed(algo, &faulty, &budget, cfg_with_workers(workers), seed, NullObserver)
+        .unwrap()
 }
 
 #[test]
@@ -142,11 +145,25 @@ fn different_seeds_diverge() {
 fn zero_fault_plan_is_bit_identical_to_unwrapped_problem() {
     let p = SyntheticFn::schwefel(3);
     let budget = Budget::cycles(3, 2).with_initial_samples(8);
-    let plain =
-        run_algorithm_with(AlgorithmKind::MicQEgo, &p, &budget, cfg_with_workers(4), 99);
+    let plain = run_algorithm_observed(
+        AlgorithmKind::MicQEgo,
+        &p,
+        &budget,
+        cfg_with_workers(4),
+        99,
+        NullObserver,
+    )
+    .unwrap();
     let wrapped = FaultyProblem::new(&p, FaultPlan::none(123));
-    let faulty =
-        run_algorithm_with(AlgorithmKind::MicQEgo, &wrapped, &budget, cfg_with_workers(4), 99);
+    let faulty = run_algorithm_observed(
+        AlgorithmKind::MicQEgo,
+        &wrapped,
+        &budget,
+        cfg_with_workers(4),
+        99,
+        NullObserver,
+    )
+    .unwrap();
     assert_eq!(fingerprint(&plain).0, fingerprint(&faulty).0);
     assert_eq!(fingerprint(&plain).2, fingerprint(&faulty).2);
     assert!(!faulty.fault_totals().any());
@@ -249,7 +266,7 @@ fn cfg_incremental(workers: usize) -> AlgoConfig {
 fn run_incremental(algo: AlgorithmKind, seed: u64, workers: usize) -> RunRecord {
     let p = SyntheticFn::ackley(4);
     let budget = Budget::cycles(4, 2).with_initial_samples(10);
-    run_algorithm_with(algo, &p, &budget, cfg_incremental(workers), seed)
+    run_algorithm_observed(algo, &p, &budget, cfg_incremental(workers), seed, NullObserver).unwrap()
 }
 
 #[test]
@@ -401,7 +418,7 @@ fn cfg_sparse(workers: usize) -> AlgoConfig {
 fn run_sparse(algo: AlgorithmKind, seed: u64, workers: usize) -> RunRecord {
     let p = SyntheticFn::ackley(4);
     let budget = Budget::cycles(3, 2).with_initial_samples(30);
-    run_algorithm_with(algo, &p, &budget, cfg_sparse(workers), seed)
+    run_algorithm_observed(algo, &p, &budget, cfg_sparse(workers), seed, NullObserver).unwrap()
 }
 
 #[test]

@@ -8,9 +8,10 @@
 //! clean of non-finite values, and its engine-side fault counters must
 //! reconcile exactly with what the injector says it injected.
 
-use pbo::core::algorithms::{run_algorithm_with, AlgorithmKind};
+use pbo::core::algorithms::{run_algorithm_observed, AlgorithmKind};
 use pbo::core::budget::Budget;
 use pbo::core::engine::AlgoConfig;
+use pbo::core::observe::NullObserver;
 use pbo::core::record::RunRecord;
 use pbo::problems::fault::{silence_injected_panics, FaultPlan, FaultyProblem, InjectionLog};
 use pbo::problems::UphesProblem;
@@ -28,7 +29,15 @@ fn faulty_run(algo: AlgorithmKind, rate: f64, seed: u64) -> (RunRecord, Injectio
     let problem = UphesProblem::maizeret(41);
     let faulty = FaultyProblem::new(&problem, FaultPlan::uniform(seed ^ 0xBAD, rate));
     let budget = Budget::cycles(4, 2).with_initial_samples(10);
-    let r = run_algorithm_with(algo, &faulty, &budget, AlgoConfig::test_profile(), seed);
+    let r = run_algorithm_observed(
+        algo,
+        &faulty,
+        &budget,
+        AlgoConfig::test_profile(),
+        seed,
+        NullObserver,
+    )
+    .unwrap();
     let log = faulty.injection_log();
     (r, log)
 }
@@ -99,12 +108,14 @@ fn heavy_fault_rate_still_terminates_with_finite_incumbent() {
 fn fault_counters_are_zero_on_clean_runs() {
     let problem = UphesProblem::maizeret(41);
     let budget = Budget::cycles(3, 2).with_initial_samples(8);
-    let r = run_algorithm_with(
+    let r = run_algorithm_observed(
         AlgorithmKind::MicQEgo,
         &problem,
         &budget,
         AlgoConfig::test_profile(),
         5,
-    );
+        NullObserver,
+    )
+    .unwrap();
     assert!(!r.fault_totals().any(), "clean run reported faults");
 }

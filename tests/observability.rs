@@ -7,7 +7,7 @@
 //!    f64 sums bit-equal), for every algorithm, clean and faulty.
 //! 2. **Non-perturbation** — a run is bit-identical whether observed by
 //!    nothing, by a collector, or by a JSONL trace writer.
-//! 3. **Typed configuration errors** — the builder/facade rejects
+//! 3. **Typed configuration errors** — the run entry point rejects
 //!    invalid configurations with distinct [`ConfigError`] values
 //!    instead of panicking.
 
@@ -21,10 +21,20 @@ fn six_algorithms() -> Vec<AlgorithmKind> {
     v
 }
 
-fn test_cfg() -> RunConfig {
-    RunConfig::cycles(4, 2)
-        .budget(Budget::cycles(4, 2).with_initial_samples(10))
-        .seed(17)
+/// The budget every test here runs under unless a case overrides it.
+fn test_budget() -> Budget {
+    Budget::cycles(4, 2).with_initial_samples(10)
+}
+
+/// Run `kind` with seed 17.
+fn run<'a>(
+    kind: AlgorithmKind,
+    p: &'a dyn Problem,
+    budget: &Budget,
+    algo: AlgoConfig,
+    observer: impl Observer + Send + 'a,
+) -> Result<RunRecord, ConfigError> {
+    run_algorithm_observed(kind, p, budget, algo, 17, observer)
 }
 
 /// Fold an event stream into the aggregates a RunRecord reports, using
@@ -113,10 +123,10 @@ fn assert_reconciles(r: &RunRecord, events: &[Event], label: &str) {
 fn event_stream_reconciles_with_run_record_for_all_six_algorithms() {
     let p = SyntheticFn::ackley(4);
     for kind in six_algorithms() {
-        let cfg = test_cfg();
         let sink = Arc::new(Mutex::new(CollectingObserver::new()));
-        let observed = pbo::run_observed(kind, &p, cfg.clone(), sink.clone()).unwrap();
-        let plain = pbo::run(kind, &p, cfg).unwrap();
+        let cfg = AlgoConfig::test_profile();
+        let observed = run(kind, &p, &test_budget(), cfg.clone(), sink.clone()).unwrap();
+        let plain = run(kind, &p, &test_budget(), cfg, NullObserver).unwrap();
         // The observer must not perturb the run in any way.
         let pa: Vec<u64> = plain.y_min.iter().map(|v| v.to_bits()).collect();
         let ob: Vec<u64> = observed.y_min.iter().map(|v| v.to_bits()).collect();
@@ -146,9 +156,9 @@ fn faulty_run_reconciles_and_reports_point_faults() {
     pbo::problems::fault::silence_injected_panics();
     let inner = SyntheticFn::ackley(4);
     let p = FaultyProblem::new(&inner, FaultPlan::uniform(23, 0.3));
-    let cfg = test_cfg();
+    let cfg = AlgoConfig::test_profile();
     let sink = Arc::new(Mutex::new(CollectingObserver::new()));
-    let r = pbo::run_observed(AlgorithmKind::KbQEgo, &p, cfg, sink.clone()).unwrap();
+    let r = run(AlgorithmKind::KbQEgo, &p, &test_budget(), cfg, sink.clone()).unwrap();
     let events = &sink.lock().unwrap().events;
     assert_reconciles(&r, events, "faulty kb-q-ego");
     // A 30% fault plan must surface per-point fault events, and each
@@ -175,10 +185,11 @@ fn jsonl_traced_run_is_bit_identical_and_every_line_parses() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("trace_{}.jsonl", std::process::id()));
 
-    let cfg = test_cfg();
-    let baseline = pbo::run(AlgorithmKind::MicQEgo, &p, cfg.clone()).unwrap();
+    let cfg = AlgoConfig::test_profile();
+    let baseline =
+        run(AlgorithmKind::MicQEgo, &p, &test_budget(), cfg.clone(), NullObserver).unwrap();
     let writer = JsonlTraceWriter::create(&path).unwrap();
-    let traced = pbo::run_observed(AlgorithmKind::MicQEgo, &p, cfg, writer).unwrap();
+    let traced = run(AlgorithmKind::MicQEgo, &p, &test_budget(), cfg, writer).unwrap();
 
     // Bit-identical results with and without the trace writer.
     let bits = |r: &RunRecord| {
@@ -225,42 +236,44 @@ fn builder_and_facade_reject_invalid_configs_with_typed_errors() {
     let p = SyntheticFn::ackley(3);
 
     // 1. Zero batch size.
-    let mut cfg = test_cfg();
-    cfg.budget.batch_size = 0;
+    let mut budget = test_budget();
+    budget.batch_size = 0;
     assert_eq!(
-        pbo::run(AlgorithmKind::KbQEgo, &p, cfg).unwrap_err(),
+        run(AlgorithmKind::KbQEgo, &p, &budget, AlgoConfig::test_profile(), NullObserver)
+            .unwrap_err(),
         ConfigError::ZeroBatchSize
     );
 
     // 2. Initial design too small to seed a surrogate.
-    let mut cfg = test_cfg();
-    cfg.budget.initial_samples = 1;
+    let mut budget = test_budget();
+    budget.initial_samples = 1;
     assert_eq!(
-        pbo::run(AlgorithmKind::Turbo, &p, cfg).unwrap_err(),
+        run(AlgorithmKind::Turbo, &p, &budget, AlgoConfig::test_profile(), NullObserver)
+            .unwrap_err(),
         ConfigError::InitialSamplesTooSmall { got: 1 }
     );
 
     // 3. Non-finite UCB weight.
-    let mut cfg = test_cfg();
-    cfg.algo.acq.ucb_beta = f64::NAN;
+    let mut cfg = AlgoConfig::test_profile();
+    cfg.acq.ucb_beta = f64::NAN;
     assert!(matches!(
-        pbo::run(AlgorithmKind::MicQEgo, &p, cfg).unwrap_err(),
+        run(AlgorithmKind::MicQEgo, &p, &test_budget(), cfg, NullObserver).unwrap_err(),
         ConfigError::Negative { field: "cfg.acq.ucb_beta", .. }
     ));
 
     // 4. Shrinking retry backoff.
-    let mut cfg = test_cfg();
-    cfg.algo.ft.backoff_factor = 0.9;
+    let mut cfg = AlgoConfig::test_profile();
+    cfg.ft.backoff_factor = 0.9;
     assert_eq!(
-        pbo::run(AlgorithmKind::McQEgo, &p, cfg).unwrap_err(),
+        run(AlgorithmKind::McQEgo, &p, &test_budget(), cfg, NullObserver).unwrap_err(),
         ConfigError::BackoffFactorTooSmall { got: 0.9 }
     );
 
     // 5. Inverted fit bounds.
-    let mut cfg = test_cfg();
-    cfg.algo.fit.log_ls_bounds = (2.0, -2.0);
+    let mut cfg = AlgoConfig::test_profile();
+    cfg.fit.log_ls_bounds = (2.0, -2.0);
     assert!(matches!(
-        pbo::run(AlgorithmKind::BspEgo, &p, cfg).unwrap_err(),
+        run(AlgorithmKind::BspEgo, &p, &test_budget(), cfg, NullObserver).unwrap_err(),
         ConfigError::InvalidFitBounds { field: "cfg.fit.log_ls_bounds", .. }
     ));
 
@@ -276,7 +289,8 @@ fn metrics_observer_aggregates_a_run() {
     let p = SyntheticFn::ackley(4);
     let registry = Arc::new(MetricsRegistry::new());
     let metrics = MetricsObserver::new(registry.clone());
-    let r = pbo::run_observed(AlgorithmKind::Turbo, &p, test_cfg(), metrics).unwrap();
+    let cfg = AlgoConfig::test_profile();
+    let r = run(AlgorithmKind::Turbo, &p, &test_budget(), cfg, metrics).unwrap();
     let snap = registry.snapshot();
     assert_eq!(snap.counter("engine.cycles"), r.n_cycles() as u64);
     assert_eq!(snap.counter("engine.evaluations"), r.n_simulations() as u64);

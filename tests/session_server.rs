@@ -15,19 +15,6 @@ use pbo_server::server::Server;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-const ALL_ALGORITHMS: [AlgorithmKind; 10] = [
-    AlgorithmKind::KbQEgo,
-    AlgorithmKind::MicQEgo,
-    AlgorithmKind::McQEgo,
-    AlgorithmKind::BspEgo,
-    AlgorithmKind::Turbo,
-    AlgorithmKind::MicTurbo,
-    AlgorithmKind::RandomSearch,
-    AlgorithmKind::ThompsonSampling,
-    AlgorithmKind::GpUcbPe,
-    AlgorithmKind::HybridQ,
-];
-
 fn session_cfg(
     algorithm: AlgorithmKind,
     seed: u64,
@@ -80,10 +67,10 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// trajectory is byte-identical to its in-process run.
 #[test]
 fn session_reproduces_in_process_run_for_every_algorithm() {
-    for (i, algorithm) in ALL_ALGORITHMS.into_iter().enumerate() {
+    for (i, algorithm) in AlgorithmKind::ALL.into_iter().enumerate() {
         let (p, cfg) = session_cfg(algorithm, 40 + i as u64, 3, 2);
         let want = reference_line(&p, &cfg);
-        let got = drive_state(SessionState::create(cfg).unwrap(), &p);
+        let got = drive_state(SessionState::create_observed(cfg, NullObserver).unwrap(), &p);
         assert_eq!(got, want, "{} session diverged from in-process run", algorithm.name());
     }
 }
@@ -494,7 +481,7 @@ fn protocol_fuzz_yields_typed_errors_and_harms_nothing() {
 fn nan_inf_tells_are_quarantined_imputed_and_counted() {
     let (p, cfg) = session_cfg(AlgorithmKind::KbQEgo, 33, 2, 2);
     let doe = cfg.budget.initial_samples;
-    let mut s = SessionState::create(cfg).unwrap();
+    let mut s = SessionState::create_observed(cfg, NullObserver).unwrap();
 
     // Healthy design.
     let ask = s.ask().unwrap();
@@ -538,7 +525,7 @@ fn nan_inf_tells_are_quarantined_imputed_and_counted() {
 fn nan_design_values_are_dropped_like_in_process_doe_faults() {
     let (p, cfg) = session_cfg(AlgorithmKind::RandomSearch, 34, 1, 2);
     let doe = cfg.budget.initial_samples;
-    let mut s = SessionState::create(cfg).unwrap();
+    let mut s = SessionState::create_observed(cfg, NullObserver).unwrap();
     let ask = s.ask().unwrap();
     let mut values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
     values[1] = f64::NAN;

@@ -8,9 +8,10 @@
 //! behaviour, and that a sparse run at n ≈ 2k completes within its
 //! virtual-clock budget — the scaling claim the backend exists for.
 
-use pbo::core::algorithms::{run_algorithm_with, AlgorithmKind};
+use pbo::core::algorithms::{run_algorithm_observed, AlgorithmKind};
 use pbo::core::budget::Budget;
 use pbo::core::engine::{AlgoConfig, SurrogateBackend};
+use pbo::core::observe::NullObserver;
 use pbo::gp::kernel::{Kernel, KernelType};
 use pbo::gp::{GaussianProcess, SparseGaussianProcess, Surrogate};
 use pbo::linalg::Matrix;
@@ -151,14 +152,25 @@ fn below_switch_threshold_sparse_config_is_bit_identical_to_dense() {
     let budget = Budget::cycles(3, 2).with_initial_samples(10);
     // 10 + 6 points stays below switch_at = 64: the Sparse config must
     // never leave the dense path, hence identical traces bit for bit.
-    let dense = run_algorithm_with(
+    let dense = run_algorithm_observed(
         AlgorithmKind::KbQEgo,
         &p,
         &budget,
         AlgoConfig::test_profile(),
         17,
-    );
-    let sparse = run_algorithm_with(AlgorithmKind::KbQEgo, &p, &budget, sparse_cfg(16, 64), 17);
+        NullObserver,
+    )
+    .unwrap();
+    let sparse = run_algorithm_observed(
+        AlgorithmKind::KbQEgo,
+        &p,
+        &budget,
+        sparse_cfg(16,
+        64),
+        17,
+        NullObserver,
+    )
+    .unwrap();
     let bits = |r: &pbo::core::record::RunRecord| {
         (
             r.y_min.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -176,14 +188,25 @@ fn above_switch_threshold_sparse_and_dense_runs_diverge() {
     // fires.
     let p = SyntheticFn::ackley(4);
     let budget = Budget::cycles(4, 2).with_initial_samples(20);
-    let dense = run_algorithm_with(
+    let dense = run_algorithm_observed(
         AlgorithmKind::KbQEgo,
         &p,
         &budget,
         AlgoConfig::test_profile(),
         23,
-    );
-    let sparse = run_algorithm_with(AlgorithmKind::KbQEgo, &p, &budget, sparse_cfg(12, 20), 23);
+        NullObserver,
+    )
+    .unwrap();
+    let sparse = run_algorithm_observed(
+        AlgorithmKind::KbQEgo,
+        &p,
+        &budget,
+        sparse_cfg(12,
+        20),
+        23,
+        NullObserver,
+    )
+    .unwrap();
     assert_eq!(dense.n_simulations(), sparse.n_simulations());
     let a: Vec<u64> = dense.best_x.iter().map(|v| v.to_bits()).collect();
     let b: Vec<u64> = sparse.best_x.iter().map(|v| v.to_bits()).collect();
@@ -199,13 +222,15 @@ fn sparse_engine_smoke_at_two_thousand_points_finishes_in_budget() {
     // and a finite incumbent no worse than the DoE.
     let p = SyntheticFn::ackley(6);
     let budget = Budget::cycles(3, 8).with_initial_samples(2000);
-    let r = run_algorithm_with(
+    let r = run_algorithm_observed(
         AlgorithmKind::KbQEgo,
         &p,
         &budget,
         sparse_cfg(64, 256),
         41,
-    );
+        NullObserver,
+    )
+    .unwrap();
     assert_eq!(r.n_cycles(), 3);
     assert_eq!(r.n_simulations(), 2000 + 3 * 8);
     assert!(r.best_y().is_finite());

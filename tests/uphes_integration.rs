@@ -1,8 +1,9 @@
 //! Integration of the UPHES simulator with the optimization stack.
 
-use pbo::core::algorithms::{run_algorithm_with, AlgorithmKind};
+use pbo::core::algorithms::{run_algorithm_observed, AlgorithmKind};
 use pbo::core::budget::Budget;
 use pbo::core::engine::{AcqConfig, AlgoConfig, QeiConfig};
+use pbo::core::observe::NullObserver;
 use pbo::problems::random_search::random_search;
 use pbo::problems::{Problem, UphesProblem};
 use pbo::uphes::schedule::Schedule;
@@ -33,7 +34,15 @@ fn uphes_test_budget() -> Budget {
 fn bo_beats_random_search_under_equal_simulation_budget() {
     let problem = UphesProblem::maizeret(17);
     let budget = uphes_test_budget();
-    let bo = run_algorithm_with(AlgorithmKind::MicQEgo, &problem, &budget, uphes_test_config(), 2);
+    let bo = run_algorithm_observed(
+        AlgorithmKind::MicQEgo,
+        &problem,
+        &budget,
+        uphes_test_config(),
+        2,
+        NullObserver,
+    )
+    .unwrap();
     let rs = random_search(&problem, 66, 2);
     assert!(
         bo.best_y() > rs.value,
@@ -47,13 +56,15 @@ fn bo_beats_random_search_under_equal_simulation_budget() {
 fn optimized_schedule_is_mostly_feasible() {
     let problem = UphesProblem::maizeret(23);
     let budget = Budget::cycles(10, 2).with_initial_samples(16);
-    let r = run_algorithm_with(
+    let r = run_algorithm_observed(
         AlgorithmKind::Turbo,
         &problem,
         &budget,
         AlgoConfig::test_profile(),
         4,
-    );
+        NullObserver,
+    )
+    .unwrap();
     let breakdown = problem.simulator().evaluate_detailed(&r.best_x);
     // A good schedule tolerates a few head-drift rejections but cannot
     // live in penalty territory.
@@ -69,13 +80,15 @@ fn optimized_schedule_is_mostly_feasible() {
 fn best_decision_decodes_to_valid_schedule() {
     let problem = UphesProblem::maizeret(29);
     let budget = Budget::cycles(4, 2).with_initial_samples(12);
-    let r = run_algorithm_with(
+    let r = run_algorithm_observed(
         AlgorithmKind::KbQEgo,
         &problem,
         &budget,
         AlgoConfig::test_profile(),
         6,
-    );
+        NullObserver,
+    )
+    .unwrap();
     let s = Schedule::decode(&r.best_x);
     for p in s.block_power {
         assert!(p <= -6.0 || p == 0.0 || (4.0..=8.0).contains(&p), "setpoint {p}");
@@ -91,13 +104,15 @@ fn profit_landscape_orientation_is_consistent_end_to_end() {
     // direct simulator call on best_x must agree with best_y.
     let problem = UphesProblem::maizeret(31);
     let budget = Budget::cycles(3, 2).with_initial_samples(10);
-    let r = run_algorithm_with(
+    let r = run_algorithm_observed(
         AlgorithmKind::BspEgo,
         &problem,
         &budget,
         AlgoConfig::test_profile(),
         8,
-    );
+        NullObserver,
+    )
+    .unwrap();
     assert!((problem.eval(&r.best_x) - r.best_y()).abs() < 1e-9);
     assert!(r.maximize);
 }
@@ -109,13 +124,15 @@ fn random_baseline_matches_paper_narrative() {
     // well below what 24 optimized simulations reach above.
     let problem = UphesProblem::maizeret(17);
     let rs = random_search(&problem, 2000, 5);
-    let bo = run_algorithm_with(
+    let bo = run_algorithm_observed(
         AlgorithmKind::MicQEgo,
         &problem,
         &uphes_test_budget(),
         uphes_test_config(),
         2,
-    );
+        NullObserver,
+    )
+    .unwrap();
     assert!(
         bo.best_y() > rs.value - 200.0,
         "66-sim BO ({}) should be at least competitive with 2000-sim random ({})",
