@@ -77,6 +77,18 @@ pub enum ConfigError {
         /// The offending `hybrid_eta`.
         got: f64,
     },
+    /// A session turn (the design or a batch) would carry more
+    /// coordinates than a served session admits.
+    TurnTooLarge {
+        /// Which point count is too large.
+        field: &'static str,
+        /// The offending point count.
+        points: usize,
+        /// The problem dimension.
+        dim: usize,
+        /// The cap on points × dimension.
+        max: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -125,6 +137,13 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::HybridEtaOutOfRange { got } => {
                 write!(f, "acq.hybrid_eta must be finite and in (0, 1], got {got}")
+            }
+            ConfigError::TurnTooLarge { field, points, dim, max } => {
+                write!(
+                    f,
+                    "{field} = {points} points at dimension {dim} exceeds the cap of {max} \
+                     coordinates per session turn"
+                )
             }
         }
     }

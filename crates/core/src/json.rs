@@ -149,6 +149,18 @@ pub fn push_f64_lossless(out: &mut String, v: f64) {
     }
 }
 
+/// Append an `f64` array, each element through [`push_f64_lossless`].
+pub fn push_f64_array(out: &mut String, values: &[f64]) {
+    out.push('[');
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_f64_lossless(out, *v);
+    }
+    out.push(']');
+}
+
 // ---------------------------------------------------------------------
 // Parser: strict recursive descent over a single value. Insignificant
 // whitespace is accepted between tokens (the encoder emits none, but

@@ -11,33 +11,15 @@
 //! payloads.
 //!
 //! [`validate_line`] is the matching checker used by the CI trace
-//! smoke: a strict single-line JSON parser that returns the `event`
-//! name, so a run's trace can be verified to parse and reconcile
-//! without any external tooling.
+//! smoke: it parses a line with [`crate::json::parse`], rejects
+//! insignificant whitespace and returns the `event` name, so a run's
+//! trace can be verified to parse and reconcile without any external
+//! tooling.
 
 use super::{Event, Observer};
-use crate::record::FaultCounters;
+use crate::json::{self, push_str_literal};
+use crate::record::push_fault_counters;
 use std::io::Write;
-
-/// Write a JSON string literal (the few strings we emit are algorithm
-/// and problem names, but escape defensively anyway).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Write an f64: shortest-roundtrip decimal, `null` for non-finite.
 fn push_json_f64(out: &mut String, v: f64) {
@@ -46,25 +28,6 @@ fn push_json_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
-}
-
-fn push_fault_counters(out: &mut String, f: &FaultCounters) {
-    out.push('{');
-    out.push_str(&format!(
-        "\"panics\":{},\"nan_quarantined\":{},\"inf_quarantined\":{},\
-         \"stragglers\":{},\"timeouts\":{},\"retries\":{},\
-         \"imputed\":{},\"dropped\":{},\"virtual_secs_lost\":",
-        f.panics,
-        f.nan_quarantined,
-        f.inf_quarantined,
-        f.stragglers,
-        f.timeouts,
-        f.retries,
-        f.imputed,
-        f.dropped,
-    ));
-    push_json_f64(out, f.virtual_secs_lost);
-    out.push('}');
 }
 
 impl Event {
@@ -78,16 +41,16 @@ impl Event {
         match self {
             Event::RunStarted { algorithm, problem, seed, q, dim } => {
                 s.push_str(",\"algorithm\":");
-                push_json_str(&mut s, algorithm);
+                push_str_literal(&mut s, algorithm);
                 s.push_str(",\"problem\":");
-                push_json_str(&mut s, problem);
+                push_str_literal(&mut s, problem);
                 s.push_str(&format!(",\"seed\":{seed},\"q\":{q},\"dim\":{dim}"));
             }
             Event::DesignEvaluated { requested, evaluated, faults } => {
                 s.push_str(&format!(
                     ",\"requested\":{requested},\"evaluated\":{evaluated},\"faults\":"
                 ));
-                push_fault_counters(&mut s, faults);
+                push_fault_counters(&mut s, faults, push_json_f64);
             }
             Event::CycleStarted { cycle, clock } => {
                 s.push_str(&format!(",\"cycle\":{cycle},\"clock\":"));
@@ -123,7 +86,7 @@ impl Event {
                 virtual_s,
             } => {
                 s.push_str(&format!(",\"cycle\":{cycle},\"algo\":"));
-                push_json_str(&mut s, algo);
+                push_str_literal(&mut s, algo);
                 s.push_str(&format!(
                     ",\"q\":{q},\"restart_shortfall\":{restart_shortfall},\
                      \"wall_ns\":{wall_ns},\"virtual_s\":"
@@ -135,14 +98,14 @@ impl Event {
                     ",\"index\":{index},\"attempts\":{attempts},\
                      \"recovered\":{recovered},\"faults\":"
                 ));
-                push_fault_counters(&mut s, faults);
+                push_fault_counters(&mut s, faults, push_json_f64);
             }
             Event::BatchEvaluated { cycle, n_points, n_evals, faults, virtual_s } => {
                 s.push_str(&format!(
                     ",\"cycle\":{cycle},\"n_points\":{n_points},\
                      \"n_evals\":{n_evals},\"faults\":"
                 ));
-                push_fault_counters(&mut s, faults);
+                push_fault_counters(&mut s, faults, push_json_f64);
                 s.push_str(",\"virtual_s\":");
                 push_json_f64(&mut s, *virtual_s);
             }
@@ -227,172 +190,38 @@ impl<W: Write> Drop for JsonlTraceWriter<W> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Trace validation (CI smoke): a strict single-line JSON parser.
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.i)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn bump(&mut self) -> Result<u8, String> {
-        let c = self.peek().ok_or_else(|| self.err("unexpected end"))?;
-        self.i += 1;
-        Ok(c)
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.bump()? == c {
-            Ok(())
-        } else {
-            self.i -= 1;
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.bump()? {
-                b'"' => return Ok(s),
-                b'\\' => match self.bump()? {
-                    b'"' => s.push('"'),
-                    b'\\' => s.push('\\'),
-                    b'n' => s.push('\n'),
-                    b'r' => s.push('\r'),
-                    b't' => s.push('\t'),
-                    b'u' => {
-                        let mut v = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump()?;
-                            v = v * 16
-                                + (d as char)
-                                    .to_digit(16)
-                                    .ok_or_else(|| self.err("bad \\u escape"))?;
-                        }
-                        s.push(char::from_u32(v).ok_or_else(|| self.err("bad codepoint"))?);
-                    }
-                    _ => return Err(self.err("bad escape")),
-                },
-                c if c < 0x20 => return Err(self.err("raw control char in string")),
-                c => {
-                    // Re-assemble UTF-8 multibyte sequences.
-                    let start = self.i - 1;
-                    let len = match c {
-                        c if c < 0x80 => 1,
-                        c if c >= 0xF0 => 4,
-                        c if c >= 0xE0 => 3,
-                        _ => 2,
-                    };
-                    self.i = start + len;
-                    if self.i > self.b.len() {
-                        return Err(self.err("truncated UTF-8"));
-                    }
-                    s.push_str(
-                        std::str::from_utf8(&self.b[start..self.i])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap_or("");
-        text.parse::<f64>().map_err(|_| self.err("invalid number"))?;
-        Ok(())
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'"' => self.string().map(|_| ()),
-            b'{' => self.object().map(|_| ()),
-            b't' => self.literal("true"),
-            b'f' => self.literal("false"),
-            b'n' => self.literal("null"),
-            _ => self.number(),
-        }
-    }
-
-    /// Parse an object, returning its `event` member if present.
-    fn object(&mut self) -> Result<Option<String>, String> {
-        self.expect(b'{')?;
-        let mut event = None;
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(event);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            if key == "event" {
-                let start = self.i;
-                if self.peek() == Some(b'"') {
-                    event = Some(self.string()?);
-                } else {
-                    self.i = start;
-                    self.value()?;
-                }
-            } else {
-                self.value()?;
-            }
-            match self.bump()? {
-                b',' => continue,
-                b'}' => return Ok(event),
-                _ => {
-                    self.i -= 1;
-                    return Err(self.err("expected ',' or '}'"));
-                }
-            }
-        }
-    }
-}
-
 /// Validate one trace line as strict single-line JSON (no insignificant
 /// whitespace — exactly what [`Event::to_json_line`] emits) and return
 /// its `event` name.
 pub fn validate_line(line: &str) -> Result<String, String> {
-    let mut p = Parser { b: line.as_bytes(), i: 0 };
-    let event = p.object()?;
-    if p.i != p.b.len() {
-        return Err(p.err("trailing bytes after object"));
+    // `json::parse` tolerates whitespace between tokens; a trace line
+    // carries none, so any outside a string literal is rejected first.
+    let (mut in_str, mut escaped) = (false, false);
+    for (i, c) in line.bytes().enumerate() {
+        if in_str {
+            match c {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_str = false,
+                _ => {}
+            }
+        } else if c == b'"' {
+            in_str = true;
+        } else if c.is_ascii_whitespace() {
+            return Err(format!("insignificant whitespace at byte {i}"));
+        }
     }
-    event.ok_or_else(|| "line has no \"event\" field".to_string())
+    json::parse(line)?
+        .get("event")
+        .and_then(json::Json::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| "line has no string \"event\" field".to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::FaultCounters;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -497,6 +326,7 @@ mod tests {
             "{\"event\":\"x\",}",
             "{\"event\":\"x\",\"v\":nul}",
             "{\"event\":\"x\",\"v\":1.2.3}",
+            "{\"event\": \"x\"}",         // insignificant whitespace
         ] {
             assert!(validate_line(bad).is_err(), "accepted: {bad:?}");
         }

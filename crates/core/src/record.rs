@@ -182,13 +182,20 @@ impl RunRecord {
 // figures as a pure fold over these lines.
 // ---------------------------------------------------------------------
 
-use crate::json::{self, push_f64_lossless, push_str_literal, Json};
+use crate::json::{self, push_f64_array, push_f64_lossless, push_str_literal, Json};
 
 /// Checkpoint schema version; bump on any incompatible field change so
 /// resumed campaigns re-run instead of mis-parsing stale checkpoints.
 pub const RECORD_SCHEMA_VERSION: u64 = 1;
 
-fn push_fault_counters(out: &mut String, f: &FaultCounters) {
+/// Append fault counters as a JSON object. The float encoder is the
+/// caller's: checkpoints pass [`push_f64_lossless`], trace lines their
+/// `null`-for-non-finite form.
+pub(crate) fn push_fault_counters(
+    out: &mut String,
+    f: &FaultCounters,
+    push_f64: fn(&mut String, f64),
+) {
     use std::fmt::Write as _;
     let _ = write!(
         out,
@@ -204,19 +211,8 @@ fn push_fault_counters(out: &mut String, f: &FaultCounters) {
         f.imputed,
         f.dropped,
     );
-    push_f64_lossless(out, f.virtual_secs_lost);
+    push_f64(out, f.virtual_secs_lost);
     out.push('}');
-}
-
-fn push_f64_array(out: &mut String, values: &[f64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64_lossless(out, *v);
-    }
-    out.push(']');
 }
 
 fn fault_counters_from_json(v: &Json) -> Result<FaultCounters, String> {
@@ -267,7 +263,7 @@ impl CycleRecord {
         out.push_str(",\"clock\":");
         push_f64_lossless(out, self.clock);
         out.push_str(",\"faults\":");
-        push_fault_counters(out, &self.faults);
+        push_fault_counters(out, &self.faults, push_f64_lossless);
         out.push('}');
     }
 
@@ -317,7 +313,7 @@ impl RunRecord {
         s.push_str("],\"final_clock\":");
         push_f64_lossless(&mut s, self.final_clock);
         s.push_str(",\"doe_faults\":");
-        push_fault_counters(&mut s, &self.doe_faults);
+        push_fault_counters(&mut s, &self.doe_faults, push_f64_lossless);
         s.push('}');
         s
     }

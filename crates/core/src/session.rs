@@ -33,7 +33,7 @@ use crate::config::AlgoConfig;
 use crate::engine::{Engine, PreparedEngine};
 use crate::error::ConfigError;
 use crate::exec::{BatchReport, PointOutcome};
-use crate::json::{parse, push_f64_lossless, push_str_literal, Json};
+use crate::json::{parse, push_f64_array, push_f64_lossless, push_str_literal, Json};
 use crate::observe::Observer;
 use crate::record::{FaultCounters, RunRecord};
 use pbo_problems::Problem;
@@ -51,6 +51,15 @@ pub const SESSION_SCHEMA_VERSION: u32 = 2;
 /// about what determines a run, so schema-1 checkpoints must keep
 /// passing key validation and orchestrator keys must not churn.
 pub const CONFIG_KEY_VERSION: u32 = 1;
+
+/// Most coordinates (points × dimension) one session turn may carry,
+/// for the design and for every batch. A session allocates its design
+/// when it is created and each batch when it is asked, from sizes the
+/// client chose; without a cap one request line can make the process
+/// abort on a failed allocation. 2^16 coordinates are 512 KiB as `f64`
+/// and about 1.3 MB as reply text, five times the largest turn any
+/// test or served workload uses (a 1024-point design at d = 12).
+pub const MAX_TURN_COORDS: usize = 1 << 16;
 
 /// Everything that can go wrong driving a session. Typed so the server
 /// can map each case to a stable protocol error code instead of
@@ -412,17 +421,6 @@ impl SessionConfig {
     }
 }
 
-fn push_f64_array(out: &mut String, vals: &[f64]) {
-    out.push('[');
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64_lossless(out, *v);
-    }
-    out.push(']');
-}
-
 fn f64_array(v: &Json) -> Option<Vec<f64>> {
     v.as_array()?.iter().map(Json::as_f64).collect()
 }
@@ -505,6 +503,16 @@ impl SessionState {
         observer: impl Observer + Send + 'static,
     ) -> Result<SessionState, SessionError> {
         cfg.problem.validate()?;
+        let dim = cfg.problem.lower.len();
+        for (field, points) in [
+            ("budget.initial_samples", cfg.budget.initial_samples),
+            ("budget.batch_size", cfg.budget.batch_size),
+        ] {
+            if points.saturating_mul(dim) > MAX_TURN_COORDS {
+                let max = MAX_TURN_COORDS;
+                return Err(ConfigError::TurnTooLarge { field, points, dim, max }.into());
+            }
+        }
         let algo_cfg = cfg.profile.algo_config();
         debug_assert!(
             matches!(algo_cfg.cost_model, CostModel::Fixed { .. }),

@@ -21,7 +21,7 @@
 //! produces an error *response* and leaves the connection and every
 //! session untouched.
 
-use pbo_core::json::{push_f64_lossless, push_str_literal, Json};
+use pbo_core::json::{push_f64_array, push_str_literal, Json};
 use pbo_core::session::{SessionConfig, SessionError};
 use std::fmt;
 use std::fmt::Write as _;
@@ -317,14 +317,9 @@ pub fn encode_ask(id: &str) -> String {
 pub fn encode_tell(id: &str, turn: usize, values: &[f64]) -> String {
     let mut out = head("tell");
     push_id(&mut out, id);
-    let _ = write!(out, ",\"turn\":{turn},\"values\":[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64_lossless(&mut out, *v);
-    }
-    out.push_str("]}");
+    let _ = write!(out, ",\"turn\":{turn},\"values\":");
+    push_f64_array(&mut out, values);
+    out.push('}');
     out
 }
 

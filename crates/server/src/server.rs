@@ -39,7 +39,7 @@
 
 use crate::proto::{parse_request, ErrorBody, Request, RequestErrorKind};
 use crate::registry::Registry;
-use pbo_core::json::{push_f64_lossless, push_str_literal};
+use pbo_core::json::{push_f64_array, push_f64_lossless, push_str_literal};
 use pbo_core::observe::metrics::{Counter, Gauge};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -469,14 +469,7 @@ pub fn dispatch(registry: &Registry, line: &str) -> (String, bool) {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('[');
-                    for (j, v) in p.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        push_f64_lossless(&mut out, *v);
-                    }
-                    out.push(']');
+                    push_f64_array(&mut out, p);
                 }
                 out.push_str("]}");
                 out

@@ -1091,3 +1091,119 @@ fn finished_session_stub_answers_byte_identically_across_restart() {
     assert!(dir.join("live.session.json").exists());
     let _ = std::fs::remove_dir_all(dir);
 }
+
+// ---------------------------------------------------------------------
+// Hostile told values and oversized configs through `dispatch`.
+// ---------------------------------------------------------------------
+
+/// The error code of a reply line, or `None` for an `ok` reply.
+fn reply_error(reply: &str) -> Option<String> {
+    let v = pbo::core::json::parse(reply).expect("every reply is JSON");
+    if v.get("ok").and_then(pbo::core::json::Json::as_bool) == Some(true) {
+        return None;
+    }
+    let code = v.get("error").and_then(|e| e.get("code")).and_then(pbo::core::json::Json::as_str);
+    Some(code.unwrap_or_else(|| panic!("untyped error reply {reply}")).to_string())
+}
+
+/// Answer every ask of session `id` with `values(cycle, points)`
+/// (cycle 0 is the design); a tell the session refuses is retried with
+/// the true objective values. Every reply must be `ok` or a typed
+/// error, and the session must finish.
+fn drive_dispatch(
+    reg: &Registry,
+    id: &str,
+    p: &SyntheticFn,
+    values: &dyn Fn(usize, &[Vec<f64>]) -> Vec<f64>,
+) {
+    use pbo::core::json::Json;
+    use pbo_server::server::dispatch;
+    for cycle in 0.. {
+        assert!(cycle < 64, "{id}: session never finished");
+        let (reply, _) = dispatch(reg, &proto::encode_ask(id));
+        if reply_error(&reply).as_deref() == Some("finished") {
+            return;
+        }
+        assert_eq!(reply_error(&reply), None, "{id}: ask {reply}");
+        let v = pbo::core::json::parse(&reply).unwrap();
+        let turn = v.get("turn").and_then(Json::as_usize).unwrap();
+        let points: Vec<Vec<f64>> = v
+            .get("points")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|p| p.as_array().unwrap().iter().map(|c| c.as_f64().unwrap()).collect())
+            .collect();
+        let (reply, _) = dispatch(reg, &proto::encode_tell(id, turn, &values(cycle, &points)));
+        if reply_error(&reply).is_some() {
+            let truth: Vec<f64> = points.iter().map(|x| p.eval(x)).collect();
+            let (reply, _) = dispatch(reg, &proto::encode_tell(id, turn, &truth));
+            assert_eq!(reply_error(&reply), None, "{id}: retold truth {reply}");
+        }
+    }
+}
+
+/// Told-value fuzz: every algorithm survives pathological objective
+/// values — overflow-scale magnitudes, a constant, underflow-scale
+/// magnitudes, non-finite mixes and an all-NaN cycle. Every reply is
+/// `ok` or a typed error, every session finishes, and the daemon still
+/// answers `server-status`.
+#[test]
+fn told_value_fuzz_yields_typed_replies_and_every_session_finishes() {
+    use pbo_server::server::dispatch;
+    type Values = fn(usize, usize, f64) -> f64;
+    let cases: [(&str, Values); 7] = [
+        ("pm1e300", |_, i, _| if i % 2 == 0 { 1e300 } else { -1e300 }),
+        ("pm_max", |_, i, _| if i % 2 == 0 { f64::MAX } else { -f64::MAX }),
+        ("constant", |_, _, _| 3.25),
+        ("tiny", |_, _, y| y * 1e-300),
+        ("nan_mix", |_, i, y| if i % 3 == 1 { f64::NAN } else { y }),
+        ("inf_mix", |_, i, y| match i % 4 {
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            _ => y,
+        }),
+        ("nan_cycle", |cycle, _, y| if cycle == 1 { f64::NAN } else { y }),
+    ];
+    let reg = Registry::in_memory();
+    for (k, &kind) in AlgorithmKind::ALL.iter().enumerate() {
+        for (name, f) in cases {
+            let (p, cfg) = session_cfg(kind, 700 + k as u64, 2, 3);
+            let id = format!("{}-{name}", kind.name());
+            let (reply, _) = dispatch(&reg, &proto::encode_create(&id, &cfg));
+            assert_eq!(reply_error(&reply), None, "{id}: create {reply}");
+            let values = |cycle: usize, points: &[Vec<f64>]| -> Vec<f64> {
+                points.iter().enumerate().map(|(i, x)| f(cycle, i, p.eval(x))).collect()
+            };
+            drive_dispatch(&reg, &id, &p, &values);
+            let (reply, _) = dispatch(&reg, &proto::encode_id_op("status", &id));
+            assert!(reply.contains("\"phase\":\"done\""), "{id}: {reply}");
+        }
+    }
+    let (reply, _) = dispatch(&reg, &proto::encode_bare_op("server-status"));
+    assert_eq!(reply_error(&reply), None, "{reply}");
+}
+
+/// A create whose design or batch would carry an absurd number of
+/// coordinates is refused as `invalid_config` before anything is
+/// allocated, and the daemon goes on serving other sessions.
+#[test]
+fn oversized_design_or_batch_is_invalid_config_and_harms_nothing() {
+    use pbo_server::server::dispatch;
+    let reg = Registry::in_memory();
+    let (p, mut huge_design) = session_cfg(AlgorithmKind::KbQEgo, 5, 2, 2);
+    huge_design.budget.initial_samples = 1_000_000_000_000_000;
+    let (_, mut huge_q) = session_cfg(AlgorithmKind::KbQEgo, 5, 2, 2);
+    huge_q.budget.batch_size = 1_000_000_000_000_000;
+    for (id, cfg) in [("huge-design", &huge_design), ("huge-q", &huge_q)] {
+        let (reply, _) = dispatch(&reg, &proto::encode_create(id, cfg));
+        assert_eq!(reply_error(&reply).as_deref(), Some("invalid_config"), "{id}: {reply}");
+        let (reply, _) = dispatch(&reg, &proto::encode_ask(id));
+        assert_eq!(reply_error(&reply).as_deref(), Some("unknown_session"), "{id}: {reply}");
+    }
+    let (_, cfg) = session_cfg(AlgorithmKind::KbQEgo, 5, 2, 2);
+    let (reply, _) = dispatch(&reg, &proto::encode_create("sane", &cfg));
+    assert_eq!(reply_error(&reply), None, "{reply}");
+    drive_dispatch(&reg, "sane", &p, &|_, points| points.iter().map(|x| p.eval(x)).collect());
+    assert_eq!(reg.record_line("sane").unwrap(), reference_line(&p, &cfg));
+}
