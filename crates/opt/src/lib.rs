@@ -9,8 +9,6 @@
 //!
 //! - [`lbfgs`]: projected-gradient L-BFGS with box bounds and an Armijo
 //!   backtracking line search along the projected path,
-//! - [`neldermead`]: a derivative-free simplex fallback for non-smooth
-//!   objectives (used by tests and by ablations),
 //! - [`multistart`]: the restart driver seeding locals from Sobol points
 //!   plus caller-supplied warm starts.
 //!
@@ -19,7 +17,6 @@
 
 pub mod lbfgs;
 pub mod multistart;
-pub mod neldermead;
 
 /// A box-constrained domain `[lo_i, hi_i]^d`.
 #[derive(Debug, Clone, PartialEq)]

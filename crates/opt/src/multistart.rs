@@ -20,7 +20,6 @@
 //!   exact strict-`<`, earliest-wins rule of a serial left fold.
 
 use crate::lbfgs::{self, LbfgsConfig};
-use crate::neldermead::{self, NelderMeadConfig};
 use crate::{BatchObjective, Bounds, OptResult};
 use pbo_linalg::parallel;
 use pbo_sampling::sobol::Sobol;
@@ -96,19 +95,18 @@ fn draw_and_score<O: BatchObjective + ?Sized>(
     }
 }
 
-/// Shared start-selection recipe: score `raw_samples` Sobol candidates
-/// (backfilling when some score non-finite), rank the finite ones by
-/// `(value, generation index)`, and return the clamped warm starts plus
-/// the top picks, along with the evaluation count and the restart
-/// shortfall that survived backfill.
+/// Start selection: score `raw_samples` Sobol candidates (backfilling
+/// when some score non-finite), rank the finite ones by `(value,
+/// generation index)`, and return the clamped warm starts plus the top
+/// picks, along with the evaluation count and the restart shortfall
+/// that survived backfill.
 fn select_starts<O: BatchObjective + ?Sized>(
     obj: &O,
     bounds: &Bounds,
     warm_starts: &[Vec<f64>],
-    restarts: usize,
-    raw_samples: usize,
-    seed: u64,
+    cfg: &MultistartConfig,
 ) -> (Vec<Vec<f64>>, usize, usize) {
+    let MultistartConfig { raw_samples, restarts, seed, .. } = *cfg;
     let dim = bounds.dim();
     let mut sobol = Sobol::scrambled(dim, seed);
     let mut xs: Vec<f64> = Vec::new();
@@ -157,23 +155,6 @@ fn select_starts<O: BatchObjective + ?Sized>(
     (starts, evals, shortfall)
 }
 
-/// Fold polished results down to the winner by the total order
-/// `(value, start index)` — non-finite values lose to everything. This
-/// matches a serial strict-`<` left fold bit for bit, so the reduction
-/// is independent of how the polishes were scheduled.
-fn reduce_best(results: Vec<Option<OptResult>>, evals: &mut usize, iters: &mut usize) -> Option<OptResult> {
-    let mut best: Option<OptResult> = None;
-    for r in results.into_iter() {
-        let r = r.expect("every polish yields a result");
-        *evals += r.evals;
-        *iters += r.iters;
-        if r.value.is_finite() && best.as_ref().is_none_or(|b| r.value < b.value) {
-            best = Some(r);
-        }
-    }
-    best
-}
-
 /// Minimize with Sobol raw sampling + L-BFGS polishing.
 ///
 /// `warm_starts` are always polished in addition to the raw top-k (the
@@ -190,14 +171,24 @@ pub fn minimize_multistart<O: BatchObjective + ?Sized>(
     warm_starts: &[Vec<f64>],
     cfg: &MultistartConfig,
 ) -> OptResult {
-    let (starts, mut evals, shortfall) =
-        select_starts(obj, bounds, warm_starts, cfg.restarts, cfg.raw_samples, cfg.seed);
+    let (starts, mut evals, shortfall) = select_starts(obj, bounds, warm_starts, cfg);
 
     let results: Vec<Option<OptResult>> = parallel::par_map(starts.len(), 1, |i| {
         Some(lbfgs::minimize(obj, bounds, &starts[i], &cfg.lbfgs))
     });
+    // Fold the polished results down to the winner by the total order
+    // `(value, start index)` — non-finite values lose to everything.
+    // This matches a serial strict-`<` left fold bit for bit, so the
+    // reduction is independent of how the polishes were scheduled.
     let mut total_iters = 0;
-    let best = reduce_best(results, &mut evals, &mut total_iters);
+    let mut best: Option<OptResult> = None;
+    for r in results.into_iter().flatten() {
+        evals += r.evals;
+        total_iters += r.iters;
+        if r.value.is_finite() && best.as_ref().is_none_or(|b| r.value < b.value) {
+            best = Some(r);
+        }
+    }
 
     let mut out = best.unwrap_or_else(|| {
         let center = bounds.center();
@@ -207,55 +198,6 @@ pub fn minimize_multistart<O: BatchObjective + ?Sized>(
     });
     out.evals = evals;
     out.iters = total_iters;
-    out.restart_shortfall = shortfall;
-    out
-}
-
-/// Derivative-free multistart (Nelder–Mead polishing); same raw-sample
-/// recipe for objectives without trustworthy gradients, with the same
-/// thread-count-invariant parallel fan-out and Sobol backfill.
-pub fn minimize_multistart_df(
-    f: &(dyn Fn(&[f64]) -> f64 + Sync),
-    bounds: &Bounds,
-    warm_starts: &[Vec<f64>],
-    restarts: usize,
-    raw_samples: usize,
-    seed: u64,
-    nm: &NelderMeadConfig,
-) -> OptResult {
-    struct DfObjective<'a> {
-        f: &'a (dyn Fn(&[f64]) -> f64 + Sync),
-        dim: usize,
-    }
-    impl crate::GradObjective for DfObjective<'_> {
-        fn dim(&self) -> usize {
-            self.dim
-        }
-        fn value(&self, x: &[f64]) -> f64 {
-            (self.f)(x)
-        }
-        fn value_grad(&self, _x: &[f64]) -> (f64, Vec<f64>) {
-            unreachable!("derivative-free multistart never requests gradients")
-        }
-    }
-    impl BatchObjective for DfObjective<'_> {}
-
-    let obj = DfObjective { f, dim: bounds.dim() };
-    let (starts, mut evals, shortfall) =
-        select_starts(&obj, bounds, warm_starts, restarts, raw_samples, seed);
-
-    let results: Vec<Option<OptResult>> =
-        parallel::par_map(starts.len(), 1, |i| Some(neldermead::minimize(f, bounds, &starts[i], nm)));
-    let mut total_iters = 0;
-    let best = reduce_best(results, &mut evals, &mut total_iters);
-
-    let mut out = best.unwrap_or_else(|| {
-        let center = bounds.center();
-        let value = f(&center);
-        evals += 1;
-        OptResult { x: center, value, evals, iters: 0, converged: false, restart_shortfall: 0 }
-    });
-    out.evals = evals;
     out.restart_shortfall = shortfall;
     out
 }
@@ -300,14 +242,6 @@ mod tests {
         let r = minimize_multistart(&obj, &b, &[vec![0.6]], &cfg);
         assert!((r.x[0] - 0.7).abs() < 1e-4);
         assert_eq!(r.restart_shortfall, 0);
-    }
-
-    #[test]
-    fn df_variant_matches_on_smooth_problem() {
-        let f = |x: &[f64]| (x[0] - 0.25).powi(2) + (x[1] - 0.75).powi(2);
-        let b = Bounds::unit(2);
-        let r = minimize_multistart_df(&f, &b, &[], 4, 32, 7, &NelderMeadConfig::default());
-        assert!((r.x[0] - 0.25).abs() < 1e-3 && (r.x[1] - 0.75).abs() < 1e-3);
     }
 
     #[test]
@@ -371,10 +305,6 @@ mod tests {
         assert_eq!(r.restart_shortfall, 4);
         assert!(r.value.is_nan());
         assert_eq!(r.x, b.center());
-        // The df variant historically panicked here; it must not.
-        let r = minimize_multistart_df(&(f as fn(&[f64]) -> f64), &b, &[], 4, 8, 1, &NelderMeadConfig::default());
-        assert_eq!(r.restart_shortfall, 4);
-        assert!(r.value.is_nan());
     }
 
     #[test]

@@ -37,12 +37,15 @@ echo "== cargo clippy (workspace, -D warnings -W clippy::perf) =="
 cargo clippy --workspace -- -D warnings -W clippy::perf
 
 # The acquisition multistart is parallel but must be bit-identical for
-# any compute-thread count; replay the determinism suite under two
-# global thread settings (PBO_NUM_THREADS is the env-level override of
+# any compute-thread count; replay the determinism suite and the
+# cross-commit trajectory pins under two global thread settings
+# (PBO_NUM_THREADS is the env-level override of
 # pbo_linalg::parallel::set_num_threads).
-echo "== determinism suite at 1 and 4 compute threads =="
-PBO_NUM_THREADS=1 cargo test -q --test determinism
-PBO_NUM_THREADS=4 cargo test -q --test determinism
+echo "== determinism suite and trajectory pins at 1 and 4 compute threads =="
+for threads in 1 4; do
+  PBO_NUM_THREADS=$threads cargo test -q --test determinism
+  PBO_NUM_THREADS=$threads cargo test -q --test trajectory_pins
+done
 
 if [[ "${1:-}" != "--quick" ]]; then
   # Seconds-scale smoke pass over the perf benches: catches bench-code
