@@ -303,8 +303,9 @@ fn bench_refit_warm(c: &mut Criterion) {
     g.finish();
 }
 
-/// Cycle-amortized posterior maintenance: `GaussianProcess::update`
-/// (extend the cached Cholesky factor by the q new rows, O(n²q))
+/// Cycle-amortized posterior maintenance: `GaussianProcess::condition_on`
+/// (extend the cached Cholesky factor by the q new rows, O(n²q); the
+/// case keeps its historical id `gp_update`)
 /// vs the engine's pre-PR non-full-cycle floor — a frozen-hyperparameter
 /// rebuild that refactors the whole (n+q)×(n+q) system from scratch
 /// (O(n³)). The `update_vs_refit` headline in `BENCH_fit.json` is the
@@ -325,23 +326,9 @@ fn bench_update_vs_refit(c: &mut Criterion) {
             let new_xs: Vec<Vec<f64>> =
                 (n..n + q).map(|i| x_all.row(i).to_vec()).collect();
             let new_ys = &y_all[n..];
-            // Equivalence guard: the exact-extension fast path must
-            // predict what the tolerance-level `condition_on` extension
-            // predicts (same frozen hyperparameters and standardization;
-            // `GaussianProcess::new` re-standardizes, so it is the cost
-            // baseline here, not the equivalence reference).
-            {
-                let upd = base.update(&new_xs, new_ys).unwrap();
-                let cond = base.condition_on(&new_xs, new_ys).unwrap();
-                let probe = vec![0.4; DIM];
-                let (mu, vu) = upd.predict(&probe);
-                let (mr, vr) = cond.predict(&probe);
-                assert!((mu - mr).abs() <= 1e-8 * (1.0 + mr.abs()), "{mu} vs {mr}");
-                assert!((vu - vr).abs() <= 1e-8 * (1.0 + vr.abs()), "{vu} vs {vr}");
-            }
             let id = format!("{n}q{q}");
             g.bench_with_input(BenchmarkId::new("gp_update", &id), &n, |b, _| {
-                b.iter(|| base.update(&new_xs, new_ys).unwrap().n())
+                b.iter(|| base.condition_on(&new_xs, new_ys).unwrap().n())
             });
             g.bench_with_input(BenchmarkId::new("gp_rebuild", &id), &n, |b, _| {
                 b.iter(|| {

@@ -60,8 +60,8 @@ pub fn hybrid_batch<S: FantasySurrogate>(
             let y_fantasy = model.predict_mean(&r.x);
             match model.condition_on(std::slice::from_ref(&r.x), &[y_fantasy]) {
                 Ok(updated) => model = updated,
-                // A numerically degenerate conditioning means the
-                // fantasy EI is meaningless; stop growing.
+                // A rejected conditioning (a non-finite fantasy, say)
+                // leaves the fantasy EI meaningless; stop growing.
                 Err(_) => break,
             }
         }

@@ -123,7 +123,8 @@ pub struct AlgoConfig {
     /// warm-refitting and refactoring from scratch (O(n³)). Off by
     /// default: warm refits move hyperparameters every cycle, so
     /// enabling this changes trajectories (bit-identical to a
-    /// frozen-hyperparameter rebuild, not to a warm refit).
+    /// frozen-hyperparameter rebuild, not to a warm refit). Governs the
+    /// dense backend only: non-full sparse cycles always append.
     pub incremental_updates: bool,
     /// Surrogate backend: exact dense GP, or inducing-point sparse with
     /// an auto-switch threshold.

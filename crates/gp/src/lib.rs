@@ -13,9 +13,10 @@
 //! - [`kernel`]: Matérn-5/2 / Matérn-3/2 / RBF ARD kernels with the
 //!   analytic `∂K/∂log θ` terms the MLL gradient needs,
 //! - [`gp`]: the [`gp::GaussianProcess`] itself — prediction (posterior
-//!   mean/variance/full covariance), **fantasy conditioning** in
-//!   `O(n² q)` via rank-q Cholesky extension (the Kriging Believer
-//!   heuristic's inner update), and incremental data appends,
+//!   mean/variance/full covariance) and one frozen-hyperparameter
+//!   append, `condition_on`, in `O(n² q)` via rank-q Cholesky
+//!   extension, serving both **fantasy conditioning** (the Kriging
+//!   Believer heuristic's inner update) and real-data appends,
 //! - [`fit`]: marginal likelihood, its gradient, and the multi-start /
 //!   warm-start fitting drivers (the paper's "full update at the start
 //!   of a cycle, reduced budget inside the acquisition loop"),

@@ -339,7 +339,7 @@ fn factor_extension_matches_from_scratch_below_bit_exact_max_n() {
     let b = Matrix::from_fn(n, q, |i, j| full[(i, n + j)]);
     let c = Matrix::from_fn(q, q, |i, j| full[(n + i, n + j)]);
     let base = Cholesky::factor(&head).unwrap();
-    let ext = base.extend_exact(&b, &c).unwrap();
+    let ext = base.extend(&b, &c).unwrap();
     let direct = Cholesky::factor(&full).unwrap();
     assert_eq!(ext.jitter().to_bits(), direct.jitter().to_bits());
     for (x, y) in ext.l().as_slice().iter().zip(direct.l().as_slice()) {

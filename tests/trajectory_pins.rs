@@ -28,29 +28,32 @@ use pbo::problems::fault::silence_injected_panics;
 use std::sync::{Arc, Mutex};
 
 /// `(record digest, event-stream digest)` per algorithm, in
-/// `AlgorithmKind::ALL` order.
+/// `AlgorithmKind::ALL` order. The mic-q-ego and mic-turbo rows (the
+/// only algorithms that condition on two fantasies at once) were
+/// re-pinned when fantasy appends moved onto the one exact Cholesky
+/// extension; every other row predates that change.
 const BUDGET_PINS: [(u64, u64); 10] = [
     (0x9719042818C22699, 0x7B954BD2C341FEF3), // kb-q-ego
-    (0xD9562A29878AE2FE, 0x1771A1E7FC7F8FE8), // mic-q-ego
+    (0x473D50A24D719C41, 0xFBE1913906A450FF), // mic-q-ego
     (0x6D6EE8DB7FAEA66A, 0x74CE1CE911BDA381), // mc-q-ego
     (0x4A962E961713855C, 0x689D832FB979A86A), // bsp-ego
     (0xC0F9FBDDA7B0C8EC, 0xE1DE70CD131193F8), // turbo
     (0x2200EA9D971AC607, 0x87DB3DDAD1CC607C), // random
     (0x51E66D81357D40FB, 0x7541273AAB9D6FE4), // thompson
-    (0xB29A8BCD31BF1AB8, 0x26CB1B32B00DCBBE), // mic-turbo
+    (0x01C87B85F6810344, 0x662667A4A2331E3D), // mic-turbo
     (0xC5F7D1CCB06AA814, 0xEDD3C4507102CCA4), // gp-ucb-pe
     (0x2991279AF4625052, 0xCB5E302C4A4DF55F), // hybrid-q
 ];
 /// Recorded over `FaultPlan::uniform(6, 0.10)`.
 const FAULT_PINS: [(u64, u64); 10] = [
     (0x67E0B413ACCB937D, 0xD0DBD9BA749660EB), // kb-q-ego
-    (0xEA3B1C27B7095E5E, 0xA004E128A9F7D7C7), // mic-q-ego
+    (0x44C25FC87234375F, 0xE6BBE0294D13DCA4), // mic-q-ego
     (0x10FCF5289151BCA6, 0x187F47BAEA0C6574), // mc-q-ego
     (0x79993BE05BB60D59, 0x29C110C1EC446691), // bsp-ego
     (0x04235AF08FEB6077, 0x7A3CCF34085B1D96), // turbo
     (0xBC1CD41F2E50FDBD, 0xB5254093638604E6), // random
     (0x20A7574C0C888E97, 0xA128FD848C003A48), // thompson
-    (0x510E3DC8B51BD4D6, 0xBE646BBCFEE3B0D0), // mic-turbo
+    (0xA323C9623E36C200, 0xDF3F589A4054EF39), // mic-turbo
     (0xEE31099FEEDB35B4, 0x8C2D70DC263C1451), // gp-ucb-pe
     (0xEF2B5683791E9913, 0xDB43AA3AC9CBB11B), // hybrid-q
 ];
