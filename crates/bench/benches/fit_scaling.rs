@@ -342,10 +342,9 @@ fn bench_update_vs_refit(c: &mut Criterion) {
     g.finish();
 }
 
-/// Dense Cholesky factorization past `BIT_EXACT_MAX_N`: the cache-blocked
-/// right-looking path whose TRSM/SYRK sweeps fan out over
-/// `par_map_workers`. On a single-core host this measures the blocked
-/// serial cost; re-record on a multi-core host for the parallel speedup.
+/// Dense Cholesky factorization past `BIT_EXACT_MAX_N`: the one serial
+/// row kernel, four rows at a time through `dot4`. It runs on one
+/// thread, so the thread count does not change what this measures.
 fn bench_chol_factor(c: &mut Criterion) {
     let mut g = c.benchmark_group("fit_scaling");
     let (meas, warm) = if smoke() { (150, 30) } else { (2000, 200) };
@@ -357,7 +356,7 @@ fn bench_chol_factor(c: &mut Criterion) {
         let kernel = Kernel::new(KernelType::Matern52, DIM);
         let mut a = kernel.matrix(&x);
         a.add_diag(1e-4);
-        g.bench_with_input(BenchmarkId::new("chol_blocked", n), &n, |b, _| {
+        g.bench_with_input(BenchmarkId::new("chol", n), &n, |b, _| {
             b.iter(|| Cholesky::factor(&a).unwrap().log_det())
         });
     }

@@ -149,8 +149,8 @@ impl GaussianProcess {
         let mut ky = kernel.matrix(&x);
         ky.add_diag(noise);
         let chol = Cholesky::factor(&ky)?;
-        let (trend, alpha) = profiled_trend_and_alpha(&chol, &y_std)?;
         let lt = chol.transposed_factor();
+        let (trend, alpha) = profiled_trend_and_alpha(&chol, &lt, &y_std);
         Ok(GaussianProcess { kernel, noise, x, y_std, shift, scale, trend, chol, lt, alpha })
     }
 
@@ -353,13 +353,10 @@ impl GaussianProcess {
     /// the engine's real-data append between full refits. Only the
     /// `n x q` cross block and the `q x q` corner of the extended Gram
     /// matrix are evaluated; [`Cholesky::extend`] appends the factor rows
-    /// with the serial factorization kernel, so the result is
+    /// with the factorization's own row kernel, so the result is
     /// **bit-identical** to rebuilding the GP from scratch on the stacked
-    /// data with the same frozen standardization whenever `n + q ≤`
-    /// [`pbo_linalg::cholesky::BIT_EXACT_MAX_N`] (pinned by a test);
-    /// above that the from-scratch factor switches to the blocked
-    /// reassociated sweep and agreement is to summation-order ulps.
-    /// If the appended rows are not positive-definite at the frozen
+    /// data with the same frozen standardization, at every size (pinned
+    /// by tests). If the appended rows are not positive-definite at the frozen
     /// jitter, the method falls back to that full rebuild (which may
     /// escalate jitter), so it never fails on valid data and never
     /// silently degrades the factor.
@@ -400,8 +397,8 @@ impl GaussianProcess {
 
         match self.chol.extend(&b, &c) {
             Ok(chol) => {
-                let (trend, alpha) = profiled_trend_and_alpha(&chol, &y_std)?;
                 let lt = chol.transposed_factor();
+                let (trend, alpha) = profiled_trend_and_alpha(&chol, &lt, &y_std);
                 Ok(GaussianProcess {
                     kernel: self.kernel.clone(),
                     noise: self.noise,
@@ -468,9 +465,8 @@ impl GaussianProcess {
 /// 128-row bands — independent of the thread count — whose partial sums
 /// are computed by a worker pool and folded serially in band order, so
 /// the reassociation is decided by the band grid alone and the result
-/// is bitwise identical for any thread count (the PR-6 blocked-
-/// factorization policy). Shared by the dense and sparse batched
-/// prediction paths.
+/// is bitwise identical for any thread count. Shared by the dense and
+/// sparse batched prediction paths.
 pub(crate) fn banded_sq_colsums(v: &Matrix) -> Vec<f64> {
     let n = v.rows();
     let q = v.cols();
@@ -487,7 +483,7 @@ pub(crate) fn banded_sq_colsums(v: &Matrix) -> Vec<f64> {
     let bands = n.div_ceil(PREDICT_BAND);
     // Worker count only decides scheduling; band partials are folded in
     // band order below either way.
-    let workers = if n * q < (1 << 21) { 1 } else { pbo_linalg::parallel::num_threads() };
+    let workers = pbo_linalg::parallel::workers_for(n * q);
     let partials = pbo_linalg::parallel::par_map_workers(bands, workers.min(bands), |b| {
         let lo = b * PREDICT_BAND;
         let hi = (lo + PREDICT_BAND).min(n);
@@ -508,15 +504,26 @@ pub(crate) fn banded_sq_colsums(v: &Matrix) -> Vec<f64> {
 }
 
 /// Closed-form profiled constant trend and the resulting weights.
-fn profiled_trend_and_alpha(chol: &Cholesky, y_std: &[f64]) -> Result<(f64, Vec<f64>)> {
+///
+/// The backward solves read `lt`, the row-major transpose of the factor
+/// (see [`pbo_linalg::cholesky::solve_transposed_in_place`]), instead of
+/// striding down columns of `L`.
+fn profiled_trend_and_alpha(chol: &Cholesky, lt: &Matrix, y_std: &[f64]) -> (f64, Vec<f64>) {
     let n = y_std.len();
+    debug_assert_eq!(chol.n(), n);
     let ones = vec![1.0; n];
-    let kinv_ones = chol.solve(&ones)?;
-    let kinv_y = chol.solve(y_std)?;
+    let solve = |b: &[f64]| {
+        let mut x = b.to_vec();
+        chol.solve_lower_in_place(&mut x);
+        pbo_linalg::cholesky::solve_transposed_in_place(lt, &mut x);
+        x
+    };
+    let kinv_ones = solve(&ones);
+    let kinv_y = solve(y_std);
     let denom = dot(&ones, &kinv_ones);
     let trend = if denom.abs() > 1e-300 { dot(&ones, &kinv_y) / denom } else { 0.0 };
     let alpha: Vec<f64> = kinv_y.iter().zip(&kinv_ones).map(|(a, b)| a - trend * b).collect();
-    Ok((trend, alpha))
+    (trend, alpha)
 }
 
 #[cfg(test)]
@@ -565,7 +572,7 @@ mod tests {
     }
 
     /// The append promises *bit* identity with a from-scratch rebuild
-    /// (frozen standardization) below BIT_EXACT_MAX_N.
+    /// (frozen standardization) at every size.
     fn assert_append_is_bit_identical_to_rebuild(
         gp: &GaussianProcess,
         new_x: &[Vec<f64>],

@@ -38,7 +38,7 @@
 //! over [`pbo_linalg::parallel`] in row bands; every row's arithmetic
 //! is a fixed serial sequence and band boundaries only decide *which
 //! worker* computes a row, never *what* it computes — the same policy
-//! as the blocked dense factorization. The `B` accumulation is a
+//! as the dense `L⁻ᵀ` rows and MLL contraction. The `B` accumulation is a
 //! row-banded SYRK with a fixed per-element summation order, and the
 //! scalar reductions (`p₁`, `p_y`, `s₁`, `s_y`, pivot argmax) are
 //! serial. Results are therefore bitwise identical for any thread

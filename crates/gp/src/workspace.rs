@@ -45,7 +45,7 @@
 
 use crate::kernel::KernelType;
 use crate::{GpError, Result};
-use pbo_linalg::vec_ops::dot;
+use pbo_linalg::vec_ops::{dot, dot4};
 use pbo_linalg::{parallel, Cholesky, Matrix};
 
 /// Reusable buffers for repeated MLL evaluations on one training set.
@@ -351,13 +351,24 @@ pub fn mll_and_grad_ws(
     // but within ~2x of optimal, which the fan-out tolerates. The radial
     // gradient factors were stored by the assembly pass, so the loop is
     // free of transcendentals and distance recomputation; the common
-    // `1/ℓ_j²` factor is applied once at the end, and rows are consumed
-    // two at a time so each streamed `M` row `b` is charged against both —
-    // halving the dominant memory traffic. Both are pure reassociations
-    // worth ~eps relative error, far inside the 1e-10 equivalence budget.
+    // `1/ℓ_j²` factor is applied once at the end. Both are pure
+    // reassociations worth ~eps relative error, far inside the 1e-10
+    // equivalence budget.
+    //
+    // Rows are consumed four at a time: each streamed `M` row `b` feeds
+    // the suffix dots of rows a..a+3 through `dot4`, which returns the
+    // per-row `dot` bits. The accumulator still sees the pairs in the
+    // two-row order — rows (a, a+1) for every b, then (a+2, a+3) from a
+    // buffer — so the gradient does not depend on the grouping.
+    //
+    // The suffix dots cost ~n³/6 flops; below the spawn threshold the
+    // chunks run on this thread, and above it they are pulled by
+    // workers, so the costly early rows do not pile up on one of them.
+    // Partials are summed in chunk order either way.
     let chunk = 64usize;
     let n_chunks = n.div_ceil(chunk).max(1);
-    let partials: Vec<Vec<f64>> = parallel::par_map(n_chunks, 1, |c| {
+    let workers = parallel::workers_for(n * n * n / 6);
+    let partials: Vec<Vec<f64>> = parallel::par_map_workers(n_chunks, workers, |c| {
         let mut g = vec![0.0; d];
         let mut accum = |a: usize, b: usize, kinv_ab: f64| {
             let w = alpha_ref[a] * alpha_ref[b] - kinv_ab;
@@ -368,28 +379,50 @@ pub fn mll_and_grad_ws(
                 g[j] += wgf * sq[j];
             }
         };
+        // Rows a and a+1 against every b < a, then their shared pair.
+        let mut pair = |a: usize, head: &[(f64, f64)]| {
+            for (b, &(k0, k1)) in head.iter().enumerate() {
+                accum(a, b, k0);
+                accum(a + 1, b, k1);
+            }
+            let (ma, ma1) = (m.row(a), m.row(a + 1));
+            for b in head.len()..a {
+                let mb = m.row(b);
+                accum(a, b, dot(&ma[a..], &mb[a..]));
+                accum(a + 1, b, dot(&ma1[a + 1..], &mb[a + 1..]));
+            }
+            accum(a + 1, a, dot(&ma1[a + 1..], &ma[a + 1..]));
+        };
         let lo = c * chunk;
         let hi = ((c + 1) * chunk).min(n);
+        let mut ahead: Vec<(f64, f64)> = Vec::with_capacity(hi);
+        let mut lead: Vec<(f64, f64)> = Vec::with_capacity(hi);
         let mut a = lo;
-        while a < hi {
-            if a + 1 < hi {
-                let ma = m.row(a);
-                let ma1 = m.row(a + 1);
-                for b in 0..a {
-                    let mb = m.row(b);
-                    let k0 = dot(&ma[a..], &mb[a..]);
-                    let k1 = dot(&ma1[a + 1..], &mb[a + 1..]);
-                    accum(a, b, k0);
-                    accum(a + 1, b, k1);
-                }
-                accum(a + 1, a, dot(&ma1[a + 1..], &ma[a + 1..]));
-                a += 2;
-            } else {
-                let ma = m.row(a);
-                for b in 0..a {
-                    accum(a, b, dot(&ma[a..], &m.row(b)[a..]));
-                }
-                a += 1;
+        while a + 3 < hi {
+            let rows = [m.row(a), m.row(a + 1), m.row(a + 2), m.row(a + 3)];
+            lead.clear();
+            ahead.clear();
+            for b in 0..a {
+                let mb = m.row(b);
+                let k = dot4(
+                    [&rows[0][a..], &rows[1][a + 1..], &rows[2][a + 2..], &rows[3][a + 3..]],
+                    [&mb[a..], &mb[a + 1..], &mb[a + 2..], &mb[a + 3..]],
+                );
+                lead.push((k[0], k[1]));
+                ahead.push((k[2], k[3]));
+            }
+            pair(a, &lead);
+            pair(a + 2, &ahead);
+            a += 4;
+        }
+        if a + 1 < hi {
+            pair(a, &[]);
+            a += 2;
+        }
+        if a < hi {
+            let ma = m.row(a);
+            for b in 0..a {
+                accum(a, b, dot(&ma[a..], &m.row(b)[a..]));
             }
         }
         g
@@ -466,6 +499,63 @@ mod tests {
             }
             let v_only = mll_value_ws(family, &mut ws, &y_std, &params).unwrap();
             assert_eq!(v_only, v_ws, "{}", family.name());
+        }
+    }
+
+    #[test]
+    fn lengthscale_gradient_matches_two_row_contraction_bitwise() {
+        // The contraction groups rows in fours through `dot4`; the
+        // gradient must equal the row-pair contraction (one `dot` per
+        // pair, accumulated pair of rows by pair of rows) bit for bit,
+        // across chunk boundaries and every group tail.
+        let family = KernelType::Matern52;
+        for n in [1usize, 2, 5, 7, 64, 66, 131] {
+            let (x, y) = training_data(n, 3, 40 + n as u64);
+            let y_std = standardized(&y);
+            let params = vec![(0.3f64).ln(), (0.6f64).ln(), (0.9f64).ln(), 0.2, (1e-3f64).ln()];
+            let mut ws = FitWorkspace::new();
+            ws.prepare(&x);
+            let (_, grad) = mll_and_grad_ws(family, &mut ws, &y_std, &params).unwrap();
+
+            let dec = decode(3, &params).unwrap();
+            let (chol, _, alpha, _) = factored(&mut ws, family, &y_std, &dec, true).unwrap();
+            chol.inv_lower_t_into(&mut ws.minv);
+            let m = &ws.minv;
+            let mut want = [0.0; 3];
+            for c in 0..n.div_ceil(64) {
+                let mut g = [0.0; 3];
+                let mut accum = |a: usize, b: usize, kinv_ab: f64| {
+                    let w = alpha[a] * alpha[b] - kinv_ab;
+                    let wgf = w * dec.outputscale * ws.rg[ws.rg_offsets[a] + 2 * b + 1];
+                    let base = a * a.saturating_sub(1) / 2 * 3;
+                    for j in 0..3 {
+                        g[j] += wgf * ws.sqdiff[base + b * 3 + j];
+                    }
+                };
+                let (mut a, hi) = (c * 64, ((c + 1) * 64).min(n));
+                while a < hi {
+                    let rows: Vec<usize> = (a..hi.min(a + 2)).collect();
+                    for b in 0..a {
+                        let k: Vec<f64> =
+                            rows.iter().map(|&r| dot(&m.row(r)[r..], &m.row(b)[r..])).collect();
+                        for (&r, &k) in rows.iter().zip(&k) {
+                            accum(r, b, k);
+                        }
+                    }
+                    if rows.len() == 2 {
+                        accum(a + 1, a, dot(&m.row(a + 1)[a + 1..], &m.row(a)[a + 1..]));
+                    }
+                    a += rows.len();
+                }
+                for j in 0..3 {
+                    want[j] += g[j];
+                }
+            }
+            for j in 0..3 {
+                let want = want[j] * dec.inv_ls2[j];
+                let got = grad[j];
+                assert!(got.to_bits() == want.to_bits(), "n={n} grad[{j}]: {got} vs {want}");
+            }
         }
     }
 

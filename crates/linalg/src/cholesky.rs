@@ -9,7 +9,7 @@
 
 use crate::matrix::Matrix;
 use crate::parallel;
-use crate::vec_ops::{axpy, dot};
+use crate::vec_ops::{axpy, dot, dot4};
 use crate::{LinalgError, Result};
 
 /// Lower-triangular Cholesky factor `L` with `L * L^T = A`.
@@ -67,32 +67,9 @@ impl Cholesky {
         } else {
             a.diag().iter().map(|v| v.abs()).sum::<f64>() / n as f64
         };
-        // Above the bit-exactness boundary the reassociated-arithmetic
-        // policy applies, so the cache-blocked parallel sweep is allowed
-        // to replace the serial row kernel (see `try_factor_blocked_into`).
-        let blocked = n > BIT_EXACT_MAX_N;
-        let mut jitter = 0.0;
-        for attempt in 0..=JITTER_TRIES {
-            let res = if blocked {
-                Self::try_factor_blocked_into(a, jitter, &mut l)
-            } else {
-                Self::try_factor_into(a, jitter, &mut l)
-            };
-            match res {
-                Ok(()) => return Ok(Cholesky { l, jitter }),
-                Err(e) => {
-                    if attempt == JITTER_TRIES {
-                        return Err(e);
-                    }
-                    jitter = if jitter == 0.0 {
-                        JITTER_START * mean_diag.max(f64::MIN_POSITIVE)
-                    } else {
-                        jitter * JITTER_GROWTH
-                    };
-                }
-            }
-        }
-        unreachable!("jitter loop always returns")
+        let jitter =
+            escalate_jitter(mean_diag, |jitter| factor_rows(&mut l, 0, jitter, |i, j| a[(i, j)]))?;
+        Ok(Cholesky { l, jitter })
     }
 
     /// Factor a symmetric positive-definite matrix given only its strict
@@ -105,7 +82,8 @@ impl Cholesky {
     ///
     /// Produces a bit-identical factor to
     /// [`factor_reusing`](Self::factor_reusing) on the equivalent dense
-    /// matrix, including the jitter-escalation behaviour.
+    /// matrix, including the jitter-escalation behaviour: both run the
+    /// same row kernel, which reads the packed entries in place.
     pub fn factor_packed_reusing(
         packed: &[f64],
         stride: usize,
@@ -123,170 +101,15 @@ impl Cholesky {
             return Err(LinalgError::NonFinite("packed cholesky input"));
         }
         let mut l = if buf.rows() == n && buf.cols() == n { buf } else { Matrix::zeros(n, n) };
-        let mean_diag = diag.abs();
-        let blocked = n > BIT_EXACT_MAX_N;
-        let mut jitter = 0.0;
-        for attempt in 0..=JITTER_TRIES {
-            let res = if blocked {
-                Self::try_factor_packed_blocked_into(packed, stride, diag, jitter, &mut l)
+        let entry = |i: usize, j: usize| {
+            if i == j {
+                diag
             } else {
-                Self::try_factor_packed_into(packed, stride, diag, jitter, &mut l)
-            };
-            match res {
-                Ok(()) => return Ok(Cholesky { l, jitter }),
-                Err(e) => {
-                    if attempt == JITTER_TRIES {
-                        return Err(e);
-                    }
-                    jitter = if jitter == 0.0 {
-                        JITTER_START * mean_diag.max(f64::MIN_POSITIVE)
-                    } else {
-                        jitter * JITTER_GROWTH
-                    };
-                }
+                packed[(i * (i - 1) / 2 + j) * stride]
             }
-        }
-        unreachable!("jitter loop always returns")
-    }
-
-    /// Packed-input companion of [`try_factor_into`](Self::try_factor_into):
-    /// identical per-element arithmetic (the same `dot` over the same
-    /// slices feeds every entry, so the factor is bit-identical to the
-    /// dense path), sourcing `a[(i, j)]` from the packed strided lower
-    /// triangle and `a[(i, i)]` from the uniform diagonal.
-    ///
-    /// Rows are produced two at a time: the inner elimination streams
-    /// each prior row `j` once and charges it against both output rows,
-    /// halving the dominant memory traffic of the factorization and
-    /// giving the hardware two independent dot chains to overlap. The
-    /// evaluation order still respects every dependency, so the values
-    /// (not just the tolerances) match the one-row form exactly.
-    fn try_factor_packed_into(
-        packed: &[f64],
-        stride: usize,
-        diag: f64,
-        jitter: f64,
-        l: &mut Matrix,
-    ) -> Result<()> {
-        let n = l.rows();
-        let pivot_checked = |s: f64| -> Result<f64> {
-            let pivot = diag + jitter - s;
-            if pivot <= 0.0 || !pivot.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite { pivot });
-            }
-            Ok(pivot.sqrt())
         };
-        let data = l.as_mut_slice();
-        let mut i = 0;
-        while i < n {
-            let base0 = i * i.saturating_sub(1) / 2 * stride;
-            let (head, tail) = data.split_at_mut(i * n);
-            if i + 1 < n {
-                let base1 = (i + 1) * i / 2 * stride;
-                let (r0, rest) = tail.split_at_mut(n);
-                let r1 = &mut rest[..n];
-                for j in 0..i {
-                    let rj = &head[j * n..j * n + j];
-                    let s0 = if j == 0 { 0.0 } else { dot(&r0[..j], rj) };
-                    let s1 = if j == 0 { 0.0 } else { dot(&r1[..j], rj) };
-                    let ljj = head[j * n + j];
-                    r0[j] = (packed[base0 + j * stride] - s0) / ljj;
-                    r1[j] = (packed[base1 + j * stride] - s1) / ljj;
-                }
-                r0[i] = pivot_checked(dot(&r0[..i], &r0[..i]))?;
-                r0[i + 1..].fill(0.0);
-                let s = dot(&r1[..i], &r0[..i]);
-                r1[i] = (packed[base1 + i * stride] - s) / r0[i];
-                r1[i + 1] = pivot_checked(dot(&r1[..=i], &r1[..=i]))?;
-                r1[i + 2..].fill(0.0);
-                i += 2;
-            } else {
-                let r0 = &mut tail[..n];
-                for j in 0..i {
-                    let rj = &head[j * n..j * n + j];
-                    let s = if j == 0 { 0.0 } else { dot(&r0[..j], rj) };
-                    r0[j] = (packed[base0 + j * stride] - s) / head[j * n + j];
-                }
-                r0[i] = pivot_checked(dot(&r0[..i], &r0[..i]))?;
-                r0[i + 1..].fill(0.0);
-                i += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Factorization attempt writing into a caller-owned buffer. Every
-    /// entry of `l` (including the strict upper triangle, which is
-    /// zeroed) is overwritten, so stale contents are harmless.
-    fn try_factor_into(a: &Matrix, jitter: f64, l: &mut Matrix) -> Result<()> {
-        let n = a.rows();
-        debug_assert_eq!(l.rows(), n);
-        debug_assert_eq!(l.cols(), n);
-        for i in 0..n {
-            for j in 0..=i {
-                // Dot-product (ijk) form: both row prefixes are contiguous.
-                let s = if j == 0 { 0.0 } else { dot(&l.row(i)[..j], &l.row(j)[..j]) };
-                if i == j {
-                    let pivot = a[(i, i)] + jitter - s;
-                    if pivot <= 0.0 || !pivot.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { pivot });
-                    }
-                    l[(i, j)] = pivot.sqrt();
-                } else {
-                    l[(i, j)] = (a[(i, j)] - s) / l[(j, j)];
-                }
-            }
-            l.row_mut(i)[i + 1..].fill(0.0);
-        }
-        Ok(())
-    }
-
-    /// Blocked factorization attempt for systems past [`BIT_EXACT_MAX_N`]:
-    /// loads the lower triangle of `a` (plus `jitter` on the diagonal)
-    /// into `l` and runs the right-looking panel sweep of
-    /// [`blocked_factor_in_place`]. The per-entry arithmetic is a
-    /// reassociation of the serial row kernel (partial sums per panel
-    /// instead of one full-prefix dot), so results agree with
-    /// [`try_factor_into`](Self::try_factor_into) to summation-order ulps
-    /// — permitted above the bit-exactness boundary — while the trailing
-    /// updates fan out across threads.
-    fn try_factor_blocked_into(a: &Matrix, jitter: f64, l: &mut Matrix) -> Result<()> {
-        let n = a.rows();
-        debug_assert_eq!(l.rows(), n);
-        debug_assert_eq!(l.cols(), n);
-        for i in 0..n {
-            let row = l.row_mut(i);
-            row[..=i].copy_from_slice(&a.row(i)[..=i]);
-            row[i] += jitter;
-            row[i + 1..].fill(0.0);
-        }
-        blocked_factor_in_place(l)
-    }
-
-    /// Packed-input companion of
-    /// [`try_factor_blocked_into`](Self::try_factor_blocked_into):
-    /// materialises the strided pair-major lower triangle plus uniform
-    /// diagonal into `l`, then runs the same in-place blocked sweep — so
-    /// the packed and dense paths stay bit-identical to each other above
-    /// [`BIT_EXACT_MAX_N`] exactly as they are below it.
-    fn try_factor_packed_blocked_into(
-        packed: &[f64],
-        stride: usize,
-        diag: f64,
-        jitter: f64,
-        l: &mut Matrix,
-    ) -> Result<()> {
-        let n = l.rows();
-        for i in 0..n {
-            let base = i * i.saturating_sub(1) / 2 * stride;
-            let row = l.row_mut(i);
-            for (j, v) in row[..i].iter_mut().enumerate() {
-                *v = packed[base + j * stride];
-            }
-            row[i] = diag + jitter;
-            row[i + 1..].fill(0.0);
-        }
-        blocked_factor_in_place(l)
+        let jitter = escalate_jitter(diag.abs(), |jitter| factor_rows(&mut l, 0, jitter, entry))?;
+        Ok(Cholesky { l, jitter })
     }
 
     /// Extend the factorization of `A` to the factorization of
@@ -301,16 +124,17 @@ impl Cholesky {
     /// the first `n` rows**, in `O(n²q)`. Row-by-row factorization
     /// computes row `i` from rows `< i` only, so the first `n` rows of the
     /// from-scratch factor of the extended matrix are the rows of `self`;
-    /// this method runs the same serial row kernel as `try_factor_into`
-    /// over rows `n..n+q` at `self`'s jitter.
+    /// this method runs the factorization's own row kernel over rows
+    /// `n..n+q` at `self`'s jitter.
     ///
     /// **Bit-compat contract:** whenever a from-scratch
     /// [`factor`](Self::factor) of the extended matrix settles on the
-    /// same jitter as `self`, the result here is bit-identical to it
-    /// (pinned by a property test). Kernel-type matrices with a uniform
-    /// diagonal escalate jitter through the identical sequence (the mean
-    /// diagonal is diagonal-value-invariant to `n`), so for those inputs
-    /// the contract covers every case in which this method succeeds.
+    /// same jitter as `self`, the result here is bit-identical to it, at
+    /// every size (pinned by property tests). Kernel-type matrices with a
+    /// uniform diagonal escalate jitter through the identical sequence
+    /// (the mean diagonal is diagonal-value-invariant to `n`), so for
+    /// those inputs the contract covers every case in which this method
+    /// succeeds.
     ///
     /// No jitter is ever added beyond `self.jitter`: if the appended rows
     /// are not positive-definite there — where a from-scratch factor
@@ -338,25 +162,14 @@ impl Cholesky {
         for i in 0..n {
             l.row_mut(i)[..n].copy_from_slice(self.l.row(i));
         }
-        for ii in 0..q {
-            let i = n + ii;
-            for j in 0..=i {
-                // Same dot-product (ijk) elimination as `try_factor_into`,
-                // sourcing the matrix entry from the B/C blocks.
-                let s = if j == 0 { 0.0 } else { dot(&l.row(i)[..j], &l.row(j)[..j]) };
-                let aij = if j < n { b[(j, ii)] } else { c[(ii, j - n)] };
-                if i == j {
-                    let pivot = aij + jitter - s;
-                    if pivot <= 0.0 || !pivot.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { pivot });
-                    }
-                    l[(i, j)] = pivot.sqrt();
-                } else {
-                    l[(i, j)] = (aij - s) / l[(j, j)];
-                }
+        // Appended row `i` reads its entries from the B/C blocks.
+        factor_rows(&mut l, n, jitter, |i, j| {
+            if j < n {
+                b[(j, i - n)]
+            } else {
+                c[(i - n, j - n)]
             }
-            l.row_mut(i)[i + 1..].fill(0.0);
-        }
+        })?;
         Ok(Cholesky { l, jitter })
     }
 
@@ -385,12 +198,33 @@ impl Cholesky {
     }
 
     /// Solve `L y = b` (forward substitution) in place.
+    ///
+    /// Rows `i0..i0 + 4` (`i0` a multiple of 4) reduce their shared
+    /// finished prefix `b[..i0]` with [`dot4`]; each row then adds its
+    /// own `i − i0` tail products in order. A length-`i` [`dot`] covers
+    /// exactly those `i0 / 4` whole chunks before its tail, so every
+    /// entry is bit-identical to the one-row-at-a-time solve.
     pub fn solve_lower_in_place(&self, b: &mut [f64]) {
         let n = self.n();
         debug_assert_eq!(b.len(), n);
-        for i in 0..n {
-            let s = dot(&self.l.row(i)[..i], &b[..i]);
-            b[i] = (b[i] - s) / self.l[(i, i)];
+        let l = &self.l;
+        let mut i0 = 0;
+        while i0 + 4 <= n {
+            let rows = [l.row(i0), l.row(i0 + 1), l.row(i0 + 2), l.row(i0 + 3)];
+            let prefix = &b[..i0];
+            let sums = dot4(rows.map(|r| &r[..i0]), [prefix; 4]);
+            for (r, (row, mut s)) in rows.iter().zip(sums).enumerate() {
+                let i = i0 + r;
+                for j in i0..i {
+                    s += row[j] * b[j];
+                }
+                b[i] = (b[i] - s) / row[i];
+            }
+            i0 += 4;
+        }
+        for i in i0..n {
+            let s = dot(&l.row(i)[..i], &b[..i]);
+            b[i] = (b[i] - s) / l[(i, i)];
         }
     }
 
@@ -578,6 +412,11 @@ impl Cholesky {
     /// `n - a` entries; rows are independent, so they are computed in
     /// parallel over row blocks.
     ///
+    /// Rows advance four at a time: each step `k` reduces row `k` of `L`
+    /// against the four rows' suffixes with [`dot4`], which returns
+    /// exactly the per-row [`dot`] bits, so the result does not depend on
+    /// the grouping or the thread count.
+    ///
     /// Consumers get, without ever materialising `A^{-1}`:
     /// - `(A^{-1})_{ab} = Σ_{k ≥ max(a,b)} out[a][k] · out[b][k]`
     ///   (a contiguous suffix dot product of two rows), and
@@ -587,17 +426,46 @@ impl Cholesky {
         assert_eq!(out.rows(), n, "inv_lower_t_into: row mismatch");
         assert_eq!(out.cols(), n, "inv_lower_t_into: col mismatch");
         let l = &self.l;
-        // Total flops ~ n³/6; parallel::for_each_row_chunk decides whether
-        // that clears the spawn threshold.
-        let work = n * n * n / 6;
-        parallel::for_each_row_chunk(out.as_mut_slice(), n, work, |a, row| {
+        // Row `a` of the output up to (excluding) column `upto`.
+        let start_row = |a: usize, row: &mut [f64], upto: usize| {
             row[..a].fill(0.0);
             row[a] = 1.0 / l[(a, a)];
-            for k in (a + 1)..n {
+            for k in (a + 1)..upto {
                 let s = dot(&l.row(k)[a..k], &row[a..k]);
                 row[k] = -s / l[(k, k)];
             }
+        };
+        let groups = n / 4;
+        let (grouped, rest) = out.as_mut_slice().split_at_mut(groups * 4 * n);
+        // Total flops ~ n³/6; parallel::for_each_row_chunk decides whether
+        // that clears the spawn threshold.
+        let work = n * n * n / 6;
+        parallel::for_each_row_chunk(grouped, 4 * n, work, |g, block| {
+            let a = 4 * g;
+            let (r0, tail) = block.split_at_mut(n);
+            let (r1, tail) = tail.split_at_mut(n);
+            let (r2, r3) = tail.split_at_mut(n);
+            // Each row runs alone until all four have started.
+            start_row(a, r0, a + 4);
+            start_row(a + 1, r1, a + 4);
+            start_row(a + 2, r2, a + 4);
+            start_row(a + 3, r3, a + 4);
+            for k in (a + 4)..n {
+                let lk = l.row(k);
+                let s = dot4(
+                    [&lk[a..k], &lk[a + 1..k], &lk[a + 2..k], &lk[a + 3..k]],
+                    [&r0[a..k], &r1[a + 1..k], &r2[a + 2..k], &r3[a + 3..k]],
+                );
+                let lkk = lk[k];
+                r0[k] = -s[0] / lkk;
+                r1[k] = -s[1] / lkk;
+                r2[k] = -s[2] / lkk;
+                r3[k] = -s[3] / lkk;
+            }
         });
+        for (t, row) in rest.chunks_mut(n).enumerate() {
+            start_row(groups * 4 + t, row, n);
+        }
     }
 }
 
@@ -610,138 +478,100 @@ impl Cholesky {
 /// by reciprocals — so seeded BO trajectories (all integration runs use
 /// n ≲ 100 training points) do not shift with these optimizations.
 /// Above it, the fast reassociated forms kick in and agreement is to
-/// summation-order ulps instead.
+/// summation-order ulps instead. The factorization itself runs one row
+/// kernel at every size and is not governed by this bound.
 pub const BIT_EXACT_MAX_N: usize = 128;
 
-/// Panel width of the blocked right-looking factorization. A 64-wide
-/// panel keeps the `64 x 64` diagonal block (32 KiB) and a panel-column
-/// stripe resident in L1/L2 while the trailing update streams the rest
-/// of the matrix once per sweep.
-const CHOL_PANEL: usize = 64;
+/// Run the jitter-escalation schedule around one factorization attempt:
+/// `attempt(0.0)` first, then `1e-10 · mean_diag` growing tenfold, up to
+/// `JITTER_TRIES` escalations. Returns the jitter that succeeded, or the
+/// last attempt's error.
+fn escalate_jitter(mean_diag: f64, mut attempt: impl FnMut(f64) -> Result<()>) -> Result<f64> {
+    let mut jitter = 0.0;
+    for tries in 0..=JITTER_TRIES {
+        match attempt(jitter) {
+            Ok(()) => return Ok(jitter),
+            Err(e) => {
+                if tries == JITTER_TRIES {
+                    return Err(e);
+                }
+                jitter = if jitter == 0.0 {
+                    JITTER_START * mean_diag.max(f64::MIN_POSITIVE)
+                } else {
+                    jitter * JITTER_GROWTH
+                };
+            }
+        }
+    }
+    unreachable!("jitter loop always returns")
+}
 
-/// Cache-blocked right-looking Cholesky sweep, in place.
+/// The one factorization row kernel: computes rows `start..` of the
+/// square `l` from the finished rows above them, reading the input's
+/// lower triangle through `entry(i, j)` (`j ≤ i`) and adding `jitter` to
+/// each pivot. Every entry of those rows is overwritten (the strict
+/// upper triangle with zeros), so stale buffer contents are harmless.
 ///
-/// On entry `l` holds the lower triangle of the (jittered) input with a
-/// zeroed strict upper triangle; on exit it holds the factor. Each sweep
-/// factors a `CHOL_PANEL`-wide diagonal panel serially, then applies the
-/// panel to the rows below it — a TRSM pass and a SYRK trailing update —
-/// fanned out over [`parallel::par_map_workers`] in dynamically scheduled
-/// row bands.
-///
-/// **Determinism:** every row's arithmetic is a fixed sequence — the
-/// panel order is serial, and within a band each row is eliminated with
-/// the same dots in the same order — and band boundaries only decide
-/// *which worker* computes a row, never *what* it computes. The SYRK
-/// reads panel columns from a snapshot copied into `scratch` before the
-/// fan-out, so no worker observes another worker's writes. Results are
-/// therefore bit-identical for any thread count (pinned by the
-/// determinism suite), while still reassociated relative to the serial
-/// row kernel (partial per-panel sums), which is why this path only
-/// engages past [`BIT_EXACT_MAX_N`].
-fn blocked_factor_in_place(l: &mut Matrix) -> Result<()> {
+/// Each entry is the dot-product (ijk) form
+/// `l[i][j] = (a[i][j] − dot(l[i][..j], l[j][..j])) / l[j][j]`, with the
+/// pivot `sqrt(a[i][i] + jitter − dot(l[i][..i], l[i][..i]))`. Rows are
+/// produced four at a time: each finished row `j` above the group is
+/// streamed once and charged against all four rows through [`dot4`],
+/// which returns exactly the per-row [`dot`] bits. The group's own
+/// lower triangle then runs row by row. So the factor is bit-identical
+/// to the one-row-at-a-time kernel, whatever row the first group starts
+/// at — which is why [`Cholesky::extend`] matches a from-scratch factor.
+fn factor_rows(
+    l: &mut Matrix,
+    start: usize,
+    jitter: f64,
+    entry: impl Fn(usize, usize) -> f64,
+) -> Result<()> {
     let n = l.rows();
-    let mut scratch: Vec<f64> = Vec::new();
-    let mut k = 0;
-    while k < n {
-        let kb = CHOL_PANEL.min(n - k);
-        // Panel: factor the kb x kb diagonal block over columns k.. (the
-        // contributions of columns < k were subtracted by prior sweeps).
-        {
-            let data = l.as_mut_slice();
-            for i in k..k + kb {
-                for j in k..=i {
-                    let s = if j == k {
-                        0.0
-                    } else {
-                        dot(&data[i * n + k..i * n + j], &data[j * n + k..j * n + j])
-                    };
-                    if i == j {
-                        let pivot = data[i * n + i] - s;
-                        if pivot <= 0.0 || !pivot.is_finite() {
-                            return Err(LinalgError::NotPositiveDefinite { pivot });
-                        }
-                        data[i * n + i] = pivot.sqrt();
-                    } else {
-                        data[i * n + j] = (data[i * n + j] - s) / data[j * n + j];
-                    }
+    debug_assert_eq!(l.cols(), n);
+    let data = l.as_mut_slice();
+    let mut i = start;
+    while i < n {
+        let g = (n - i).min(4);
+        let (head, tail) = data.split_at_mut(i * n);
+        let rows = &mut tail[..g * n];
+        for j in 0..i {
+            let rj = &head[j * n..j * n + j];
+            let ljj = head[j * n + j];
+            if g == 4 {
+                let s = dot4(
+                    [&rows[..j], &rows[n..n + j], &rows[2 * n..2 * n + j], &rows[3 * n..3 * n + j]],
+                    [rj; 4],
+                );
+                for (r, s) in s.into_iter().enumerate() {
+                    rows[r * n + j] = (entry(i + r, j) - s) / ljj;
+                }
+            } else {
+                for r in 0..g {
+                    let s = dot(&rows[r * n..r * n + j], rj);
+                    rows[r * n + j] = (entry(i + r, j) - s) / ljj;
                 }
             }
         }
-        let below = n - k - kb;
-        if below == 0 {
-            break;
-        }
-        let (head, tail) = l.as_mut_slice().split_at_mut((k + kb) * n);
-        let panel: &[f64] = head;
-        // TRSM: finalize columns k..k+kb of every row below the panel.
-        let trsm_flops = below * kb * (kb + 2);
-        par_row_bands(tail, n, trsm_flops, |_, row| {
-            for j in k..k + kb {
-                let pj = &panel[j * n + k..j * n + j];
-                let s = if j == k { 0.0 } else { dot(&row[k..j], pj) };
-                row[j] = (row[j] - s) / panel[j * n + j];
+        for r in 0..g {
+            let ii = i + r;
+            let (done, cur) = rows.split_at_mut(r * n);
+            let row = &mut cur[..n];
+            for c in 0..r {
+                let j = i + c;
+                let s = dot(&row[..j], &done[c * n..c * n + j]);
+                row[j] = (entry(ii, j) - s) / done[c * n + j];
             }
-        });
-        // Snapshot the freshly solved panel columns so the trailing
-        // update reads immutable data while rows are mutated in parallel.
-        scratch.clear();
-        scratch.reserve(below * kb);
-        for r in 0..below {
-            scratch.extend_from_slice(&tail[r * n + k..r * n + k + kb]);
-        }
-        let snap: &[f64] = &scratch;
-        // SYRK: subtract the panel's contribution from the trailing
-        // lower triangle, one full dot per touched entry.
-        let syrk_flops = below * below * kb;
-        par_row_bands(tail, n, syrk_flops, |r, row| {
-            let sr = &snap[r * kb..(r + 1) * kb];
-            for c in 0..=r {
-                row[k + kb + c] -= dot(sr, &snap[c * kb..(c + 1) * kb]);
+            let pivot = entry(ii, ii) + jitter - dot(&row[..ii], &row[..ii]);
+            if pivot <= 0.0 || !pivot.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite { pivot });
             }
-        });
-        k += kb;
+            row[ii] = pivot.sqrt();
+            row[ii + 1..].fill(0.0);
+        }
+        i += g;
     }
     Ok(())
-}
-
-/// Fan `f(row_index, row)` out over the fixed-width rows of `out` in
-/// dynamically scheduled contiguous bands (several per worker, so the
-/// triangular cost gradient of the SYRK balances), via
-/// [`parallel::par_map_workers`]. Sequential when the work is below the
-/// crate's parallel threshold or only one thread is available; the
-/// per-row results are identical either way.
-fn par_row_bands<F>(out: &mut [f64], width: usize, flops: usize, f: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    if width == 0 || out.is_empty() {
-        return;
-    }
-    debug_assert_eq!(out.len() % width, 0);
-    let rows = out.len() / width;
-    let workers = parallel::num_threads().min(rows);
-    if workers <= 1 || flops < parallel::PAR_THRESHOLD {
-        for (r, row) in out.chunks_mut(width).enumerate() {
-            f(r, row);
-        }
-        return;
-    }
-    let bands = (workers * 4).min(rows);
-    let rows_per = rows.div_ceil(bands);
-    // Hand each band its disjoint `&mut` block through a mutex taken
-    // exactly once, so the work-stealing map stays safe without copies.
-    let slots: Vec<std::sync::Mutex<(usize, &mut [f64])>> = out
-        .chunks_mut(rows_per * width)
-        .enumerate()
-        .map(|(bi, block)| std::sync::Mutex::new((bi * rows_per, block)))
-        .collect();
-    parallel::par_map_workers(slots.len(), workers, |bi| {
-        let mut guard = slots[bi].lock().expect("band slot poisoned");
-        let (base, block) = &mut *guard;
-        for (i, row) in block.chunks_mut(width).enumerate() {
-            f(*base + i, row);
-        }
-    });
 }
 
 /// Solve `L^T x = y` in place given the row-major *transpose* of the
@@ -1174,26 +1004,154 @@ mod tests {
         ));
     }
 
+    /// One-row-at-a-time Cholesky with the factorization's jitter
+    /// schedule: the reference every kernel in this module must match
+    /// bit for bit. Returns the factor and the jitter it settled on.
+    fn reference_factor(
+        n: usize,
+        mean_diag: f64,
+        entry: impl Fn(usize, usize) -> f64,
+    ) -> Result<(Matrix, f64)> {
+        let attempt = |jitter: f64| -> Result<Matrix> {
+            let mut l = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..=i {
+                    let s = if j == 0 { 0.0 } else { dot(&l.row(i)[..j], &l.row(j)[..j]) };
+                    if i == j {
+                        let pivot = entry(i, i) + jitter - s;
+                        if pivot <= 0.0 || !pivot.is_finite() {
+                            return Err(LinalgError::NotPositiveDefinite { pivot });
+                        }
+                        l[(i, j)] = pivot.sqrt();
+                    } else {
+                        l[(i, j)] = (entry(i, j) - s) / l[(j, j)];
+                    }
+                }
+            }
+            Ok(l)
+        };
+        let mut jitter = 0.0;
+        for tries in 0..=JITTER_TRIES {
+            match attempt(jitter) {
+                Ok(l) => return Ok((l, jitter)),
+                Err(e) if tries == JITTER_TRIES => return Err(e),
+                Err(_) => {
+                    jitter = if jitter == 0.0 {
+                        JITTER_START * mean_diag.max(f64::MIN_POSITIVE)
+                    } else {
+                        jitter * JITTER_GROWTH
+                    };
+                }
+            }
+        }
+        unreachable!()
+    }
+
+    fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{what}");
+        for (k, (u, v)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                u.to_bits() == v.to_bits(),
+                "{what} ({}, {}): {u} vs {v}",
+                k / want.cols(),
+                k % want.cols()
+            );
+        }
+    }
+
+    /// Packed strict lower triangle of `a` at `stride`, with a finite
+    /// sentinel in the payload slots.
+    fn pack(a: &Matrix, stride: usize) -> Vec<f64> {
+        let n = a.rows();
+        let mut packed = vec![7.5; n * n.saturating_sub(1) / 2 * stride];
+        for i in 0..n {
+            for j in 0..i {
+                packed[(i * (i - 1) / 2 + j) * stride] = a[(i, j)];
+            }
+        }
+        packed
+    }
+
+    /// Dense, packed stride-1 and packed stride-2 factors of a
+    /// uniform-diagonal matrix must all equal the one-row reference.
+    fn assert_factor_matches_reference(a: &Matrix, what: &str) {
+        let n = a.rows();
+        let diag = if n == 0 { 1.0 } else { a[(0, 0)] };
+        let (want, jitter) = reference_factor(n, diag.abs(), |i, j| a[(i, j)]).unwrap();
+        let dense = Cholesky::factor(a).unwrap();
+        assert_eq!(dense.jitter().to_bits(), jitter.to_bits(), "{what} dense jitter");
+        assert_bits_eq(dense.l(), &want, &format!("{what} dense"));
+        for stride in [1usize, 2] {
+            let packed = pack(a, stride);
+            let ch =
+                Cholesky::factor_packed_reusing(&packed, stride, diag, n, Matrix::zeros(0, 0))
+                    .unwrap();
+            assert_eq!(ch.jitter().to_bits(), jitter.to_bits(), "{what} stride {stride} jitter");
+            assert_bits_eq(ch.l(), &want, &format!("{what} stride {stride}"));
+        }
+    }
+
+    #[test]
+    fn factor_matches_one_row_reference_bitwise() {
+        let sizes = (1..=9).chain(127..=131).chain([300]);
+        for n in sizes {
+            let a = spd_uniform_diag(n, 500 + n as u64, 2.0 * n as f64);
+            assert_factor_matches_reference(&a, &format!("n={n}"));
+        }
+        // Duplicated points make the kernel matrix singular, so the
+        // factor must escalate jitter exactly as the reference does.
+        for n in [9usize, 130] {
+            let mut pts: Vec<f64> = (0..n).map(|i| i as f64 * 0.3).collect();
+            pts[n / 2] = pts[1];
+            let a = kernelish(&pts);
+            assert!(Cholesky::factor(&a).unwrap().jitter() > 0.0, "n={n} must escalate");
+            assert_factor_matches_reference(&a, &format!("jitter n={n}"));
+        }
+    }
+
+    #[test]
+    fn forward_solve_and_inverse_rows_match_one_row_references() {
+        for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 13, 64, 129, 130, 131, 132] {
+            let ch = Cholesky::factor(&spd(n, 900 + n as u64)).unwrap();
+            let l = ch.l();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos() + 0.2).collect();
+            let mut want = b.clone();
+            for i in 0..n {
+                let s = dot(&l.row(i)[..i], &want[..i]);
+                want[i] = (want[i] - s) / l[(i, i)];
+            }
+            let mut got = b.clone();
+            ch.solve_lower_in_place(&mut got);
+            for (i, (u, v)) in got.iter().zip(&want).enumerate() {
+                assert!(u.to_bits() == v.to_bits(), "n={n} y[{i}]: {u} vs {v}");
+            }
+            let mut want = Matrix::zeros(n, n);
+            for a in 0..n {
+                let row = want.row_mut(a);
+                row[a] = 1.0 / l[(a, a)];
+                for k in (a + 1)..n {
+                    let s = dot(&l.row(k)[a..k], &row[a..k]);
+                    row[k] = -s / l[(k, k)];
+                }
+            }
+            let mut got = Matrix::from_fn(n, n, |_, _| f64::NAN);
+            ch.inv_lower_t_into(&mut got);
+            assert_bits_eq(&got, &want, &format!("n={n} L^-T"));
+        }
+    }
+
     #[test]
     fn blocked_factor_above_threshold_matches_serial_reference() {
-        // Past BIT_EXACT_MAX_N the public path runs the blocked sweep;
-        // it must agree with the serial row kernel to reassociation ulps
-        // and reconstruct the input.
+        // Past BIT_EXACT_MAX_N the factor still runs the one row kernel,
+        // so it must equal the one-row reference bit for bit, with no
+        // jitter, and reconstruct the input.
         for n in [129, 200, 313] {
             let a = spd(n, 100 + n as u64);
             let ch = Cholesky::factor(&a).unwrap();
             assert_eq!(ch.jitter(), 0.0, "n={n}");
-            let mut serial = Matrix::zeros(n, n);
-            Cholesky::try_factor_into(&a, 0.0, &mut serial).unwrap();
-            for i in 0..n {
-                for j in 0..=i {
-                    let (u, v) = (ch.l()[(i, j)], serial[(i, j)]);
-                    assert!(
-                        (u - v).abs() <= 1e-11 * (1.0 + u.abs().max(v.abs())),
-                        "n={n} ({i},{j}): {u} vs {v}"
-                    );
-                }
-            }
+            let mean_diag = a.diag().iter().map(|v| v.abs()).sum::<f64>() / n as f64;
+            let (serial, _) = reference_factor(n, mean_diag, |i, j| a[(i, j)]).unwrap();
+            assert_bits_eq(ch.l(), &serial, &format!("n={n}"));
             let back = ch.reconstruct();
             assert!(back.sub(&a).unwrap().norm_max() < 1e-9 * a.norm_max(), "n={n}");
         }
@@ -1202,8 +1160,8 @@ mod tests {
     #[test]
     fn blocked_packed_factor_matches_dense_bitwise() {
         // The packed and dense entry points must stay bit-identical to
-        // each other above the threshold (both feed the same in-place
-        // blocked sweep after materialization).
+        // each other above BIT_EXACT_MAX_N too (both run the same row
+        // kernel, reading their entries through different closures).
         let n = 160;
         let diag = 2.0 * n as f64;
         let a = spd_uniform_diag(n, 77, diag);
@@ -1224,8 +1182,8 @@ mod tests {
 
     #[test]
     fn blocked_factor_jitter_rescue_still_works() {
-        // Duplicate two points of a large kernel system: the blocked
-        // path must escalate jitter like the serial one does and recover.
+        // Duplicate two points of a kernel system past BIT_EXACT_MAX_N:
+        // the factor must escalate jitter and recover.
         let n = 140;
         let mut pts: Vec<f64> = (0..n).map(|i| i as f64 * 0.05).collect();
         pts[1] = pts[0];

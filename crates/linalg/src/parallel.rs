@@ -11,9 +11,7 @@ use std::sync::OnceLock;
 
 /// Work (in flop-ish units) below which spawning threads costs more than
 /// it saves. Tuned conservatively; correctness does not depend on it.
-/// Crate-visible so other fan-out sites (the blocked Cholesky sweeps)
-/// gate on the same threshold.
-pub(crate) const PAR_THRESHOLD: usize = 1 << 21;
+const PAR_THRESHOLD: usize = 1 << 21;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
@@ -74,6 +72,16 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
+/// Workers worth spawning for a fan-out of `work` flop-ish units: 1
+/// below the spawn threshold, [`num_threads`] at or above it.
+pub fn workers_for(work: usize) -> usize {
+    if work < PAR_THRESHOLD {
+        1
+    } else {
+        num_threads()
+    }
+}
+
 /// Apply `f(i, row)` to each `width`-sized row of `out`, splitting rows
 /// across scoped threads when `work` exceeds the parallel threshold.
 ///
@@ -89,8 +97,8 @@ where
     }
     debug_assert_eq!(out.len() % width, 0);
     let rows = out.len() / width;
-    let threads = num_threads().min(rows);
-    if threads <= 1 || work < PAR_THRESHOLD {
+    let threads = workers_for(work).min(rows);
+    if threads <= 1 {
         for (i, row) in out.chunks_mut(width).enumerate() {
             f(i, row);
         }
@@ -130,8 +138,8 @@ where
     }
     let rows = offsets.len() - 1;
     debug_assert_eq!(offsets[rows], out.len());
-    let threads = num_threads().min(rows);
-    if threads <= 1 || work < PAR_THRESHOLD {
+    let threads = workers_for(work).min(rows);
+    if threads <= 1 {
         let mut rest = out;
         let mut consumed = offsets[0];
         for i in 0..rows {

@@ -27,6 +27,56 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
+/// Four independent dot products `a[k] · b[k]`, run in lockstep.
+///
+/// Each result is bit-identical to [`dot`] on the same pair: every lane
+/// keeps `dot`'s four accumulators, chunked from its own slice start,
+/// and finishes with the same combine and tail order. Lanes may differ
+/// in length. The whole chunks all four lanes share run interleaved, so
+/// sixteen independent add chains are in flight where one `dot` keeps
+/// four; each lane then finishes its own remaining chunks and tail.
+#[inline]
+pub fn dot4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [f64; 4] {
+    for k in 0..4 {
+        debug_assert_eq!(a[k].len(), b[k].len());
+    }
+    let chunks = a.map(|s| s.len() / 4);
+    let common = chunks.iter().copied().min().unwrap_or(0);
+    let mut acc = [[0.0f64; 4]; 4];
+    {
+        // Trimmed to the shared chunks so the indexing below is provably
+        // in bounds.
+        let x = a.map(|s| &s[..common * 4]);
+        let y = b.map(|s| &s[..common * 4]);
+        for c in 0..common {
+            let j = c * 4;
+            for k in 0..4 {
+                let (xk, yk, s) = (&x[k][j..j + 4], &y[k][j..j + 4], &mut acc[k]);
+                s[0] += xk[0] * yk[0];
+                s[1] += xk[1] * yk[1];
+                s[2] += xk[2] * yk[2];
+                s[3] += xk[3] * yk[3];
+            }
+        }
+    }
+    let mut out = [0.0; 4];
+    for k in 0..4 {
+        let (xk, yk, s) = (a[k], b[k], &mut acc[k]);
+        for j in (common..chunks[k]).map(|c| c * 4) {
+            s[0] += xk[j] * yk[j];
+            s[1] += xk[j + 1] * yk[j + 1];
+            s[2] += xk[j + 2] * yk[j + 2];
+            s[3] += xk[j + 3] * yk[j + 3];
+        }
+        let mut t = (s[0] + s[1]) + (s[2] + s[3]);
+        for j in chunks[k] * 4..xk.len() {
+            t += xk[j] * yk[j];
+        }
+        out[k] = t;
+    }
+    out
+}
+
 /// `y += alpha * x`.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -163,6 +213,41 @@ mod tests {
         let b: Vec<f64> = (0..13).map(|i| (i as f64).sin()).collect();
         let naive: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         assert!((dot(&a, &b) - naive).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dot4_lanes_match_dot_bitwise() {
+        // Every lane draws its own length in 0..=67 and its own offsets
+        // into the operand buffers, so lanes end their shared chunks,
+        // their own chunks and their tails at different points.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut draw = |scale: f64, shift: f64| -> Vec<f64> {
+            (0..160).map(|_| (next() >> 11) as f64 / scale - shift).collect()
+        };
+        let xs = draw((1u64 << 40) as f64, 4096.0);
+        let ys = draw((1u64 << 45) as f64, 128.0);
+        for trial in 0..4000 {
+            let len: [usize; 4] = std::array::from_fn(|_| (next() % 68) as usize);
+            let off: [(usize, usize); 4] =
+                std::array::from_fn(|_| ((next() % 90) as usize, (next() % 90) as usize));
+            let a: [&[f64]; 4] = std::array::from_fn(|k| &xs[off[k].0..off[k].0 + len[k]]);
+            let b: [&[f64]; 4] = std::array::from_fn(|k| &ys[off[k].1..off[k].1 + len[k]]);
+            let got = dot4(a, b);
+            for k in 0..4 {
+                let want = dot(a[k], b[k]);
+                assert!(
+                    got[k].to_bits() == want.to_bits(),
+                    "trial {trial} lane {k} (lens {len:?}): {} vs {want}",
+                    got[k]
+                );
+            }
+        }
     }
 
     #[test]

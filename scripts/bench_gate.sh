@@ -38,7 +38,7 @@ PINNED_FIT=(
   "fit_scaling/mll_grad_workspace/64"
   "fit_scaling/fit_workspace/64"
   "fit_scaling/gp_update/256q8"
-  "fit_scaling/chol_blocked/512"
+  "fit_scaling/chol/512"
 )
 PINNED_ACQ=(
   "acq_kb_q_ego/2"

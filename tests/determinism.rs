@@ -242,13 +242,13 @@ fn same_seed_same_trace_regardless_of_thread_count_faulty() {
 }
 
 // ---------------------------------------------------------------------
-// Incremental-update and blocked-factorization determinism: the
+// Incremental-update and fitting-kernel determinism: the
 // `incremental_updates` fast path extends the cached Cholesky factor
-// instead of refactoring, and factorizations past `BIT_EXACT_MAX_N`
-// take the cache-blocked parallel path. Both must preserve the same
+// instead of refactoring, and the MLL gradient fans its `L⁻ᵀ` rows and
+// pair contraction out over threads. Both must preserve the same
 // contract as everything above — bit-identical traces for any worker
-// or compute-thread count, and (below the bit-exact cap) bit-identical
-// factors vs the from-scratch row kernel.
+// or compute-thread count, and bit-identical factors vs the
+// from-scratch row kernel at every size.
 // ---------------------------------------------------------------------
 
 /// Test config with the incremental-update fast path on: full fits on
@@ -310,19 +310,41 @@ fn gram(n: usize) -> pbo::linalg::Matrix {
 }
 
 #[test]
-fn blocked_factorization_is_bit_identical_for_any_thread_count() {
-    use pbo::linalg::Cholesky;
+fn mll_and_grad_is_bit_identical_for_any_thread_count() {
+    use pbo::gp::workspace::{mll_and_grad_ws, FitWorkspace};
+    use pbo::gp::KernelType;
+    use pbo::linalg::{Cholesky, Matrix};
     let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap();
-    // Well past BIT_EXACT_MAX_N = 128, so the cache-blocked parallel
-    // path is engaged; its row bands must partition scheduling only,
-    // never values.
-    let a = gram(300);
-    let base = at_threads(1, || Cholesky::factor(&a).unwrap());
+    // n = 300 is past BIT_EXACT_MAX_N and large enough that the kernel
+    // assembly, the `L⁻ᵀ` rows and the pair contraction all fan out;
+    // their chunking must decide scheduling only, never values. The
+    // factor runs serially, so it must not move either.
+    let n = 300;
+    let pts = cloud(n, 4);
+    let x = Matrix::from_rows(&pts).unwrap();
+    let y: Vec<f64> = pts.iter().map(|p| (3.0 * p[0]).sin() + p[1] * p[2] - p[3]).collect();
+    let ym = pbo::linalg::vec_ops::mean(&y);
+    let ys = pbo::linalg::vec_ops::variance(&y).sqrt();
+    let y_std: Vec<f64> = y.iter().map(|v| (v - ym) / ys).collect();
+    let params = [(0.4f64).ln(), (0.7f64).ln(), (0.5f64).ln(), (1.2f64).ln(), 0.1, (1e-4f64).ln()];
+    let eval = || {
+        let mut ws = FitWorkspace::new();
+        ws.prepare(&x);
+        mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap()
+    };
+    let a = gram(n);
+    let (v1, g1) = at_threads(1, eval);
+    let f1 = at_threads(1, || Cholesky::factor(&a).unwrap());
     for threads in [2, 3, 6] {
-        let other = at_threads(threads, || Cholesky::factor(&a).unwrap());
-        assert_eq!(base.jitter().to_bits(), other.jitter().to_bits());
-        for (x, y) in base.l().as_slice().iter().zip(other.l().as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{threads}-thread factor diverged");
+        let (v, g) = at_threads(threads, eval);
+        assert_eq!(v.to_bits(), v1.to_bits(), "{threads}-thread MLL value diverged");
+        for (k, (u, w)) in g.iter().zip(&g1).enumerate() {
+            assert_eq!(u.to_bits(), w.to_bits(), "{threads}-thread grad[{k}] diverged");
+        }
+        let f = at_threads(threads, || Cholesky::factor(&a).unwrap());
+        assert_eq!(f.jitter().to_bits(), f1.jitter().to_bits());
+        for (u, w) in f.l().as_slice().iter().zip(f1.l().as_slice()) {
+            assert_eq!(u.to_bits(), w.to_bits(), "{threads}-thread factor diverged");
         }
     }
 }
@@ -334,6 +356,26 @@ fn factor_extension_matches_from_scratch_below_bit_exact_max_n() {
     // same serial row kernel, so the factor must match from-scratch
     // bit for bit.
     let (n, q) = (90usize, 6usize);
+    let full = gram(n + q);
+    let head = Matrix::from_fn(n, n, |i, j| full[(i, j)]);
+    let b = Matrix::from_fn(n, q, |i, j| full[(i, n + j)]);
+    let c = Matrix::from_fn(q, q, |i, j| full[(n + i, n + j)]);
+    let base = Cholesky::factor(&head).unwrap();
+    let ext = base.extend(&b, &c).unwrap();
+    let direct = Cholesky::factor(&full).unwrap();
+    assert_eq!(ext.jitter().to_bits(), direct.jitter().to_bits());
+    for (x, y) in ext.l().as_slice().iter().zip(direct.l().as_slice()) {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
+}
+
+#[test]
+fn factor_extension_matches_from_scratch_past_bit_exact_max_n() {
+    use pbo::linalg::{Cholesky, Matrix};
+    // n + q = 300 > BIT_EXACT_MAX_N: the factor runs one row kernel at
+    // every size, so appended rows must still match from-scratch bit
+    // for bit.
+    let (n, q) = (290usize, 10usize);
     let full = gram(n + q);
     let head = Matrix::from_fn(n, n, |i, j| full[(i, j)]);
     let b = Matrix::from_fn(n, q, |i, j| full[(i, n + j)]);
