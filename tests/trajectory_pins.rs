@@ -15,6 +15,15 @@
 //!   per point, so the retry, imputation and `PointFaulted` paths run
 //!   and their virtual-time charges shape the run.
 //!
+//! A third table pins the surrogate-fitting branches of
+//! `Engine::fit_model` that the short budget above never reaches: the
+//! dense full fit, the warm refit and the frozen-hyperparameter append,
+//! a full fit capped by `max_fit_points`, and the sparse backend's
+//! switch, full fit and append. kb-q-EGO and mic-q-EGO (one and two
+//! fantasies per append) run over a fixed cycle count, so every
+//! scenario follows one known fit schedule, and each branch is asserted
+//! to have run.
+//!
 //! Each run pins two FNV-1a-64 digests: of `RunRecord::to_json_line()`,
 //! and of the collected event stream encoded one JSON line per event
 //! with every field except the host wall time (`wall_ns`, zeroed).
@@ -23,6 +32,7 @@
 //! that is *meant* to alter trajectories, and say so where it lands.
 
 use pbo::core::checkpoint::fnv1a64;
+use pbo::gp::FitConfig;
 use pbo::prelude::*;
 use pbo::problems::fault::silence_injected_panics;
 use std::sync::{Arc, Mutex};
@@ -58,6 +68,18 @@ const FAULT_PINS: [(u64, u64); 10] = [
     (0xEF2B5683791E9913, 0xDB43AA3AC9CBB11B), // hybrid-q
 ];
 
+/// Per fit-branch scenario, kb-q-ego then mic-q-ego.
+const FIT_BRANCH_PINS: [(u64, u64); 8] = [
+    (0xD40369AF1F7C1DC5, 0x2CF533027169B766), // warm-refit kb-q-ego
+    (0x87325662290E4FBE, 0x44F57B6995005B33), // warm-refit mic-q-ego
+    (0x90D088B4B55EF26A, 0xCD3A5E1C8E1E2E50), // append kb-q-ego
+    (0x027684328C16C264, 0xA1B0D8EE5EEA9DD0), // append mic-q-ego
+    (0x693AB3D5EED3E677, 0x8B80B4E3F6D475C8), // capped kb-q-ego
+    (0x7E04AF9E55743D28, 0x22A566CF9FAAF22D), // capped mic-q-ego
+    (0x951F3C96D77823BF, 0x804E988EA3BF8ECE), // sparse kb-q-ego
+    (0x73184AAC5663F38C, 0x0A27369C6BA522E4), // sparse mic-q-ego
+];
+
 /// 50 virtual seconds at q = 3: about four cycles once fit and
 /// acquisition are charged, five for random search, which charges
 /// neither.
@@ -87,26 +109,26 @@ fn event_digest(events: &[Event]) -> u64 {
 fn pinned_run(
     kind: AlgorithmKind,
     problem: &dyn Problem,
+    budget: &Budget,
     cfg: AlgoConfig,
 ) -> (RunRecord, Vec<Event>) {
     let sink = Arc::new(Mutex::new(CollectingObserver::new()));
-    let r = run_algorithm_observed(kind, problem, &budget(), cfg, 2022, sink.clone())
+    let r = run_algorithm_observed(kind, problem, budget, cfg, 2022, sink.clone())
         .expect("valid pinned configuration");
     let events = std::mem::take(&mut sink.lock().unwrap().events);
     (r, events)
 }
 
 /// Compare every digest with its pin; on any mismatch, fail listing
-/// all computed digests in pin-table form.
-fn check(scenario: &str, pins: &[(u64, u64); 10], got: &[(u64, u64)]) {
-    let table: String = AlgorithmKind::ALL
+/// all computed digests in pin-table form, one labelled row per run.
+fn check(scenario: &str, labels: &[String], pins: &[(u64, u64)], got: &[(u64, u64)]) {
+    let table: String = labels
         .iter()
         .zip(got)
-        .map(|(k, (r, e))| format!("    (0x{r:016X}, 0x{e:016X}), // {}\n", k.name()))
+        .map(|(l, (r, e))| format!("    (0x{r:016X}, 0x{e:016X}), // {l}\n"))
         .collect();
     assert_eq!(
-        got,
-        pins.as_slice(),
+        got, pins,
         "{scenario} trajectories moved; computed:\n{table}"
     );
 }
@@ -116,7 +138,7 @@ fn virtual_time_budget_trajectories_are_pinned() {
     let problem = SyntheticFn::ackley(3);
     let mut got = Vec::new();
     for kind in AlgorithmKind::ALL {
-        let (r, events) = pinned_run(kind, &problem, AlgoConfig::test_profile());
+        let (r, events) = pinned_run(kind, &problem, &budget(), AlgoConfig::test_profile());
         let (fit, acq, _) = r.time_split();
         if kind != AlgorithmKind::RandomSearch {
             assert!(
@@ -126,7 +148,7 @@ fn virtual_time_budget_trajectories_are_pinned() {
         }
         got.push((fnv1a64(r.to_json_line().as_bytes()), event_digest(&events)));
     }
-    check("budget", &BUDGET_PINS, &got);
+    check("budget", &algorithm_labels(), &BUDGET_PINS, &got);
 }
 
 #[test]
@@ -145,7 +167,7 @@ fn faulty_trajectories_are_pinned() {
     let mut faulted_events = 0;
     for kind in AlgorithmKind::ALL {
         let problem = FaultyProblem::new(&inner, FaultPlan::uniform(6, 0.10));
-        let (r, events) = pinned_run(kind, &problem, cfg.clone());
+        let (r, events) = pinned_run(kind, &problem, &budget(), cfg.clone());
         totals.merge(&r.fault_totals());
         faulted_events += events
             .iter()
@@ -157,5 +179,125 @@ fn faulty_trajectories_are_pinned() {
     assert!(totals.retries > 0, "no retry ran: {totals:?}");
     assert!(totals.imputed > 0, "no imputation ran: {totals:?}");
     assert!(faulted_events > 0, "no point_faulted event was emitted");
-    check("faults", &FAULT_PINS, &got);
+    check("faults", &algorithm_labels(), &FAULT_PINS, &got);
+}
+
+fn algorithm_labels() -> Vec<String> {
+    AlgorithmKind::ALL
+        .iter()
+        .map(|k| k.name().to_string())
+        .collect()
+}
+
+/// Name the `fit_model` branch behind one `FitCompleted` event: `n` and
+/// `full` come from the event, `prev_n` is the previous fit's dataset
+/// size, and a fit that ran no hyperparameter search reports zero
+/// starts.
+fn fit_branch(
+    cfg: &AlgoConfig,
+    n: usize,
+    prev_n: usize,
+    full: bool,
+    starts: usize,
+) -> &'static str {
+    let switch_at = match cfg.surrogate {
+        SurrogateBackend::Sparse { switch_at, .. } => switch_at,
+        SurrogateBackend::Dense => usize::MAX,
+    };
+    let capped = cfg.fit.max_fit_points.is_some_and(|cap| n > cap);
+    match (full, n >= switch_at) {
+        (true, true) => "sparse full fit",
+        (true, false) if capped => "capped full fit",
+        (true, false) => "dense full fit",
+        (false, true) if prev_n < switch_at => "dense to sparse switch",
+        (false, true) => "sparse append",
+        (false, false) if starts > 0 => "dense warm refit",
+        (false, false) => "dense append",
+    }
+}
+
+#[test]
+fn fit_branch_trajectories_are_pinned() {
+    // Full fits on cycles 0 and 3 at n = 8 and 17; three points a cycle.
+    let budget = Budget::cycles(5, 3).with_initial_samples(8);
+    let base = AlgoConfig {
+        full_fit_every: 3,
+        ..AlgoConfig::test_profile()
+    };
+    let scenarios = [
+        ("warm-refit", base.clone()),
+        (
+            "append",
+            AlgoConfig {
+                incremental_updates: true,
+                ..base.clone()
+            },
+        ),
+        (
+            "capped",
+            AlgoConfig {
+                fit: FitConfig {
+                    max_fit_points: Some(10),
+                    ..base.fit.clone()
+                },
+                ..base.clone()
+            },
+        ),
+        // Dense at n = 8 and 11, the switch at 14, then sparse.
+        (
+            "sparse",
+            AlgoConfig {
+                surrogate: SurrogateBackend::Sparse {
+                    m: 8,
+                    switch_at: 14,
+                },
+                ..base
+            },
+        ),
+    ];
+    let problem = SyntheticFn::ackley(3);
+    let mut labels = Vec::new();
+    let mut got = Vec::new();
+    let mut branches = std::collections::BTreeSet::new();
+    for (scenario, cfg) in &scenarios {
+        for kind in [AlgorithmKind::KbQEgo, AlgorithmKind::MicQEgo] {
+            let (r, events) = pinned_run(kind, &problem, &budget, cfg.clone());
+            let mut prev_n = 0;
+            for ev in &events {
+                if let Event::FitCompleted {
+                    n,
+                    full,
+                    restarts,
+                    fallback,
+                    ..
+                } = ev
+                {
+                    assert!(
+                        !fallback,
+                        "{scenario} {}: fit fell back at n = {n}",
+                        kind.name()
+                    );
+                    branches.insert(fit_branch(cfg, *n, prev_n, *full, *restarts));
+                    prev_n = *n;
+                }
+            }
+            labels.push(format!("{scenario} {}", kind.name()));
+            got.push((fnv1a64(r.to_json_line().as_bytes()), event_digest(&events)));
+        }
+    }
+    let want = [
+        "capped full fit",
+        "dense append",
+        "dense full fit",
+        "dense to sparse switch",
+        "dense warm refit",
+        "sparse append",
+        "sparse full fit",
+    ];
+    assert_eq!(
+        branches.into_iter().collect::<Vec<_>>(),
+        want,
+        "a fit branch went unpinned"
+    );
+    check("fit-branch", &labels, &FIT_BRANCH_PINS, &got);
 }
