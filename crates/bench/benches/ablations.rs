@@ -3,9 +3,9 @@
 //! counts, and the BSP cell multiplier.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pbo_gp::fit::{fit, refit_warm, FitConfig};
+use pbo_gp::fit::{fit, refit_warm_with, FitConfig};
 use pbo_gp::kernel::{Kernel, KernelType};
-use pbo_gp::GaussianProcess;
+use pbo_gp::{FitWorkspace, GaussianProcess};
 use pbo_linalg::Matrix;
 use pbo_opt::Bounds;
 use pbo_sampling::{lhs, SeedStream};
@@ -42,7 +42,9 @@ fn ablation_refit(c: &mut Criterion) {
     g.bench_function("warm_restart", |b| {
         b.iter(|| {
             let mut s = SeedStream::new(8);
-            refit_warm(&gp, &cfg, &mut s).unwrap().1.evals
+            let mut ws = FitWorkspace::new();
+            let (kernel, noise) = (gp.kernel(), gp.noise());
+            refit_warm_with(&x, &y, kernel, noise, &cfg, &mut s, &mut ws).unwrap().1.evals
         })
     });
     g.finish();

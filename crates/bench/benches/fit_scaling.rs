@@ -18,9 +18,9 @@
 //! Results are recorded in `BENCH_fit.json` at the repo root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pbo_gp::fit::{fit, mll_and_grad, refit_warm, unpack, FitConfig};
+use pbo_gp::fit::{fit, mll_and_grad, refit_warm_with, unpack, FitConfig};
 use pbo_gp::kernel::{Kernel, KernelType};
-use pbo_gp::workspace::{mll_and_grad_ws, mll_value_ws, FitWorkspace};
+use pbo_gp::workspace::{mll_and_grad_ws, FitWorkspace};
 use pbo_gp::GaussianProcess;
 use pbo_linalg::vec_ops::dot;
 use pbo_linalg::{Cholesky, Matrix};
@@ -199,9 +199,6 @@ fn bench_mll_paths(c: &mut Criterion) {
                     .0
             })
         });
-        g.bench_with_input(BenchmarkId::new("mll_value_workspace", n), &n, |b, _| {
-            b.iter(|| mll_value_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap())
-        });
     }
     g.finish();
 }
@@ -281,7 +278,8 @@ fn bench_full_fit(c: &mut Criterion) {
     g.finish();
 }
 
-/// Reduced-budget warm refit (the per-cycle partial fit).
+/// Reduced-budget warm refit (the per-cycle partial fit) plus the
+/// rebuild of the GP with the refitted hyperparameters.
 fn bench_refit_warm(c: &mut Criterion) {
     let mut g = c.benchmark_group("fit_scaling");
     let (meas, warm) = if smoke() { (150, 30) } else { (1000, 200) };
@@ -296,7 +294,11 @@ fn bench_refit_warm(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("refit_warm", n), &n, |b, _| {
             b.iter(|| {
                 let mut seeds = SeedStream::new(17);
-                refit_warm(&gp, &cfg, &mut seeds).unwrap().1.mll
+                let mut ws = FitWorkspace::new();
+                refit_warm_with(&x, &y, gp.kernel(), gp.noise(), &cfg, &mut seeds, &mut ws)
+                    .unwrap()
+                    .1
+                    .mll
             })
         });
     }

@@ -186,13 +186,21 @@ fn bench_fit_sparse(c: &mut Criterion) {
             continue;
         }
         let (x, y) = dataset(n, 3);
-        let cfg = FitConfig { restarts: 1, max_iters: 20, ..FitConfig::default() };
         let m = M.min(n / 2);
+        // The engine's sparse full fit: search on at most m points.
+        let cfg = FitConfig {
+            restarts: 1,
+            max_iters: 20,
+            max_fit_points: Some(m),
+            ..FitConfig::default()
+        };
         g.bench_with_input(BenchmarkId::new("fit_sparse", n), &n, |b, _| {
             b.iter(|| {
                 let mut seeds = SeedStream::new(9);
                 let mut ws = FitWorkspace::new();
-                fit::fit_sparse_with(&x, &y, &cfg, m, None, &mut seeds, &mut ws).unwrap().0.m()
+                let (k, noise, _) =
+                    fit::fit_hypers_with(&x, &y, &cfg, None, &mut seeds, &mut ws).unwrap();
+                SparseGaussianProcess::new(x.clone(), &y, k, noise, m).unwrap().m()
             })
         });
     }

@@ -4,7 +4,7 @@
 
 use pbo_gp::fit::mll_and_grad;
 use pbo_gp::kernel::KernelType;
-use pbo_gp::workspace::{mll_and_grad_ws, mll_value_ws, FitWorkspace};
+use pbo_gp::workspace::{mll_and_grad_ws, FitWorkspace};
 use pbo_linalg::vec_ops::dot;
 use pbo_linalg::{Cholesky, Matrix};
 use pbo_sampling::{lhs, SeedStream};
@@ -52,9 +52,6 @@ fn main() {
     let mut ws = FitWorkspace::new();
     ws.prepare(&x);
 
-    time("mll_value_ws", 20, || {
-        mll_value_ws(family, &mut ws, &y_std, &params).unwrap()
-    });
     time("mll_and_grad_ws", 20, || {
         mll_and_grad_ws(family, &mut ws, &y_std, &params).unwrap().0
     });

@@ -538,13 +538,17 @@ impl<'a> Engine<'a> {
 
     /// Fit or refit the surrogate, charged as fitting time. Full
     /// multistart fits happen on the first cycle and every
-    /// `full_fit_every`-th one. On the cycles in between the
-    /// hyperparameters stay frozen and the surrogate absorbs the rows
-    /// that arrived since it was built through one
+    /// `full_fit_every`-th one: one [`fit::fit_hypers_with`] search
+    /// (over at most `m` points on the sparse backend), then the
+    /// backend's model is built on all the data. On the cycles in
+    /// between the hyperparameters stay frozen and the surrogate absorbs
+    /// the rows that arrived since it was built through one
     /// [`SurrogateModel::condition_on`] append (O(n²q) dense, O(m²q)
     /// sparse) — always on the sparse backend, and on the dense one
     /// when `incremental_updates` is set. The remaining non-full cycles
-    /// rebuild: a dense warm refit, or the dense → sparse switch.
+    /// rebuild: a dense warm refit ([`fit::refit_warm_with`]), or the
+    /// dense → sparse switch, which builds the sparse model with the
+    /// previous hyperparameters.
     pub fn fit_model(&mut self) {
         self.begin_cycle();
         let (f0, _, _) = self.cycle_start_split;
@@ -556,7 +560,12 @@ impl<'a> Engine<'a> {
             SurrogateBackend::Sparse { m, switch_at } if self.y.len() >= switch_at => Some(m),
             _ => None,
         };
-        let cfg = self.cfg.fit.clone();
+        // The sparse backend searches on at most `m` points (unless the
+        // config caps harder already), so its search stays O(m³).
+        let cfg = fit::FitConfig {
+            max_fit_points: self.cfg.fit.max_fit_points.into_iter().chain(sparse_m).min(),
+            ..self.cfg.fit.clone()
+        };
         let x = self.x.clone();
         let y = self.y.clone();
         let prev = self.model.take();
@@ -570,32 +579,37 @@ impl<'a> Engine<'a> {
         let wall = Instant::now();
         let fitted = self.clock.charge(TimeCategory::Fit, 1, || {
             let stub = fit::FitReport { mll: f64::NAN, evals: 0, starts: 0 };
-            let warm = prev.as_ref().map(|g| (g.kernel().clone(), g.noise()));
-            let warm = warm.as_ref().map(|(k, n)| (k, *n));
+            // The active backend's model on all the data.
+            let build = |kernel, noise| match sparse_m {
+                Some(m) => SparseGaussianProcess::new(x.clone(), &y, kernel, noise, m)
+                    .map(SurrogateModel::Sparse),
+                None => {
+                    GaussianProcess::new(x.clone(), &y, kernel, noise).map(SurrogateModel::Dense)
+                }
+            };
             match (prev.as_ref(), sparse_m) {
                 (Some(prev), _) if append => {
                     let k = prev.n();
                     let xs_new: Vec<Vec<f64>> = (k..y.len()).map(|i| x.row(i).to_vec()).collect();
                     prev.condition_on(&xs_new, &y[k..]).map(|g| (g, stub))
                 }
-                // Dense → sparse transition on a non-full cycle: rebuild
-                // in sparse form with the previous hyperparameters frozen
-                // until the next full fit.
-                (Some(prev), Some(m)) if !full => {
-                    SparseGaussianProcess::new(x.clone(), &y, prev.kernel().clone(), prev.noise(), m)
-                        .map(|g| (SurrogateModel::Sparse(g), stub))
+                // Dense → sparse transition on a non-full cycle: the
+                // previous hyperparameters stay frozen until the next
+                // full fit.
+                (Some(prev), Some(_)) if !full => {
+                    build(prev.kernel().clone(), prev.noise()).map(|g| (g, stub))
                 }
-                // Rebuild on the full data with the previous hypers, then
-                // take a few warm L-BFGS steps.
+                // A few warm L-BFGS steps from the previous hyperparameters.
                 (Some(prev), None) if !full => {
-                    GaussianProcess::new(x.clone(), &y, prev.kernel().clone(), prev.noise())
-                        .and_then(|g| fit::refit_warm_with(&g, &cfg, &mut seeds, &mut ws))
+                    let (kernel, noise) = (prev.kernel(), prev.noise());
+                    fit::refit_warm_with(&x, &y, kernel, noise, &cfg, &mut seeds, &mut ws)
                         .map(|(g, rep)| (SurrogateModel::Dense(g), rep))
                 }
-                (_, Some(m)) => fit::fit_sparse_with(&x, &y, &cfg, m, warm, &mut seeds, &mut ws)
-                    .map(|(g, rep)| (SurrogateModel::Sparse(g), rep)),
-                (_, None) => fit::fit_with(&x, &y, &cfg, warm, &mut seeds, &mut ws)
-                    .map(|(g, rep)| (SurrogateModel::Dense(g), rep)),
+                _ => {
+                    let warm = prev.as_ref().map(|g| (g.kernel(), g.noise()));
+                    fit::fit_hypers_with(&x, &y, &cfg, warm, &mut seeds, &mut ws)
+                        .and_then(|(kernel, noise, rep)| build(kernel, noise).map(|g| (g, rep)))
+                }
             }
         });
         let wall_ns = wall.elapsed().as_nanos() as u64;

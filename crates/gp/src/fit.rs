@@ -17,25 +17,25 @@
 //! `∂L/∂θ_j = ½ αᵀ (∂K_y/∂θ_j) α − ½ tr(K_y⁻¹ ∂K_y/∂θ_j)`, `α = K_y⁻¹ r`.
 //!
 //! Fitting follows the paper's two regimes:
-//! - [`fit`]: full multi-start optimization at the start of a cycle,
-//! - [`refit_warm`]: reduced-budget warm start from the current values
-//!   (the "partial fit" used inside the Kriging-Believer loop).
+//! - [`fit_hypers_with`]: full multi-start optimization at the start of
+//!   a cycle ([`fit`] is its one-call form with a dense predictor),
+//! - [`refit_warm_with`]: reduced-budget warm start from the current
+//!   values (the "partial fit" used inside the Kriging-Believer loop).
 //!
-//! Both drive the optimizer through the cached-distance, inverse-free
-//! evaluation in [`crate::workspace`] (wrapped in a one-point
-//! memoization, since line searches re-request accepted points);
+//! Both run one search: the fitting view of the data, one prepared
+//! [`FitWorkspace`], and L-BFGS from each start over the cached-distance,
+//! inverse-free value-and-gradient evaluation in [`crate::workspace`].
 //! [`mll_and_grad`] below is the straightforward quadratic-loop
 //! reference implementation the fast path is property-tested against.
 
 use crate::gp::GaussianProcess;
 use crate::kernel::{Kernel, KernelType};
-use crate::sparse::SparseGaussianProcess;
-use crate::workspace::{mll_and_grad_ws, mll_value_ws, FitWorkspace};
+use crate::workspace::{mll_and_grad_ws, FitWorkspace};
 use crate::{GpError, Result};
 use pbo_linalg::vec_ops::{dot, mean, variance};
 use pbo_linalg::{Cholesky, Matrix};
 use pbo_opt::lbfgs::LbfgsConfig;
-use pbo_opt::{Bounds, GradObjective, MemoGradObjective};
+use pbo_opt::{Bounds, GradObjective, OptResult};
 use pbo_sampling::SeedStream;
 use rand::Rng;
 use std::cell::RefCell;
@@ -185,10 +185,9 @@ pub fn mll_and_grad(
 
 /// Negated-MLL objective over a prepared [`FitWorkspace`].
 ///
-/// `value` takes the gradient-free path (no triangular inverse); both
-/// paths reuse the workspace's cached distances and buffers. The
-/// interior mutability is sound: the optimizers are single-threaded per
-/// objective.
+/// Every evaluation reuses the workspace's cached distances and
+/// buffers. The interior mutability is sound: L-BFGS is single-threaded
+/// per objective.
 struct NegMllWs<'a> {
     family: KernelType,
     ws: RefCell<&'a mut FitWorkspace>,
@@ -200,12 +199,9 @@ impl GradObjective for NegMllWs<'_> {
     fn dim(&self) -> usize {
         self.dim + 2
     }
+    // L-BFGS only ever asks for value and gradient together.
     fn value(&self, p: &[f64]) -> f64 {
-        let mut ws = self.ws.borrow_mut();
-        match mll_value_ws(self.family, &mut ws, self.y_std, p) {
-            Ok(v) => -v,
-            Err(_) => f64::INFINITY,
-        }
+        self.value_grad(p).0
     }
     fn value_grad(&self, p: &[f64]) -> (f64, Vec<f64>) {
         let mut ws = self.ws.borrow_mut();
@@ -271,12 +267,45 @@ fn fitting_view(
     }
 }
 
+/// L-BFGS from each start over the fitting view of (`x`, `y`), all
+/// through one prepared workspace. A start whose objective is not
+/// finite reports the (clamped) start itself as its point.
+fn search(
+    x: &Matrix,
+    y: &[f64],
+    cfg: &FitConfig,
+    starts: &[Vec<f64>],
+    max_iters: usize,
+    seeds: &mut SeedStream,
+    workspace: &mut FitWorkspace,
+) -> Vec<OptResult> {
+    let d = x.cols();
+    let (fx, fy) = fitting_view(x, y, cfg, seeds);
+    workspace.prepare(&fx);
+    let obj = NegMllWs { family: cfg.family, ws: RefCell::new(workspace), y_std: &fy, dim: d };
+    let bounds = param_bounds(cfg, d);
+    let lbfgs = LbfgsConfig { max_iters, ..LbfgsConfig::default() };
+    starts
+        .iter()
+        .map(|s| {
+            let mut s = s.clone();
+            bounds.clamp(&mut s);
+            let mut r = pbo_opt::lbfgs::minimize(&obj, &bounds, &s, &lbfgs);
+            if !r.value.is_finite() {
+                r.x = s;
+            }
+            r
+        })
+        .collect()
+}
+
 /// Full multi-start fit: returns a ready-to-predict GP on (`x`, `y`).
 ///
 /// `warm` optionally supplies the previous cycle's hyperparameters as an
 /// extra start (the paper's full update still benefits from it).
 /// Allocates a fresh [`FitWorkspace`]; callers fitting repeatedly (the
-/// BO engine, once per cycle) should hold one and use [`fit_with`].
+/// BO engine, once per cycle) should hold one and use
+/// [`fit_hypers_with`].
 pub fn fit(
     x: &Matrix,
     y: &[f64],
@@ -284,31 +313,19 @@ pub fn fit(
     warm: Option<(&Kernel, f64)>,
     seeds: &mut SeedStream,
 ) -> Result<(GaussianProcess, FitReport)> {
-    fit_with(x, y, cfg, warm, seeds, &mut FitWorkspace::new())
-}
-
-/// [`fit`] with a caller-owned workspace: cached pairwise distances are
-/// computed once here and reused by every MLL evaluation of every
-/// restart, and the workspace's matrix buffers persist across calls.
-pub fn fit_with(
-    x: &Matrix,
-    y: &[f64],
-    cfg: &FitConfig,
-    warm: Option<(&Kernel, f64)>,
-    seeds: &mut SeedStream,
-    workspace: &mut FitWorkspace,
-) -> Result<(GaussianProcess, FitReport)> {
-    let (kernel, noise, report) = fit_hypers_with(x, y, cfg, warm, seeds, workspace)?;
+    let (kernel, noise, report) =
+        fit_hypers_with(x, y, cfg, warm, seeds, &mut FitWorkspace::new())?;
     let gp = GaussianProcess::new(x.clone(), y, kernel, noise)?;
     Ok((gp, report))
 }
 
-/// The hyperparameter half of [`fit_with`]: run the full multi-start
-/// MLL optimization and return the winning kernel + noise without
-/// building a predictor. [`fit_with`] layers the dense
-/// [`GaussianProcess`] on top; [`fit_sparse_with`] layers the sparse
-/// inducing-point backend instead. The optimization arithmetic and the
-/// seed-stream consumption are identical either way.
+/// Full multi-start MLL optimization with a caller-owned workspace:
+/// returns the winning kernel + noise without building a predictor, so
+/// the caller builds whichever backend it runs (the engine builds the
+/// dense [`GaussianProcess`] or, with `max_fit_points` capped at the
+/// inducing budget, the sparse backend). Cached pairwise distances are
+/// computed once here and reused by every MLL evaluation of every
+/// start, and the workspace's buffers persist across calls.
 pub fn fit_hypers_with(
     x: &Matrix,
     y: &[f64],
@@ -318,17 +335,6 @@ pub fn fit_hypers_with(
     workspace: &mut FitWorkspace,
 ) -> Result<(Kernel, f64, FitReport)> {
     let d = x.cols();
-    let (fx, fy) = fitting_view(x, y, cfg, seeds);
-    workspace.prepare(&fx);
-    let obj = MemoGradObjective::new(NegMllWs {
-        family: cfg.family,
-        ws: RefCell::new(workspace),
-        y_std: &fy,
-        dim: d,
-    });
-    let bounds = param_bounds(cfg, d);
-    let lbfgs = LbfgsConfig { max_iters: cfg.max_iters, ..LbfgsConfig::default() };
-
     let mut starts: Vec<Vec<f64>> = Vec::new();
     if let Some((k, n)) = warm {
         starts.push(pack(k, n));
@@ -343,84 +349,43 @@ pub fn fit_hypers_with(
         starts.push(random_start(&mut rng, d));
     }
 
-    let mut best: Option<(f64, Vec<f64>)> = None;
-    let mut evals = 0;
-    for s in &starts {
-        let mut s = s.clone();
-        bounds.clamp(&mut s);
-        let r = pbo_opt::lbfgs::minimize(&obj, &bounds, &s, &lbfgs);
-        evals += r.evals;
-        if r.value.is_finite() && best.as_ref().is_none_or(|(v, _)| r.value < *v) {
-            best = Some((r.value, r.x));
-        }
-    }
-    let (neg_mll, params) = best.ok_or_else(|| {
-        GpError::BadTrainingData("all hyperparameter starts failed".into())
-    })?;
-    let (kernel, noise) = unpack(cfg.family, &params);
-    Ok((kernel, noise, FitReport { mll: -neg_mll, evals, starts: starts.len() }))
+    let results = search(x, y, cfg, &starts, cfg.max_iters, seeds, workspace);
+    let evals = results.iter().map(|r| r.evals).sum();
+    // The first of equally good starts wins.
+    let best = results
+        .into_iter()
+        .filter(|r| r.value.is_finite())
+        .min_by(|a, b| a.value.partial_cmp(&b.value).expect("finite values compare"))
+        .ok_or_else(|| GpError::BadTrainingData("all hyperparameter starts failed".into()))?;
+    let (kernel, noise) = unpack(cfg.family, &best.x);
+    Ok((kernel, noise, FitReport { mll: -best.value, evals, starts: starts.len() }))
 }
 
-/// Full fit with the **sparse inducing-point backend**: hyperparameters
-/// are optimized on a subset of at most `m` points (unless the config
-/// caps harder already — the standard inducing-scale heuristic, and the
-/// reason the fit stays `O(m³)` instead of `O(n³)`), then a
-/// [`SparseGaussianProcess`] with `m` greedily selected inducing points
-/// is built on the **full** data in `O(n m²)`.
-pub fn fit_sparse_with(
+/// Reduced-budget warm refit of a dense GP on (`x`, `y`) from the
+/// hyperparameters `kernel` + `noise` (one start, `warm_iters`
+/// iterations; the start itself if its objective is not finite).
+/// Returns the GP rebuilt on the same data with the refitted values.
+pub fn refit_warm_with(
     x: &Matrix,
     y: &[f64],
-    cfg: &FitConfig,
-    m: usize,
-    warm: Option<(&Kernel, f64)>,
-    seeds: &mut SeedStream,
-    workspace: &mut FitWorkspace,
-) -> Result<(SparseGaussianProcess, FitReport)> {
-    let hyper_cfg = FitConfig {
-        max_fit_points: Some(cfg.max_fit_points.unwrap_or(m).min(m)),
-        ..cfg.clone()
-    };
-    let (kernel, noise, report) = fit_hypers_with(x, y, &hyper_cfg, warm, seeds, workspace)?;
-    let gp = SparseGaussianProcess::new(x.clone(), y, kernel, noise, m)?;
-    Ok((gp, report))
-}
-
-/// Reduced-budget warm refit from the GP's current hyperparameters
-/// (no restarts). Returns a rebuilt GP on the same data.
-pub fn refit_warm(
-    gp: &GaussianProcess,
-    cfg: &FitConfig,
-    seeds: &mut SeedStream,
-) -> Result<(GaussianProcess, FitReport)> {
-    refit_warm_with(gp, cfg, seeds, &mut FitWorkspace::new())
-}
-
-/// [`refit_warm`] with a caller-owned workspace (see [`fit_with`]).
-pub fn refit_warm_with(
-    gp: &GaussianProcess,
+    kernel: &Kernel,
+    noise: f64,
     cfg: &FitConfig,
     seeds: &mut SeedStream,
     workspace: &mut FitWorkspace,
 ) -> Result<(GaussianProcess, FitReport)> {
-    let x = gp.train_x().clone();
-    let y = gp.train_y_raw();
-    let d = x.cols();
-    let (fx, fy) = fitting_view(&x, &y, cfg, seeds);
-    workspace.prepare(&fx);
-    let obj = MemoGradObjective::new(NegMllWs {
-        family: cfg.family,
-        ws: RefCell::new(workspace),
-        y_std: &fy,
-        dim: d,
-    });
-    let bounds = param_bounds(cfg, d);
-    let lbfgs = LbfgsConfig { max_iters: cfg.warm_iters, ..LbfgsConfig::default() };
-    let mut start = pack(gp.kernel(), gp.noise());
-    bounds.clamp(&mut start);
-    let r = pbo_opt::lbfgs::minimize(&obj, &bounds, &start, &lbfgs);
-    let params = if r.value.is_finite() { r.x } else { start };
-    let (kernel, noise) = unpack(cfg.family, &params);
-    let gp = GaussianProcess::new(x, &y, kernel, noise)?;
+    // Read the targets back through the standardization round trip
+    // `((v − shift) / scale) · scale + shift`, as they were when the
+    // refit started from a GP built on (`x`, `y`). The round trip is not
+    // the identity: it moves the last bit of a few targets, and seeded
+    // trajectories depend on those bits.
+    let shift = mean(y);
+    let scale = variance(y).sqrt().max(crate::gp::MIN_SCALE);
+    let y: Vec<f64> = y.iter().map(|v| (v - shift) / scale * scale + shift).collect();
+    let start = [pack(kernel, noise)];
+    let r = search(x, &y, cfg, &start, cfg.warm_iters, seeds, workspace).remove(0);
+    let (kernel, noise) = unpack(cfg.family, &r.x);
+    let gp = GaussianProcess::new(x.clone(), &y, kernel, noise)?;
     Ok((gp, FitReport { mll: -r.value, evals: r.evals, starts: 1 }))
 }
 
@@ -511,7 +476,10 @@ mod tests {
         let mut seeds = SeedStream::new(7);
         let cfg = FitConfig::default();
         let (gp, full) = fit(&x, &y, &cfg, None, &mut seeds).unwrap();
-        let (gp2, warm) = refit_warm(&gp, &cfg, &mut seeds).unwrap();
+        let mut ws = FitWorkspace::new();
+        let (gp2, warm) =
+            refit_warm_with(&x, &y, gp.kernel(), gp.noise(), &cfg, &mut seeds, &mut ws)
+                .unwrap();
         assert!(warm.mll >= full.mll - 1e-3, "warm {} vs full {}", warm.mll, full.mll);
         assert_eq!(gp2.n(), gp.n());
     }

@@ -459,26 +459,17 @@ impl GaussianProcess {
 
 /// Column sums of squares `Σᵢ v[i,j]²` of a `rows × q` matrix.
 ///
-/// At or below [`pbo_linalg::cholesky::BIT_EXACT_MAX_N`] rows this is
-/// the plain serial accumulation (byte-identical to the historical
-/// `predict_many` loop). Above the cap, rows are cut into **fixed**
-/// 128-row bands — independent of the thread count — whose partial sums
-/// are computed by a worker pool and folded serially in band order, so
-/// the reassociation is decided by the band grid alone and the result
-/// is bitwise identical for any thread count. Shared by the dense and
-/// sparse batched prediction paths.
+/// Rows are cut into **fixed** 128-row bands — independent of the
+/// thread count — whose partial sums are computed by a worker pool and
+/// folded serially in band order, so the reassociation is decided by
+/// the band grid alone and the result is bitwise identical for any
+/// thread count. Up to 128 rows there is one band, run on this thread:
+/// the plain serial accumulation, added once to 0.0, which returns it
+/// exactly. Shared by the dense and sparse batched prediction paths.
 pub(crate) fn banded_sq_colsums(v: &Matrix) -> Vec<f64> {
     let n = v.rows();
     let q = v.cols();
     let mut vtv = vec![0.0; q];
-    if n <= pbo_linalg::cholesky::BIT_EXACT_MAX_N {
-        for i in 0..n {
-            for (s, vij) in vtv.iter_mut().zip(v.row(i)) {
-                *s += vij * vij;
-            }
-        }
-        return vtv;
-    }
     const PREDICT_BAND: usize = 128;
     let bands = n.div_ceil(PREDICT_BAND);
     // Worker count only decides scheduling; band partials are folded in

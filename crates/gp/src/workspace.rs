@@ -7,16 +7,16 @@
 //! extra `2n³` flops on top of the factorization. L-BFGS calls the
 //! objective dozens of times per fit on *the same data*, so everything
 //! that depends only on `x` is hoisted into a [`FitWorkspace`] prepared
-//! once per [`crate::fit::fit_with`] / [`crate::fit::refit_warm_with`]
-//! call:
+//! once per hyperparameter search ([`crate::fit::fit_hypers_with`] /
+//! [`crate::fit::refit_warm_with`]):
 //!
 //! - packed per-dimension squared differences `(x_a[j] − x_b[j])²` for
 //!   every pair `b < a` (pair-major: pair `p = a(a−1)/2 + b` owns `d`
 //!   contiguous entries, and row `a`'s pairs are contiguous), from which
 //!   every kernel and gradient evaluation re-derives scaled distances
 //!   with one fused multiply-add pass per pair;
-//! - reusable `K_y`, Cholesky-factor, and `L⁻ᵀ` buffers, so steady-state
-//!   MLL evaluations allocate only O(n) scratch.
+//! - reusable packed-kernel, Cholesky-factor, and `L⁻ᵀ` buffers, so
+//!   steady-state MLL evaluations allocate only O(n) scratch.
 //!
 //! The gradient never materializes `K_y⁻¹`. With `M = L⁻ᵀ`
 //! (each row computed by an independent sparse triangular solve, in
@@ -35,11 +35,10 @@
 //!
 //! Per evaluation this replaces `~4n³` flops (factor + inverse + two
 //! O(n²d) difference passes) with `n³/3` (factor) + `n³/2` (triangular
-//! inverse, gradient path only) + one O(n²d/2) fused contraction —
-//! and the value-only path used to score multistart candidates skips
-//! the triangular inverse entirely. The gradient-path assembly also
-//! computes the radial gradient factor of every pair from the same
-//! shared transcendental as the kernel value
+//! inverse) + one O(n²d/2) fused contraction. There is one evaluation,
+//! value and gradient together: L-BFGS asks for nothing else. The
+//! assembly computes the radial gradient factor of every pair from the
+//! same shared transcendental as the kernel value
 //! ([`KernelType::rho_and_grad`]), so the contraction loop contains no
 //! `sqrt`/`exp` at all.
 
@@ -60,17 +59,14 @@ pub struct FitWorkspace {
     /// Packed pair-major squared differences: pair `p = a(a−1)/2 + b`
     /// (`b < a`) owns entries `[p·d, (p+1)·d)`.
     sqdiff: Vec<f64>,
-    /// `n x n` buffer for `K_y` assembly (strict upper triangle unused —
-    /// the factorization reads only the lower triangle and diagonal).
-    ky: Matrix,
     /// Recycled backing store for the Cholesky factor.
     lbuf: Option<Matrix>,
-    /// `n x n` buffer for `M = L⁻ᵀ` (gradient path only).
+    /// `n x n` buffer for `M = L⁻ᵀ`.
     minv: Matrix,
-    /// Pair-major interleaved `[s²·rho(r), g(r)]` per pair (gradient path
-    /// only): the assembly pass computes the kernel value and the radial
-    /// gradient factor from one shared transcendental, so the pair
-    /// contraction never re-derives distances.
+    /// Pair-major interleaved `[s²·rho(r), g(r)]` per pair: the assembly
+    /// pass computes the kernel value and the radial gradient factor
+    /// from one shared transcendental, so the pair contraction never
+    /// re-derives distances.
     rg: Vec<f64>,
     /// Ragged row offsets into `rg`: row `a` owns `rg[a(a−1)..a(a+1)]`.
     rg_offsets: Vec<usize>,
@@ -100,7 +96,6 @@ impl FitWorkspace {
             n: 0,
             d: 0,
             sqdiff: Vec::new(),
-            ky: Matrix::zeros(0, 0),
             lbuf: None,
             minv: Matrix::zeros(0, 0),
             rg: Vec::new(),
@@ -168,50 +163,18 @@ impl FitWorkspace {
         for a in 0..=n {
             self.rg_offsets.push(a * a.saturating_sub(1));
         }
-        if self.ky.rows() != n || self.ky.cols() != n {
-            self.ky = Matrix::zeros(n, n);
+        if self.minv.rows() != n {
             self.minv = Matrix::zeros(n, n);
             self.lbuf = None;
         }
     }
 
-    /// Assemble `K_y` (kernel matrix plus noise on the diagonal) into the
-    /// cached buffer from the packed squared differences: lower triangle
-    /// and diagonal only, in parallel row blocks. The strict upper
-    /// triangle is never read (the Cholesky reads `a[(i, j)]` with
-    /// `j ≤ i` only), so no mirror pass is needed.
-    fn assemble_ky(
-        &mut self,
-        family: KernelType,
-        outputscale: f64,
-        noise: f64,
-        inv_ls2: &[f64],
-    ) {
-        let n = self.n;
-        let d = self.d;
-        let sqdiff = &self.sqdiff;
-        // Half the entries of a transcendental-weighted full assembly.
-        let work = n * n * (8 * d + 16) / 2;
-        parallel::for_each_row_chunk(self.ky.as_mut_slice(), n, work, |a, row| {
-            let base = a * a.saturating_sub(1) / 2 * d;
-            for b in 0..a {
-                let sq = &sqdiff[base + b * d..base + (b + 1) * d];
-                let mut r2 = 0.0;
-                for j in 0..d {
-                    r2 += sq[j] * inv_ls2[j];
-                }
-                row[b] = outputscale * family.rho(r2.sqrt());
-            }
-            row[a] = outputscale + noise;
-        });
-    }
-
-    /// Gradient-path assembly: fill the interleaved `rg` buffer with
-    /// `[s²·rho(r), g(r)]` per pair, computing the kernel value and the
-    /// radial gradient factor from the *same* transcendental
-    /// (`KernelType::rho_and_grad`). `K_y` is never materialized densely
-    /// on this path — the factorization reads the packed kernel values
-    /// in place via `Cholesky::factor_packed_reusing` (stride 2).
+    /// Fill the interleaved `rg` buffer with `[s²·rho(r), g(r)]` per
+    /// pair, computing the kernel value and the radial gradient factor
+    /// from the *same* transcendental (`KernelType::rho_and_grad`).
+    /// `K_y` is never materialized densely — the factorization reads the
+    /// packed kernel values in place via
+    /// `Cholesky::factor_packed_reusing` (stride 2).
     fn assemble_rg(&mut self, family: KernelType, outputscale: f64, inv_ls2: &[f64]) {
         let n = self.n;
         let d = self.d;
@@ -234,8 +197,7 @@ impl FitWorkspace {
     }
 }
 
-/// Per-evaluation parameter decode shared by the value and gradient
-/// paths. Matches `fit::unpack`'s arithmetic exactly (`exp` then square)
+/// Per-evaluation parameter decode. Matches `fit::unpack`'s arithmetic exactly (`exp` then square)
 /// so workspace and naive paths agree to rounding error.
 struct Decoded {
     outputscale: f64,
@@ -268,7 +230,6 @@ fn factored(
     family: KernelType,
     y_std: &[f64],
     dec: &Decoded,
-    with_grad: bool,
 ) -> Result<(Cholesky, f64, Vec<f64>, Vec<f64>)> {
     let n = ws.n;
     if y_std.len() != n {
@@ -278,16 +239,8 @@ fn factored(
         )));
     }
     let buf = ws.lbuf.take().unwrap_or_else(|| Matrix::zeros(0, 0));
-    // The packed gradient-path factorization is bit-identical to the
-    // dense one (see `Cholesky::factor_packed_reusing`), so the value
-    // and gradient paths agree exactly.
-    let chol = if with_grad {
-        ws.assemble_rg(family, dec.outputscale, &dec.inv_ls2);
-        Cholesky::factor_packed_reusing(&ws.rg, 2, dec.outputscale + dec.noise, n, buf)?
-    } else {
-        ws.assemble_ky(family, dec.outputscale, dec.noise, &dec.inv_ls2);
-        Cholesky::factor_reusing(&ws.ky, buf)?
-    };
+    ws.assemble_rg(family, dec.outputscale, &dec.inv_ls2);
+    let chol = Cholesky::factor_packed_reusing(&ws.rg, 2, dec.outputscale + dec.noise, n, buf)?;
 
     let ones = vec![1.0; n];
     let (kinv_ones, kinv_y) = chol.solve_pair(&ones, y_std)?;
@@ -300,24 +253,6 @@ fn factored(
         - 0.5 * chol.log_det()
         - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
     Ok((chol, mll, alpha, r))
-}
-
-/// Workspace-backed log marginal likelihood, value only.
-///
-/// Skips all gradient machinery (no triangular inverse): one kernel
-/// assembly from the cached distances, one buffer-reusing factorization,
-/// two triangular solves. This is the path multistart scoring and any
-/// gradient-free probe should take.
-pub fn mll_value_ws(
-    family: KernelType,
-    ws: &mut FitWorkspace,
-    y_std: &[f64],
-    params: &[f64],
-) -> Result<f64> {
-    let dec = decode(ws.d, params)?;
-    let (chol, mll, _alpha, _r) = factored(ws, family, y_std, &dec, false)?;
-    ws.lbuf = Some(chol.into_l());
-    Ok(mll)
 }
 
 /// Workspace-backed log marginal likelihood and gradient in
@@ -333,7 +268,7 @@ pub fn mll_and_grad_ws(
     params: &[f64],
 ) -> Result<(f64, Vec<f64>)> {
     let dec = decode(ws.d, params)?;
-    let (chol, mll, alpha, r) = factored(ws, family, y_std, &dec, true)?;
+    let (chol, mll, alpha, r) = factored(ws, family, y_std, &dec)?;
     let n = ws.n;
     let d = ws.d;
     chol.inv_lower_t_into(&mut ws.minv);
@@ -497,8 +432,6 @@ mod tests {
                     family.name()
                 );
             }
-            let v_only = mll_value_ws(family, &mut ws, &y_std, &params).unwrap();
-            assert_eq!(v_only, v_ws, "{}", family.name());
         }
     }
 
@@ -518,7 +451,7 @@ mod tests {
             let (_, grad) = mll_and_grad_ws(family, &mut ws, &y_std, &params).unwrap();
 
             let dec = decode(3, &params).unwrap();
-            let (chol, _, alpha, _) = factored(&mut ws, family, &y_std, &dec, true).unwrap();
+            let (chol, _, alpha, _) = factored(&mut ws, family, &y_std, &dec).unwrap();
             chol.inv_lower_t_into(&mut ws.minv);
             let m = &ws.minv;
             let mut want = [0.0; 3];
@@ -600,8 +533,8 @@ mod tests {
             let params = vec![(0.5f64).ln(), (0.5f64).ln(), 0.0, (1e-4f64).ln()];
             let (v_naive, _) =
                 mll_and_grad(KernelType::Matern52, &x, &y_std, &params).unwrap();
-            let v_ws =
-                mll_value_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
+            let (v_ws, _) =
+                mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
             assert!((v_naive - v_ws).abs() <= 1e-10 * (1.0 + v_naive.abs()));
         }
     }
@@ -626,9 +559,14 @@ mod tests {
         for (i, (a, b)) in inc.sqdiff.iter().zip(&fresh.sqdiff).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "sqdiff[{i}]");
         }
-        let v_inc = mll_value_ws(KernelType::Matern52, &mut inc, &y_std, &params).unwrap();
-        let v_fresh = mll_value_ws(KernelType::Matern52, &mut fresh, &y_std, &params).unwrap();
+        let (v_inc, g_inc) =
+            mll_and_grad_ws(KernelType::Matern52, &mut inc, &y_std, &params).unwrap();
+        let (v_fresh, g_fresh) =
+            mll_and_grad_ws(KernelType::Matern52, &mut fresh, &y_std, &params).unwrap();
         assert_eq!(v_inc.to_bits(), v_fresh.to_bits());
+        for (a, b) in g_inc.iter().zip(&g_fresh) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
@@ -680,11 +618,11 @@ mod tests {
         ws.prepare(&x);
         let params = vec![0.0, 0.0, 0.0, (1e-4f64).ln()];
         assert!(matches!(
-            mll_value_ws(KernelType::Rbf, &mut ws, &[0.0; 3], &params),
+            mll_and_grad_ws(KernelType::Rbf, &mut ws, &[0.0; 3], &params),
             Err(GpError::BadTrainingData(_))
         ));
         assert!(matches!(
-            mll_value_ws(KernelType::Rbf, &mut ws, &[0.0; 6], &params[..3]),
+            mll_and_grad_ws(KernelType::Rbf, &mut ws, &[0.0; 6], &params[..3]),
             Err(GpError::BadHyperparameters(_))
         ));
     }

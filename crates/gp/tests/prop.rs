@@ -129,10 +129,12 @@ proptest! {
                              "{} grad[{i}]: ws {a} vs naive {b} (n={n}, d={d})",
                              family.name());
             }
-            let v_only =
-                pbo_gp::workspace::mll_value_ws(family, &mut ws, &y_std, &params)
+            // A second evaluation through the reused buffers repeats the bits.
+            let (v_again, g_again) =
+                pbo_gp::workspace::mll_and_grad_ws(family, &mut ws, &y_std, &params)
                     .unwrap();
-            prop_assert!(v_only == v_ws, "{} value-only path diverged", family.name());
+            prop_assert!(v_again.to_bits() == v_ws.to_bits() && g_again == g_ws,
+                         "{} repeated evaluation diverged", family.name());
         }
     }
 

@@ -187,76 +187,6 @@ where
     }
 }
 
-/// Memoizing adapter caching the most recent evaluation of an inner
-/// [`GradObjective`].
-///
-/// L-BFGS line searches evaluate value+gradient at a trial point and
-/// then re-request the accepted point when the next iteration starts;
-/// multistart drivers score a start with `value` and immediately ask the
-/// local optimizer for `value_grad` at the same point. For expensive
-/// objectives (the GP marginal likelihood factors an `n x n` matrix per
-/// call) each repeat is a full re-solve. This wrapper remembers the last
-/// point only — the access pattern above never needs more — and serves
-/// repeats by clone.
-///
-/// `value` hits never trigger gradient work, and a gradient request at a
-/// point where only the value is cached falls through to the inner
-/// objective (objectives like the workspace-backed MLL have a cheaper
-/// value-only path, so caching must not force the gradient eagerly).
-pub struct MemoGradObjective<O> {
-    inner: O,
-    last: std::cell::RefCell<Option<Memo>>,
-}
-
-struct Memo {
-    x: Vec<f64>,
-    value: f64,
-    grad: Option<Vec<f64>>,
-}
-
-impl<O: GradObjective> MemoGradObjective<O> {
-    /// Wrap an objective with a one-point evaluation cache.
-    pub fn new(inner: O) -> Self {
-        MemoGradObjective { inner, last: std::cell::RefCell::new(None) }
-    }
-
-    /// The wrapped objective.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-}
-
-impl<O: GradObjective> GradObjective for MemoGradObjective<O> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn value(&self, x: &[f64]) -> f64 {
-        if let Some(m) = self.last.borrow().as_ref() {
-            if m.x == x {
-                return m.value;
-            }
-        }
-        let value = self.inner.value(x);
-        *self.last.borrow_mut() = Some(Memo { x: x.to_vec(), value, grad: None });
-        value
-    }
-
-    fn value_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
-        if let Some(m) = self.last.borrow().as_ref() {
-            if m.x == x {
-                if let Some(g) = &m.grad {
-                    return (m.value, g.clone());
-                }
-            }
-        }
-        let (value, grad) = self.inner.value_grad(x);
-        *self.last.borrow_mut() =
-            Some(Memo { x: x.to_vec(), value, grad: Some(grad.clone()) });
-        (value, grad)
-    }
-}
-
 /// Central finite-difference gradient; the test harness uses it to
 /// validate analytic gradients (GP marginal likelihood, acquisition
 /// functions).
@@ -337,51 +267,6 @@ mod tests {
         let g = fd_gradient(|x| x[0] * x[0] + 3.0 * x[1], &[2.0, 5.0], 1e-6);
         assert!((g[0] - 4.0).abs() < 1e-6);
         assert!((g[1] - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn memo_serves_repeats_without_inner_calls() {
-        use std::cell::Cell;
-        struct Counting {
-            values: Cell<usize>,
-            grads: Cell<usize>,
-        }
-        impl GradObjective for Counting {
-            fn dim(&self) -> usize {
-                2
-            }
-            fn value(&self, x: &[f64]) -> f64 {
-                self.values.set(self.values.get() + 1);
-                x[0] * x[0] + x[1]
-            }
-            fn value_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
-                self.grads.set(self.grads.get() + 1);
-                (x[0] * x[0] + x[1], vec![2.0 * x[0], 1.0])
-            }
-        }
-        let obj =
-            MemoGradObjective::new(Counting { values: Cell::new(0), grads: Cell::new(0) });
-        let p = [1.5, -0.5];
-        // value -> value_grad -> value_grad at one point: one of each.
-        let v0 = obj.value(&p);
-        let (v1, g1) = obj.value_grad(&p);
-        let (v2, g2) = obj.value_grad(&p);
-        assert_eq!(v0, v1);
-        assert_eq!((v1, &g1), (v2, &g2));
-        assert_eq!(obj.inner().values.get(), 1);
-        assert_eq!(obj.inner().grads.get(), 1);
-        // Cached gradient serves value repeats too.
-        assert_eq!(obj.value(&p), v0);
-        assert_eq!(obj.inner().values.get(), 1);
-        // A new point invalidates the cache.
-        let q = [0.0, 0.0];
-        obj.value(&q);
-        obj.value_grad(&q);
-        assert_eq!(obj.inner().values.get(), 2);
-        assert_eq!(obj.inner().grads.get(), 2);
-        // Moving away and back is a genuine recompute (one-point cache).
-        obj.value_grad(&p);
-        assert_eq!(obj.inner().grads.get(), 3);
     }
 
     #[test]
