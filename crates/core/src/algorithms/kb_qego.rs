@@ -42,9 +42,8 @@ pub fn kb_batch<S: FantasySurrogate>(
                 FantasyKind::ConstantLiarMin => model.best_observed(false),
                 FantasyKind::ConstantLiarMax => model.best_observed(true),
             };
-            if let Ok(updated) = model.condition_on(std::slice::from_ref(&r.x), &[y_fantasy]) {
-                model = updated;
-            }
+            // A rejected append leaves the model as it was.
+            let _ = model.condition_on(std::slice::from_ref(&r.x), &[y_fantasy]);
         }
         batch.push(r.x);
     }

@@ -52,9 +52,8 @@ pub fn mic_batch<S: FantasySurrogate>(
             // One partial update for the pair (line 11).
             let xs: Vec<Vec<f64>> = fantasies.iter().map(|(x, _)| x.clone()).collect();
             let ys: Vec<f64> = fantasies.iter().map(|(_, y)| *y).collect();
-            if let Ok(updated) = model.condition_on(&xs, &ys) {
-                model = updated;
-            }
+            // A rejected append leaves the model as it was.
+            let _ = model.condition_on(&xs, &ys);
         }
         step += 2;
     }

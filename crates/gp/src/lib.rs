@@ -14,7 +14,7 @@
 //!   analytic `∂K/∂log θ` terms the MLL gradient needs,
 //! - [`gp`]: the [`gp::GaussianProcess`] itself — prediction (posterior
 //!   mean/variance/full covariance) and one frozen-hyperparameter
-//!   append, `condition_on`, in `O(n² q)` via rank-q Cholesky
+//!   in-place append, `condition_on`, in `O(n² q)` via rank-q Cholesky
 //!   extension, serving both **fantasy conditioning** (the Kriging
 //!   Believer heuristic's inner update) and real-data appends,
 //! - [`fit`]: marginal likelihood, its gradient, and the multi-start /

@@ -469,21 +469,23 @@ impl SparseGaussianProcess {
         Ok(u)
     }
 
-    /// Condition on additional observations without refitting the
-    /// hyperparameters or moving the inducing set, in `O(m² q + m³)`:
+    /// Condition on additional observations, in place, without refitting
+    /// the hyperparameters or moving the inducing set, in `O(m² q + m³)`:
     /// each new point contributes a rank-1 update to `B` and its
     /// Woodbury terms, then `B` is refactored and the trend/weights
     /// recomputed. `ys` are on the **raw** target scale; the frozen
-    /// standardization is reused.
+    /// standardization is reused. On any error the model is unchanged:
+    /// the `O(m²)` state is updated in copies and committed only once
+    /// `B` factors, and the inputs grow in their own buffer.
     ///
     /// Serves both the Kriging-Believer fantasy loop and the engine's
     /// cheap real-data append between full refits.
-    pub fn condition_on(&self, xs: &[Vec<f64>], ys: &[f64]) -> Result<SparseGaussianProcess> {
+    pub fn condition_on(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> Result<()> {
         if xs.len() != ys.len() {
             return Err(GpError::BadTrainingData("xs/ys length mismatch".into()));
         }
         if xs.is_empty() {
-            return Ok(self.clone());
+            return Ok(());
         }
         for p in xs {
             if p.len() != self.dim() {
@@ -496,12 +498,11 @@ impl SparseGaussianProcess {
         let m = self.m();
         let pv = self.kernel.prior_var();
         let lam_floor = self.noise.max(1e-12);
-        let mut x = self.x.clone();
-        let mut y_std = self.y_std.clone();
         let mut b_mat = self.b_mat.clone();
         let mut p1 = self.p1.clone();
         let mut py = self.py.clone();
         let (mut s1, mut sy) = (self.s1, self.sy);
+        let mut new_y = Vec::with_capacity(xs.len());
         for (p, &yr) in xs.iter().zip(ys) {
             let yv = (yr - self.shift) / self.scale;
             let mut v = self.kernel.cross_vec(&self.z, p);
@@ -521,29 +522,20 @@ impl SparseGaussianProcess {
                     row[b] += va * vb;
                 }
             }
-            x.push_row(p).expect("dimension checked above");
-            y_std.push(yv);
+            new_y.push(yv);
         }
         let l_b = Cholesky::factor(&b_mat)?;
         let (trend, alpha) = trend_and_alpha(&self.l_mm, &l_b, &p1, &py, s1, sy)?;
-        Ok(SparseGaussianProcess {
-            kernel: self.kernel.clone(),
-            noise: self.noise,
-            x,
-            y_std,
-            shift: self.shift,
-            scale: self.scale,
-            z: self.z.clone(),
-            l_mm: self.l_mm.clone(),
-            b_mat,
-            l_b,
-            p1,
-            py,
-            s1,
-            sy,
-            trend,
-            alpha,
-        })
+        let (n, d) = (self.n(), self.dim());
+        self.x.restride(n + xs.len(), d);
+        for (i, p) in xs.iter().enumerate() {
+            self.x.row_mut(n + i).copy_from_slice(p);
+        }
+        self.y_std.reserve_exact(new_y.len());
+        self.y_std.extend(new_y);
+        (self.b_mat, self.l_b, self.p1, self.py) = (b_mat, l_b, p1, py);
+        (self.s1, self.sy, self.trend, self.alpha) = (s1, sy, trend, alpha);
+        Ok(())
     }
 }
 
@@ -745,7 +737,8 @@ mod tests {
         let gp = SparseGaussianProcess::new(x.clone(), &y, test_kernel(), 1e-4, 12).unwrap();
         let new_x = vec![vec![0.21, 0.43], vec![0.77, 0.11]];
         let new_y = vec![7.8, 6.9];
-        let upd = gp.condition_on(&new_x, &new_y).unwrap();
+        let mut upd = gp.clone();
+        upd.condition_on(&new_x, &new_y).unwrap();
         assert_eq!(upd.n(), 52);
 
         // Rebuild on the stacked data with the same frozen inducing set
@@ -780,11 +773,17 @@ mod tests {
     fn condition_on_empty_is_noop_and_bad_input_rejected() {
         let (x, y) = grid_data(30);
         let gp = SparseGaussianProcess::new(x, &y, test_kernel(), 1e-4, 8).unwrap();
-        let same = gp.condition_on(&[], &[]).unwrap();
+        let mut same = gp.clone();
+        same.condition_on(&[], &[]).unwrap();
         assert_eq!(same.n(), gp.n());
-        assert!(gp.condition_on(&[vec![0.1, 0.2]], &[]).is_err());
-        assert!(gp.condition_on(&[vec![0.1]], &[1.0]).is_err());
-        assert!(gp.condition_on(&[vec![0.1, 0.2]], &[f64::NAN]).is_err());
+        assert!(same.condition_on(&[vec![0.1, 0.2]], &[]).is_err());
+        assert!(same.condition_on(&[vec![0.1]], &[1.0]).is_err());
+        assert!(same.condition_on(&[vec![0.1, 0.2]], &[f64::NAN]).is_err());
+        assert_eq!(same.train_x(), gp.train_x());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&same.y_std), bits(&gp.y_std));
+        assert_eq!(bits(same.weights()), bits(gp.weights()));
+        assert_eq!(same.b_mat, gp.b_mat);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!   consumer needs (pointwise/batched prediction, the zero-allocation
 //!   workspace path, joint posteriors, and the covariance-solve
 //!   operator the gradient recipes build on),
-//! - [`FantasySurrogate`] — the clone-and-condition contract of the
-//!   sequential fantasy loops (Kriging Believer, multi-infill),
+//! - [`FantasySurrogate`] — the in-place append of the sequential
+//!   fantasy loops (Kriging Believer, multi-infill), which clone the
+//!   engine's model once per batch and append each fantasy into it,
 //! - [`SurrogateModel`] — the enum the engine stores, dispatching to
 //!   the exact dense backend or the sparse inducing-point backend in
 //!   [`crate::sparse`].
@@ -80,13 +81,12 @@ pub trait Surrogate: Send + Sync {
 }
 
 /// Surrogates that support the sequential fantasy-conditioning loops:
-/// clone the model, condition on hypothesized observations (raw scale,
-/// frozen hyperparameters and standardization), repeat.
+/// clone the model once, then append hypothesized observations into it
+/// (raw scale, frozen hyperparameters and standardization), repeat.
 pub trait FantasySurrogate: Surrogate + Clone {
-    /// Return a new model conditioned on `(xs, ys)` without refitting.
-    fn condition_on(&self, xs: &[Vec<f64>], ys: &[f64]) -> Result<Self>
-    where
-        Self: Sized;
+    /// Condition on `(xs, ys)` in place without refitting. On any error
+    /// the model is unchanged.
+    fn condition_on(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> Result<()>;
 }
 
 impl Surrogate for GaussianProcess {
@@ -145,7 +145,7 @@ impl Surrogate for GaussianProcess {
 }
 
 impl FantasySurrogate for GaussianProcess {
-    fn condition_on(&self, xs: &[Vec<f64>], ys: &[f64]) -> Result<Self> {
+    fn condition_on(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> Result<()> {
         GaussianProcess::condition_on(self, xs, ys)
     }
 }
@@ -205,7 +205,7 @@ impl Surrogate for SparseGaussianProcess {
 }
 
 impl FantasySurrogate for SparseGaussianProcess {
-    fn condition_on(&self, xs: &[Vec<f64>], ys: &[f64]) -> Result<Self> {
+    fn condition_on(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> Result<()> {
         SparseGaussianProcess::condition_on(self, xs, ys)
     }
 }
@@ -310,14 +310,10 @@ impl Surrogate for SurrogateModel {
 }
 
 impl FantasySurrogate for SurrogateModel {
-    fn condition_on(&self, xs: &[Vec<f64>], ys: &[f64]) -> Result<Self> {
+    fn condition_on(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> Result<()> {
         match self {
-            SurrogateModel::Dense(g) => {
-                GaussianProcess::condition_on(g, xs, ys).map(SurrogateModel::Dense)
-            }
-            SurrogateModel::Sparse(s) => {
-                SparseGaussianProcess::condition_on(s, xs, ys).map(SurrogateModel::Sparse)
-            }
+            SurrogateModel::Dense(g) => GaussianProcess::condition_on(g, xs, ys),
+            SurrogateModel::Sparse(s) => SparseGaussianProcess::condition_on(s, xs, ys),
         }
     }
 }
@@ -367,9 +363,10 @@ mod tests {
     #[test]
     fn fantasy_conditioning_dispatches_per_backend() {
         let gp = toy_dense();
-        let model = SurrogateModel::Dense(gp.clone());
-        let fant = model.condition_on(&[vec![0.3]], &[11.2]).unwrap();
-        let direct = gp.condition_on(&[vec![0.3]], &[11.2]).unwrap();
+        let mut fant = SurrogateModel::Dense(gp.clone());
+        fant.condition_on(&[vec![0.3]], &[11.2]).unwrap();
+        let mut direct = gp;
+        direct.condition_on(&[vec![0.3]], &[11.2]).unwrap();
         assert_eq!(fant.n(), direct.n());
         let (m0, v0) = direct.predict(&[0.5]);
         let (m1, v1) = Surrogate::predict(&fant, &[0.5]);

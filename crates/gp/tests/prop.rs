@@ -51,7 +51,8 @@ proptest! {
                                              px in 0.0f64..1.0, py in 0.0f64..1.0) {
         let model = gp(x, &y, 0.4, 1e-4);
         let fantasy = model.predict_mean(&[nx, ny]);
-        let cond = model.condition_on(&[vec![nx, ny]], &[fantasy]).unwrap();
+        let mut cond = model.clone();
+        cond.condition_on(&[vec![nx, ny]], &[fantasy]).unwrap();
         let (_, v0) = model.predict(&[px, py]);
         let (_, v1) = cond.predict(&[px, py]);
         // Conditioning on one more (noisy) observation cannot inflate

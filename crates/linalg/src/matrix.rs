@@ -35,6 +35,40 @@ impl Matrix {
         self.cols = cols;
     }
 
+    /// Reshape to `rows x cols` in place, keeping every entry of the
+    /// overlap of the old and new shapes at its `(i, j)` position and
+    /// zeroing the rest. Rows move within the one buffer (a memmove per
+    /// row, no second buffer), and the buffer grows to exactly the new
+    /// size. This is the growth primitive of the in-place appends
+    /// ([`crate::Cholesky::extend`] and the GP factor's transpose), and
+    /// shrinking back restores the old matrix bit for bit.
+    pub fn restride(&mut self, rows: usize, cols: usize) {
+        let (old_cols, len) = (self.cols, rows * cols);
+        let (keep_rows, keep_cols) = (rows.min(self.rows), cols.min(old_cols));
+        if len > self.data.len() {
+            self.data.reserve_exact(len - self.data.len());
+            self.data.resize(len, 0.0);
+        }
+        if cols <= old_cols {
+            // Rows move towards the front: ascending order reads each
+            // source before an earlier row's copy can reach it.
+            for i in 0..keep_rows {
+                self.data.copy_within(i * old_cols..i * old_cols + keep_cols, i * cols);
+            }
+        } else {
+            // Rows move towards the back: descending order, and the new
+            // columns of row `i` lie past every unmoved source.
+            for i in (0..keep_rows).rev() {
+                self.data.copy_within(i * old_cols..i * old_cols + keep_cols, i * cols);
+                self.data[i * cols + keep_cols..(i + 1) * cols].fill(0.0);
+            }
+        }
+        self.data.truncate(len);
+        self.data[keep_rows * cols..].fill(0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Identity matrix of order `n`.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -412,6 +446,30 @@ mod tests {
         for i in 0..4 {
             for j in 0..4 {
                 assert_eq!(a[(i, j)], a[(j, i)]);
+            }
+        }
+    }
+
+    #[test]
+    fn restride_keeps_the_overlap_and_zeroes_the_rest() {
+        let base = Matrix::from_fn(5, 4, |i, j| (10 * i + j) as f64 + 0.5);
+        for (rows, cols) in [(7, 6), (5, 4), (3, 2), (6, 3), (2, 7), (0, 3), (5, 0)] {
+            let mut m = base.clone();
+            m.restride(rows, cols);
+            assert_eq!((m.rows(), m.cols()), (rows, cols));
+            let want = Matrix::from_fn(rows, cols, |i, j| {
+                if i < base.rows() && j < base.cols() {
+                    base[(i, j)]
+                } else {
+                    0.0
+                }
+            });
+            assert_eq!(m, want, "{rows}x{cols}");
+            // Shrinking back to the old shape restores it exactly when
+            // the new shape covered it.
+            if rows >= base.rows() && cols >= base.cols() {
+                m.restride(base.rows(), base.cols());
+                assert_eq!(m, base, "{rows}x{cols} round trip");
             }
         }
     }
