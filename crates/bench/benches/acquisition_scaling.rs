@@ -13,6 +13,12 @@
 //! isolates the flop/allocation savings) and `new_threadsN` (all
 //! available cores). Results are recorded in `BENCH_acq.json`.
 //!
+//! `acq_fantasy_loop/kb_batch_above_bound` and
+//! `acq_predict_many/block32_n416` time the fantasy loop and one
+//! prescreen block above `BIT_EXACT_MAX_N`, where the in-place append,
+//! the tiled forward solve and the size-gated reassociations run; they
+//! are recorded parent against change in `BENCH_acq.json`.
+//!
 //! Set `PBO_BENCH_SMOKE=1` for a seconds-scale CI smoke configuration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -88,6 +94,39 @@ fn bench_kb(c: &mut Criterion) {
             b.iter(|| kb_qego::kb_batch(&gp, &bounds, q, &cfg, 1).0.len())
         });
     }
+    g.finish();
+}
+
+/// The fantasy loop above `BIT_EXACT_MAX_N` (the `acq_q16` benchmark
+/// workload's shape): one Kriging-Believer batch of 16 from a fitted GP
+/// at n = 256 with the default acquisition settings, so every multistart
+/// prescreens, polishes and appends past the bound. The smoke profile
+/// keeps n above the bound (136, q = 4, reduced restarts) so the id
+/// exists in both profiles.
+fn bench_kb_above_bound(c: &mut Criterion) {
+    let (n, q, cfg) = if smoke() { (136, 4, cfg()) } else { (256, 16, AlgoConfig::default()) };
+    let gp = fitted_gp(n);
+    let bounds = Bounds::unit(12);
+    let mut g = c.benchmark_group("acq_fantasy_loop");
+    tune(&mut g);
+    g.bench_function("kb_batch_above_bound", |b| {
+        b.iter(|| kb_qego::kb_batch(&gp, &bounds, q, &cfg, 1).0.len())
+    });
+    g.finish();
+}
+
+/// One 32-point `predict_many` block — the unit the EI prescreen scores
+/// candidates in — at n = 416, the training-set size the `acq_q16`
+/// workload ends at: the cross block plus the tiled multi-RHS forward
+/// solve. Same size in both profiles.
+fn bench_predict_block(c: &mut Criterion) {
+    let gp = fitted_gp(416);
+    let mut sobol = Sobol::new(12);
+    let rows: Vec<Vec<f64>> = (0..32).map(|_| sobol.next_point()).collect();
+    let pts = Matrix::from_rows(&rows).unwrap();
+    let mut g = c.benchmark_group("acq_predict_many");
+    tune(&mut g);
+    g.bench_function("block32_n416", |b| b.iter(|| gp.predict_many(&pts).1[0]));
     g.finish();
 }
 
@@ -277,6 +316,8 @@ criterion_group!(
     benches,
     bench_ei_multistart,
     bench_kb,
+    bench_kb_above_bound,
+    bench_predict_block,
     bench_mic,
     bench_mc_qei,
     bench_gp_ucb_pe,

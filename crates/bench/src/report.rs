@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn fault_summary_reports_only_when_faults_occurred() {
         let clean = rec(1.0, 2, 2);
-        assert!(fault_summary(&[clean.clone()]).is_none());
+        assert!(fault_summary(std::slice::from_ref(&clean)).is_none());
         let mut faulty = rec(1.0, 2, 2);
         faulty.cycles[0].faults.panics = 3;
         faulty.cycles[1].faults.retries = 4;

@@ -241,16 +241,17 @@ mod tests {
 
     #[test]
     fn each_violation_maps_to_a_typed_error() {
-        let mut c = AlgoConfig::default();
-        c.full_fit_every = 0;
+        let c = AlgoConfig { full_fit_every: 0, ..AlgoConfig::default() };
         assert_eq!(
             c.validate(),
             Err(ConfigError::ZeroField { field: "cfg.full_fit_every" })
         );
 
-        let mut c = AlgoConfig::default();
-        c.incremental_updates = true;
-        c.full_fit_every = 1;
+        let c = AlgoConfig {
+            incremental_updates: true,
+            full_fit_every: 1,
+            ..AlgoConfig::default()
+        };
         assert_eq!(c.validate(), Err(ConfigError::IncrementalUpdatesNeedStableCycles));
 
         let mut c = AlgoConfig::default();
@@ -262,12 +263,16 @@ mod tests {
         c.fit.log_ls_bounds = (1.0, -1.0);
         assert!(matches!(c.validate(), Err(ConfigError::InvalidFitBounds { .. })));
 
-        let mut c = AlgoConfig::default();
-        c.surrogate = SurrogateBackend::Sparse { m: 1, switch_at: 100 };
+        let c = AlgoConfig {
+            surrogate: SurrogateBackend::Sparse { m: 1, switch_at: 100 },
+            ..AlgoConfig::default()
+        };
         assert_eq!(c.validate(), Err(ConfigError::SparseInducingTooSmall { got: 1 }));
 
-        let mut c = AlgoConfig::default();
-        c.surrogate = SurrogateBackend::Sparse { m: 64, switch_at: 10 };
+        let c = AlgoConfig {
+            surrogate: SurrogateBackend::Sparse { m: 64, switch_at: 10 },
+            ..AlgoConfig::default()
+        };
         assert_eq!(
             c.validate(),
             Err(ConfigError::SparseSwitchBeforeInducing { m: 64, switch_at: 10 })
@@ -296,8 +301,10 @@ mod tests {
         c.ft.backoff_factor = 0.5;
         assert_eq!(c.validate(), Err(ConfigError::BackoffFactorTooSmall { got: 0.5 }));
 
-        let mut c = AlgoConfig::default();
-        c.cost_model = CostModel::Measured { overhead_scale: 0.0 };
+        let c = AlgoConfig {
+            cost_model: CostModel::Measured { overhead_scale: 0.0 },
+            ..AlgoConfig::default()
+        };
         assert!(matches!(c.validate(), Err(ConfigError::NonPositive { .. })));
 
         let mut c = AlgoConfig::default();
@@ -307,16 +314,20 @@ mod tests {
 
     #[test]
     fn incremental_updates_with_stable_schedule_validates() {
-        let mut c = AlgoConfig::default();
-        c.incremental_updates = true;
-        c.full_fit_every = 2;
+        let c = AlgoConfig {
+            incremental_updates: true,
+            full_fit_every: 2,
+            ..AlgoConfig::default()
+        };
         c.validate().unwrap();
     }
 
     #[test]
     fn sparse_backend_with_sane_thresholds_validates() {
-        let mut c = AlgoConfig::default();
-        c.surrogate = SurrogateBackend::Sparse { m: 64, switch_at: 256 };
+        let mut c = AlgoConfig {
+            surrogate: SurrogateBackend::Sparse { m: 64, switch_at: 256 },
+            ..AlgoConfig::default()
+        };
         c.validate().unwrap();
         // switch_at == m is the earliest legal switch point.
         c.surrogate = SurrogateBackend::Sparse { m: 64, switch_at: 64 };

@@ -161,16 +161,49 @@ impl Kernel {
 
     /// Cross-covariance matrix between rows of `a` (n) and rows of `b`
     /// (m): `n x m`, assembled in parallel over row blocks when large.
+    /// Entries are [`eval`](Self::eval)'s bits, which the appends rely
+    /// on: their cross block must hold what a rebuild's
+    /// [`matrix`](Self::matrix) places there.
     pub fn cross_matrix(&self, a: &Matrix, b: &Matrix) -> Matrix {
         let mut k = Matrix::zeros(a.rows(), b.rows());
-        let work = a.rows() * b.rows() * (8 * self.dim() + 16);
-        pbo_linalg::parallel::for_each_row_chunk(k.as_mut_slice(), b.rows(), work, |i, row| {
-            let ra = a.row(i);
-            for (j, out) in row.iter_mut().enumerate() {
-                *out = self.eval(ra, b.row(j));
-            }
+        self.fill_cross(a, b, &mut k, |ra, rb| self.eval(ra, rb));
+        k
+    }
+
+    /// [`cross_matrix`](Self::cross_matrix) with the reciprocal
+    /// lengthscales precomputed by the caller (`inv_ls[j] = 1/ℓ_j`, see
+    /// [`inv_lengthscales_into`](Self::inv_lengthscales_into)): each
+    /// entry multiplies where `eval` divides, so it agrees with
+    /// `cross_matrix` to a rounding ulp per coordinate, not bit for bit.
+    /// For prediction paths above the large-system threshold
+    /// (`pbo_linalg::cholesky::BIT_EXACT_MAX_N`) only.
+    pub fn cross_matrix_scaled(&self, a: &Matrix, b: &Matrix, inv_ls: &[f64]) -> Matrix {
+        debug_assert_eq!(inv_ls.len(), self.dim());
+        let mut k = Matrix::zeros(a.rows(), b.rows());
+        self.fill_cross(a, b, &mut k, |ra, rb| {
+            let r = pbo_linalg::vec_ops::weighted_dist2(ra, rb, inv_ls).sqrt();
+            self.outputscale * self.family.rho(r)
         });
         k
+    }
+
+    /// Fill the `a.rows() x b.rows()` matrix `out` with `entry(a_i, b_j)`,
+    /// in parallel over row blocks when large (each entry depends on its
+    /// pair alone, so the result is the same at any thread count).
+    fn fill_cross(
+        &self,
+        a: &Matrix,
+        b: &Matrix,
+        out: &mut Matrix,
+        entry: impl Fn(&[f64], &[f64]) -> f64 + Sync,
+    ) {
+        let work = a.rows() * b.rows() * (8 * self.dim() + 16);
+        pbo_linalg::parallel::for_each_row_chunk(out.as_mut_slice(), b.rows(), work, |i, row| {
+            let ra = a.row(i);
+            for (j, o) in row.iter_mut().enumerate() {
+                *o = entry(ra, b.row(j));
+            }
+        });
     }
 
     /// Covariance vector between one point and the rows of `x`.
@@ -290,13 +323,7 @@ impl Kernel {
     /// allows). Entries are bit-identical.
     pub fn cross_matrix_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         out.reset_zeros(a.rows(), b.rows());
-        let work = a.rows() * b.rows() * (8 * self.dim() + 16);
-        pbo_linalg::parallel::for_each_row_chunk(out.as_mut_slice(), b.rows(), work, |i, row| {
-            let ra = a.row(i);
-            for (j, o) in row.iter_mut().enumerate() {
-                *o = self.eval(ra, b.row(j));
-            }
-        });
+        self.fill_cross(a, b, out, |ra, rb| self.eval(ra, rb));
     }
 }
 

@@ -295,7 +295,7 @@ mod tests {
         // Across many attempts the decision must not be constant (else
         // retries could never succeed).
         let kinds: Vec<FaultKind> = (0..64).map(|a| plan.decide(h, a)).collect();
-        assert!(kinds.iter().any(|k| *k == FaultKind::None));
+        assert!(kinds.contains(&FaultKind::None));
         assert!(kinds.iter().any(|k| *k != FaultKind::None));
     }
 

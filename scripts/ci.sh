@@ -33,8 +33,10 @@ if (( suites < MIN_SUITES )); then
 fi
 echo "cargo test ran $suites suites (floor $MIN_SUITES)"
 
-echo "== cargo clippy (workspace, -D warnings -W clippy::perf) =="
-cargo clippy --workspace -- -D warnings -W clippy::perf
+# --all-targets lints tests, benches and examples too, not only the
+# library and binary code.
+echo "== cargo clippy (workspace, all targets, -D warnings -W clippy::perf) =="
+cargo clippy --workspace --all-targets -- -D warnings -W clippy::perf
 
 # The acquisition multistart is parallel but must be bit-identical for
 # any compute-thread count; replay the determinism suite and the

@@ -1106,6 +1106,9 @@ fn reply_error(reply: &str) -> Option<String> {
     Some(code.unwrap_or_else(|| panic!("untyped error reply {reply}")).to_string())
 }
 
+/// Told values for `(cycle, points)`.
+type TellValues<'a> = dyn Fn(usize, &[Vec<f64>]) -> Vec<f64> + 'a;
+
 /// Answer every ask of session `id` with `values(cycle, points)`
 /// (cycle 0 is the design); a tell the session refuses is retried with
 /// the true objective values. Every reply must be `ok` or a typed
@@ -1114,7 +1117,7 @@ fn drive_dispatch(
     reg: &Registry,
     id: &str,
     p: &SyntheticFn,
-    values: &dyn Fn(usize, &[Vec<f64>]) -> Vec<f64>,
+    values: &TellValues<'_>,
 ) {
     use pbo::core::json::Json;
     use pbo_server::server::dispatch;

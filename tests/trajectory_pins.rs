@@ -24,6 +24,14 @@
 //! scenario follows one known fit schedule, and each branch is asserted
 //! to have run.
 //!
+//! A fourth table pins runs past `BIT_EXACT_MAX_N` = 128 training
+//! points, where the posterior paths reassociate for speed (the
+//! four-row backward solve, reciprocal-lengthscale cross blocks):
+//! kb-q-EGO and mic-q-EGO on Ackley-12 from a 140-point design. Those
+//! digests were recorded with the four-row backward solve and the
+//! reciprocal-lengthscale `predict_many` cross block in place, so any
+//! later change to the arithmetic above the bound shows here.
+//!
 //! Each run pins two FNV-1a-64 digests: of `RunRecord::to_json_line()`,
 //! and of the collected event stream encoded one JSON line per event
 //! with every field except the host wall time (`wall_ns`, zeroed).
@@ -78,6 +86,13 @@ const FIT_BRANCH_PINS: [(u64, u64); 8] = [
     (0x7E04AF9E55743D28, 0x22A566CF9FAAF22D), // capped mic-q-ego
     (0x951F3C96D77823BF, 0x804E988EA3BF8ECE), // sparse kb-q-ego
     (0x73184AAC5663F38C, 0x0A27369C6BA522E4), // sparse mic-q-ego
+];
+
+/// kb-q-ego then mic-q-ego from a 140-point design, above
+/// `BIT_EXACT_MAX_N`.
+const ABOVE_BOUND_PINS: [(u64, u64); 2] = [
+    (0xB6732FFB67ED773B, 0x26389F18531120C7), // kb-q-ego
+    (0x4AB6CB05D92F2E01, 0x489A15D8B05BD670), // mic-q-ego
 ];
 
 /// 50 virtual seconds at q = 3: about four cycles once fit and
@@ -300,4 +315,23 @@ fn fit_branch_trajectories_are_pinned() {
         "a fit branch went unpinned"
     );
     check("fit-branch", &labels, &FIT_BRANCH_PINS, &got);
+}
+
+#[test]
+fn above_bound_trajectories_are_pinned() {
+    // Three cycles of four points from 140: every fit, prescreen and
+    // polish runs with n > BIT_EXACT_MAX_N.
+    let budget = Budget::cycles(3, 4).with_initial_samples(140);
+    let problem = SyntheticFn::ackley(12);
+    let kinds = [AlgorithmKind::KbQEgo, AlgorithmKind::MicQEgo];
+    let got: Vec<(u64, u64)> = kinds
+        .iter()
+        .map(|&kind| {
+            let (r, events) = pinned_run(kind, &problem, &budget, AlgoConfig::test_profile());
+            assert_eq!(r.n_simulations(), 152, "{}", kind.name());
+            (fnv1a64(r.to_json_line().as_bytes()), event_digest(&events))
+        })
+        .collect();
+    let labels: Vec<String> = kinds.iter().map(|k| k.name().to_string()).collect();
+    check("above-bound", &labels, &ABOVE_BOUND_PINS, &got);
 }
