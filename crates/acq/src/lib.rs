@@ -7,9 +7,11 @@
 //!
 //! - [`single`]: single-point criteria — Expected Improvement (EI),
 //!   Probability of Improvement (PI) and the confidence-bound criterion
-//!   (UCB in the paper's maximization convention) — with **analytic
-//!   gradients** through the GP posterior, and a multistart L-BFGS
-//!   maximizer mirroring BoTorch's `optimize_acqf`,
+//!   (UCB in the paper's maximization convention) — each written once
+//!   as a function of the posterior moments, with its **analytic
+//!   gradient** through [`PosteriorGrad`]; the [`Acquisition`] trait
+//!   turns those into point, block and gradient scoring. Plus a
+//!   multistart L-BFGS maximizer mirroring BoTorch's `optimize_acqf`,
 //! - [`mc`]: Monte-Carlo q-EI over a *joint* batch of `q` points using
 //!   the reparameterization trick with fixed quasi-MC base samples
 //!   (sample-average approximation), including the full analytic
@@ -36,52 +38,70 @@ use pbo_linalg::Matrix;
 
 /// A single-point acquisition criterion (to be **maximized**).
 ///
-/// Criteria see the model only through the backend-agnostic
-/// [`Surrogate`] trait, so the same EI/PI/UCB code scores dense and
-/// sparse (inducing-point) posteriors alike. Call sites holding a
-/// concrete `&GaussianProcess` coerce to `&dyn Surrogate` unchanged.
+/// A criterion is a function of the posterior moments only: it
+/// implements its value at the posterior mean and standard deviation
+/// ([`at_moments`](Self::at_moments)) and its value plus gradient from
+/// a [`PosteriorGrad`] ([`at_moments_grad`](Self::at_moments_grad)).
+/// The scoring operations are provided once, on top of those two:
+/// a point through [`Surrogate::predict`], a block through
+/// [`Surrogate::predict_many`], the allocation-free gradient through
+/// [`posterior_with_grad_ws`] and the allocating reference gradient
+/// through [`posterior_with_grad`]. Criteria see the model only through
+/// the backend-agnostic [`Surrogate`] trait, so the same code scores
+/// dense and sparse (inducing-point) posteriors alike.
 pub trait Acquisition: Sync {
-    /// Acquisition value at `x`.
-    fn value(&self, gp: &dyn Surrogate, x: &[f64]) -> f64;
-    /// Value and gradient at `x`.
-    fn value_grad(&self, gp: &dyn Surrogate, x: &[f64]) -> (f64, Vec<f64>);
     /// Short name for logs and reports.
     fn name(&self) -> &'static str;
 
-    /// [`value`](Self::value) through a reusable workspace. The analytic
-    /// criteria override this with the allocation-free posterior path;
-    /// the default simply forwards.
-    fn value_with(&self, gp: &dyn Surrogate, x: &[f64], _ws: &mut AcqWorkspace) -> f64 {
-        self.value(gp, x)
+    /// The criterion at posterior mean `mean` and standard deviation
+    /// `sigma` (raw target scale).
+    fn at_moments(&self, mean: f64, sigma: f64) -> f64;
+
+    /// The criterion and its gradient from the posterior moments and
+    /// their spatial gradients. `grad` is cleared and refilled.
+    fn at_moments_grad(&self, pg: &PosteriorGrad, grad: &mut Vec<f64>) -> f64;
+
+    /// Acquisition value at `x`.
+    fn value(&self, gp: &dyn Surrogate, x: &[f64]) -> f64 {
+        let (mean, var) = gp.predict(x);
+        self.at_moments(mean, var.sqrt())
     }
 
-    /// [`value_grad`](Self::value_grad) into caller-owned storage, using
-    /// the workspace for the posterior intermediates. `grad` is cleared
-    /// and refilled; the analytic criteria perform zero per-call heap
-    /// allocations on the posterior path here.
+    /// Score every row of `pts` in one batched GP prediction
+    /// ([`Surrogate::predict_many`]) — the raw-candidate scoring path of
+    /// the multistart — matching [`value`](Self::value) to
+    /// batched-summation rounding (a few ulps).
+    fn value_many(&self, gp: &dyn Surrogate, pts: &Matrix, out: &mut [f64]) {
+        debug_assert_eq!(out.len(), pts.rows());
+        let (means, vars) = gp.predict_many(pts);
+        for (o, (m, v)) in out.iter_mut().zip(means.iter().zip(&vars)) {
+            *o = self.at_moments(*m, v.sqrt());
+        }
+    }
+
+    /// Value and gradient at `x` through the workspace posterior
+    /// ([`posterior_with_grad_ws`]); zero heap allocations once the
+    /// workspace and `grad` have warmed up. `grad` is cleared and
+    /// refilled.
     fn value_grad_into(
         &self,
         gp: &dyn Surrogate,
         x: &[f64],
-        _ws: &mut AcqWorkspace,
+        ws: &mut AcqWorkspace,
         grad: &mut Vec<f64>,
     ) -> f64 {
-        let (v, g) = self.value_grad(gp, x);
-        grad.clear();
-        grad.extend_from_slice(&g);
-        v
+        posterior_with_grad_ws(gp, x, ws);
+        self.at_moments_grad(ws.posterior(), grad)
     }
 
-    /// Score every row of `pts` in one call. The analytic criteria
-    /// override this with one batched GP prediction
-    /// ([`Surrogate::predict_many`]) — the raw-candidate scoring
-    /// path of the multistart — matching [`value`](Self::value) to
-    /// batched-summation rounding (a few ulps).
-    fn value_many(&self, gp: &dyn Surrogate, pts: &Matrix, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), pts.rows());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.value(gp, pts.row(i));
-        }
+    /// Value and gradient at `x` through the allocating reference
+    /// posterior ([`posterior_with_grad`]), which the workspace path is
+    /// checked against.
+    fn value_grad(&self, gp: &dyn Surrogate, x: &[f64]) -> (f64, Vec<f64>) {
+        let pg = posterior_with_grad(gp, x);
+        let mut grad = Vec::with_capacity(pg.dmean.len());
+        let v = self.at_moments_grad(&pg, &mut grad);
+        (v, grad)
     }
 }
 

@@ -10,33 +10,12 @@
 //!   minimization form the *lower* confidence bound `−(μ − β σ)`,
 //!   gradient `−∇μ + β ∇σ`. β defaults to the common `√2` scale.
 
-use crate::{posterior_with_grad, posterior_with_grad_ws, AcqWorkspace, Acquisition};
+use crate::{AcqWorkspace, Acquisition, PosteriorGrad};
 use pbo_gp::Surrogate;
-use pbo_linalg::Matrix;
 use pbo_opt::multistart::{minimize_multistart, MultistartConfig};
 use pbo_opt::{BatchObjective, Bounds, GradObjective, OptResult};
 use pbo_sampling::normal;
 use std::cell::RefCell;
-
-/// EI core on posterior moments. `u Φ(u) + φ(u)` is evaluated directly:
-/// for `u → −∞` the two terms cancel to `≈ φ(u)/u²` with only `O(ε u²)`
-/// relative error, which stays below `1e-12` for `|u| ≤ 30`, and both
-/// factors underflow gracefully past that. The terminal `max(0.0)`
-/// clamps the `O(ε φ(u))` negative rounding residue so EI is exactly
-/// nonnegative.
-#[inline]
-fn ei_from_moments(f_best: f64, mean: f64, sigma_raw: f64) -> f64 {
-    let sigma = sigma_raw.max(1e-12);
-    let u = (f_best - mean) / sigma;
-    (sigma * (u * normal::cdf(u) + normal::pdf(u))).max(0.0)
-}
-
-/// PI core on posterior moments.
-#[inline]
-fn pi_from_moments(f_best: f64, mean: f64, sigma_raw: f64) -> f64 {
-    let sigma = sigma_raw.max(1e-12);
-    normal::cdf((f_best - mean) / sigma)
-}
 
 /// Expected Improvement below the incumbent `f_best`.
 #[derive(Debug, Clone)]
@@ -46,57 +25,29 @@ pub struct ExpectedImprovement {
 }
 
 impl Acquisition for ExpectedImprovement {
-    fn value(&self, gp: &dyn Surrogate, x: &[f64]) -> f64 {
-        let (mean, var) = gp.predict(x);
-        ei_from_moments(self.f_best, mean, var.sqrt())
-    }
-
-    fn value_grad(&self, gp: &dyn Surrogate, x: &[f64]) -> (f64, Vec<f64>) {
-        let pg = posterior_with_grad(gp, x);
-        let sigma = pg.sigma.max(1e-12);
-        let u = (self.f_best - pg.mean) / sigma;
-        let (cdf, pdf) = (normal::cdf(u), normal::pdf(u));
-        let value = (sigma * (u * cdf + pdf)).max(0.0);
-        let grad = pg
-            .dmean
-            .iter()
-            .zip(&pg.dsigma)
-            .map(|(dm, ds)| -cdf * dm + pdf * ds)
-            .collect();
-        (value, grad)
-    }
-
     fn name(&self) -> &'static str {
         "ei"
     }
 
-    fn value_with(&self, gp: &dyn Surrogate, x: &[f64], ws: &mut AcqWorkspace) -> f64 {
-        let (mean, var) = gp.predict_with(x, &mut ws.pred);
-        ei_from_moments(self.f_best, mean, var.sqrt())
+    /// `u Φ(u) + φ(u)` is evaluated directly: for `u → −∞` the two
+    /// terms cancel to `≈ φ(u)/u²` with only `O(ε u²)` relative error,
+    /// which stays below `1e-12` for `|u| ≤ 30`, and both factors
+    /// underflow gracefully past that. The terminal `max(0.0)` clamps
+    /// the `O(ε φ(u))` negative rounding residue so EI is exactly
+    /// nonnegative.
+    fn at_moments(&self, mean: f64, sigma: f64) -> f64 {
+        let sigma = sigma.max(1e-12);
+        let u = (self.f_best - mean) / sigma;
+        (sigma * (u * normal::cdf(u) + normal::pdf(u))).max(0.0)
     }
 
-    fn value_grad_into(
-        &self,
-        gp: &dyn Surrogate,
-        x: &[f64],
-        ws: &mut AcqWorkspace,
-        grad: &mut Vec<f64>,
-    ) -> f64 {
-        posterior_with_grad_ws(gp, x, ws);
-        let pg = ws.posterior();
+    fn at_moments_grad(&self, pg: &PosteriorGrad, grad: &mut Vec<f64>) -> f64 {
         let sigma = pg.sigma.max(1e-12);
         let u = (self.f_best - pg.mean) / sigma;
         let (cdf, pdf) = (normal::cdf(u), normal::pdf(u));
         grad.clear();
         grad.extend(pg.dmean.iter().zip(&pg.dsigma).map(|(dm, ds)| -cdf * dm + pdf * ds));
         (sigma * (u * cdf + pdf)).max(0.0)
-    }
-
-    fn value_many(&self, gp: &dyn Surrogate, pts: &Matrix, out: &mut [f64]) {
-        let (means, vars) = gp.predict_many(pts);
-        for (o, (m, v)) in out.iter_mut().zip(means.iter().zip(&vars)) {
-            *o = ei_from_moments(self.f_best, *m, v.sqrt());
-        }
     }
 }
 
@@ -108,44 +59,16 @@ pub struct ProbabilityOfImprovement {
 }
 
 impl Acquisition for ProbabilityOfImprovement {
-    fn value(&self, gp: &dyn Surrogate, x: &[f64]) -> f64 {
-        let (mean, var) = gp.predict(x);
-        pi_from_moments(self.f_best, mean, var.sqrt())
-    }
-
-    fn value_grad(&self, gp: &dyn Surrogate, x: &[f64]) -> (f64, Vec<f64>) {
-        let pg = posterior_with_grad(gp, x);
-        let sigma = pg.sigma.max(1e-12);
-        let u = (self.f_best - pg.mean) / sigma;
-        let pdf = normal::pdf(u);
-        let value = normal::cdf(u);
-        let grad = pg
-            .dmean
-            .iter()
-            .zip(&pg.dsigma)
-            .map(|(dm, ds)| pdf * (-dm - u * ds) / sigma)
-            .collect();
-        (value, grad)
-    }
-
     fn name(&self) -> &'static str {
         "pi"
     }
 
-    fn value_with(&self, gp: &dyn Surrogate, x: &[f64], ws: &mut AcqWorkspace) -> f64 {
-        let (mean, var) = gp.predict_with(x, &mut ws.pred);
-        pi_from_moments(self.f_best, mean, var.sqrt())
+    fn at_moments(&self, mean: f64, sigma: f64) -> f64 {
+        let sigma = sigma.max(1e-12);
+        normal::cdf((self.f_best - mean) / sigma)
     }
 
-    fn value_grad_into(
-        &self,
-        gp: &dyn Surrogate,
-        x: &[f64],
-        ws: &mut AcqWorkspace,
-        grad: &mut Vec<f64>,
-    ) -> f64 {
-        posterior_with_grad_ws(gp, x, ws);
-        let pg = ws.posterior();
+    fn at_moments_grad(&self, pg: &PosteriorGrad, grad: &mut Vec<f64>) -> f64 {
         let sigma = pg.sigma.max(1e-12);
         let u = (self.f_best - pg.mean) / sigma;
         let pdf = normal::pdf(u);
@@ -157,13 +80,6 @@ impl Acquisition for ProbabilityOfImprovement {
                 .map(|(dm, ds)| pdf * (-dm - u * ds) / sigma),
         );
         normal::cdf(u)
-    }
-
-    fn value_many(&self, gp: &dyn Surrogate, pts: &Matrix, out: &mut [f64]) {
-        let (means, vars) = gp.predict_many(pts);
-        for (o, (m, v)) in out.iter_mut().zip(means.iter().zip(&vars)) {
-            *o = pi_from_moments(self.f_best, *m, v.sqrt());
-        }
     }
 }
 
@@ -181,41 +97,15 @@ impl Default for UpperConfidenceBound {
 }
 
 impl Acquisition for UpperConfidenceBound {
-    fn value(&self, gp: &dyn Surrogate, x: &[f64]) -> f64 {
-        let (mean, var) = gp.predict(x);
-        -mean + self.beta * var.sqrt()
-    }
-
-    fn value_grad(&self, gp: &dyn Surrogate, x: &[f64]) -> (f64, Vec<f64>) {
-        let pg = posterior_with_grad(gp, x);
-        let value = -pg.mean + self.beta * pg.sigma;
-        let grad = pg
-            .dmean
-            .iter()
-            .zip(&pg.dsigma)
-            .map(|(dm, ds)| -dm + self.beta * ds)
-            .collect();
-        (value, grad)
-    }
-
     fn name(&self) -> &'static str {
         "ucb"
     }
 
-    fn value_with(&self, gp: &dyn Surrogate, x: &[f64], ws: &mut AcqWorkspace) -> f64 {
-        let (mean, var) = gp.predict_with(x, &mut ws.pred);
-        -mean + self.beta * var.sqrt()
+    fn at_moments(&self, mean: f64, sigma: f64) -> f64 {
+        -mean + self.beta * sigma
     }
 
-    fn value_grad_into(
-        &self,
-        gp: &dyn Surrogate,
-        x: &[f64],
-        ws: &mut AcqWorkspace,
-        grad: &mut Vec<f64>,
-    ) -> f64 {
-        posterior_with_grad_ws(gp, x, ws);
-        let pg = ws.posterior();
+    fn at_moments_grad(&self, pg: &PosteriorGrad, grad: &mut Vec<f64>) -> f64 {
         grad.clear();
         grad.extend(
             pg.dmean
@@ -224,13 +114,6 @@ impl Acquisition for UpperConfidenceBound {
                 .map(|(dm, ds)| -dm + self.beta * ds),
         );
         -pg.mean + self.beta * pg.sigma
-    }
-
-    fn value_many(&self, gp: &dyn Surrogate, pts: &Matrix, out: &mut [f64]) {
-        let (means, vars) = gp.predict_many(pts);
-        for (o, (m, v)) in out.iter_mut().zip(means.iter().zip(&vars)) {
-            *o = -m + self.beta * v.sqrt();
-        }
     }
 }
 
@@ -254,8 +137,10 @@ impl GradObjective for NegAcq<'_> {
         self.gp.dim()
     }
 
+    /// Reached only when every polish ended non-finite (the
+    /// multistart's fallback), so it takes the plain point prediction.
     fn value(&self, x: &[f64]) -> f64 {
-        ACQ_WS.with(|w| -self.acq.value_with(self.gp, x, &mut w.borrow_mut()))
+        -self.acq.value(self.gp, x)
     }
 
     fn value_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {

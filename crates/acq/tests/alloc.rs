@@ -1,7 +1,7 @@
 //! Zero-allocation proof for the workspace acquisition hot path.
 //!
-//! After warm-up, `value_with` and `value_grad_into` for the analytic
-//! criteria (EI/PI/UCB) must perform no heap allocations: the posterior
+//! After warm-up, `value_grad_into` for the analytic criteria
+//! (EI/PI/UCB) must perform no heap allocations: the posterior
 //! intermediates live in the `AcqWorkspace` and the gradient lands in a
 //! caller-owned, pre-sized `Vec`. One test per file so no concurrent
 //! test thread pollutes the counter.
@@ -83,7 +83,6 @@ fn analytic_acquisition_workspace_path_is_allocation_free_after_warmup() {
     // Warm-up sizes every buffer (workspace and gradient).
     posterior_with_grad_ws(&gp, &queries[0], &mut ws);
     for acq in &acqs {
-        let _ = acq.value_with(&gp, &queries[0], &mut ws);
         let _ = acq.value_grad_into(&gp, &queries[0], &mut ws, &mut grad);
     }
 
@@ -91,7 +90,6 @@ fn analytic_acquisition_workspace_path_is_allocation_free_after_warmup() {
     let mut acc = 0.0;
     for q in &queries {
         for acq in &acqs {
-            acc += acq.value_with(&gp, q, &mut ws);
             acc += acq.value_grad_into(&gp, q, &mut ws, &mut grad);
             acc += grad.iter().sum::<f64>();
         }
@@ -103,6 +101,6 @@ fn analytic_acquisition_workspace_path_is_allocation_free_after_warmup() {
         0,
         "workspace acquisition path allocated {} times over {} calls",
         after - before,
-        2 * 3 * queries.len()
+        3 * queries.len()
     );
 }

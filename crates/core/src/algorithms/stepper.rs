@@ -21,13 +21,13 @@
 //! session resumable by replaying its journal of told values.
 
 use super::{acq_multistart, qei_multistart, AlgorithmKind};
-use crate::engine::Engine;
+use crate::engine::{AlgoConfig, Engine};
 use crate::partition::BspTree;
 use crate::record::RunRecord;
 use crate::trust_region::{TrustRegion, TrustRegionConfig};
 use pbo_acq::mc::{optimize_qei, QExpectedImprovement};
 use pbo_acq::single::{optimize_single, ExpectedImprovement};
-use pbo_gp::Surrogate;
+use pbo_gp::{Surrogate, SurrogateModel};
 use rand::Rng;
 
 /// Per-algorithm cycle stepper. Holds exactly the state that survives
@@ -129,70 +129,29 @@ impl BatchStepper {
     /// sanitize duplicates (again except random search). Returns the
     /// unit-cube batch to evaluate.
     pub fn propose(&mut self, e: &mut Engine) -> Vec<Vec<f64>> {
+        let q = e.q();
+        let bounds = e.unit_bounds();
         match self {
-            BatchStepper::KbQEgo => {
-                e.fit_model();
-                let q = e.q();
-                let bounds = e.unit_bounds();
-                let cfg = e.cfg().clone();
-                let acq_seed = e.seeds().fork(0xACC).next_seed();
-                let gp = e.model().clone();
-                let mut batch = e.charge_acquisition(1, || {
-                    super::kb_qego::kb_batch(&gp, &bounds, q, &cfg, acq_seed)
-                });
-                e.sanitize_batch(&mut batch);
-                batch
-            }
-            BatchStepper::MicQEgo => {
-                e.fit_model();
-                let q = e.q();
-                let bounds = e.unit_bounds();
-                let cfg = e.cfg().clone();
-                let acq_seed = e.seeds().fork(0xACC).next_seed();
-                let gp = e.model().clone();
-                let mut batch = e.charge_acquisition(1, || {
-                    super::mic_qego::mic_batch(&gp, &bounds, q, &cfg, acq_seed)
-                });
-                e.sanitize_batch(&mut batch);
-                batch
-            }
-            BatchStepper::McQEgo => {
-                e.fit_model();
-                let q = e.q();
-                let bounds = e.unit_bounds();
-                let cfg = e.cfg().clone();
-                let acq_seed = e.seeds().fork(0xACC).next_seed();
-                let gp = e.model().clone();
+            BatchStepper::KbQEgo => fit_and_acquire(e, false, 1, |gp, cfg, seed| {
+                super::kb_qego::kb_batch(gp, &bounds, q, cfg, seed)
+            }),
+            BatchStepper::MicQEgo => fit_and_acquire(e, false, 1, |gp, cfg, seed| {
+                super::mic_qego::mic_batch(gp, &bounds, q, cfg, seed)
+            }),
+            BatchStepper::McQEgo => fit_and_acquire(e, false, 1, |gp, cfg, seed| {
                 let f_best = gp.best_observed(false);
-                let mut batch = e.charge_acquisition(1, || {
-                    if q == 1 {
-                        // Table 3: all methods use plain EI at q = 1.
-                        let ei = ExpectedImprovement { f_best };
-                        let ms = acq_multistart(&cfg, acq_seed);
-                        let r = optimize_single(&gp, &ei, &bounds, &[], &ms);
-                        (vec![r.x], r.restart_shortfall)
-                    } else {
-                        let qei = QExpectedImprovement::new(
-                            f_best,
-                            q,
-                            cfg.qei.samples,
-                            acq_seed ^ 0x5A,
-                        );
-                        let ms = qei_multistart(&cfg, acq_seed);
-                        let out = optimize_qei(&gp, &qei, &bounds, &[], &ms);
-                        (out.batch, out.restart_shortfall)
-                    }
-                });
-                e.sanitize_batch(&mut batch);
-                batch
-            }
+                if q == 1 {
+                    // Table 3: all methods use plain EI at q = 1.
+                    let ei = ExpectedImprovement { f_best };
+                    let r = optimize_single(gp, &ei, &bounds, &[], &acq_multistart(cfg, seed));
+                    (vec![r.x], r.restart_shortfall)
+                } else {
+                    let qei = QExpectedImprovement::new(f_best, q, cfg.qei.samples, seed ^ 0x5A);
+                    let out = optimize_qei(gp, &qei, &bounds, &[], &qei_multistart(cfg, seed));
+                    (out.batch, out.restart_shortfall)
+                }
+            }),
             BatchStepper::BspEgo { tree } => {
-                e.fit_model();
-                let q = e.q();
-                let cfg = e.cfg().clone();
-                let acq_seed = e.seeds().fork(0xACC).next_seed();
-                let gp = e.model().clone();
-                let f_best = gp.best_observed(false);
                 let leaves = tree.leaves();
                 let cells: Vec<pbo_opt::Bounds> =
                     leaves.iter().map(|&l| tree.bounds_of(l).clone()).collect();
@@ -209,11 +168,12 @@ impl BatchStepper {
                 // and leaves the per-leaf scores, which drive the
                 // partition evolution, in `scores`.
                 let mut scores = Vec::new();
-                let mut batch = e.charge_acquisition(q, || {
+                let batch = fit_and_acquire(e, false, q, |gp, cfg, seed| {
+                    let f_best = gp.best_observed(false);
                     let per_cell = pbo_linalg::parallel::par_map(cells.len(), 1, |k| {
                         let ei = ExpectedImprovement { f_best };
-                        let ms = acq_multistart(&cfg, acq_seed.wrapping_add(k as u64));
-                        let r = optimize_single(&gp, &ei, &cells[k], &[], &ms);
+                        let ms = acq_multistart(cfg, seed.wrapping_add(k as u64));
+                        let r = optimize_single(gp, &ei, &cells[k], &[], &ms);
                         (r.x, r.value, r.restart_shortfall)
                     });
                     let shortfall = per_cell.iter().map(|(_, _, s)| *s).sum();
@@ -225,99 +185,51 @@ impl BatchStepper {
                     (top, shortfall)
                 });
                 tree.evolve(&leaves, &scores);
-                e.sanitize_batch(&mut batch);
                 batch
             }
             BatchStepper::Turbo { tr, f_best_before } => {
-                e.fit_model();
-                let q = e.q();
-                let cfg = e.cfg().clone();
-                let acq_seed = e.seeds().fork(0xACC).next_seed();
-                let gp = e.model().clone();
-                let f_best_min = e.best_min();
-                *f_best_before = f_best_min;
+                let f_best = e.best_min();
+                *f_best_before = f_best;
                 let center = e.best_x_unit();
-                let region = tr.bounds(&center, &gp.kernel().lengthscales);
-
-                let mut batch = e.charge_acquisition(1, || {
+                fit_and_acquire(e, false, 1, |gp, cfg, seed| {
+                    let region = tr.bounds(&center, &gp.kernel().lengthscales);
                     if q == 1 {
-                        let ei = ExpectedImprovement { f_best: f_best_min };
-                        let ms = acq_multistart(&cfg, acq_seed);
-                        let r = optimize_single(&gp, &ei, &region, &[], &ms);
+                        let ei = ExpectedImprovement { f_best };
+                        let r = optimize_single(gp, &ei, &region, &[], &acq_multistart(cfg, seed));
                         (vec![r.x], r.restart_shortfall)
                     } else {
-                        let qei = QExpectedImprovement::new(
-                            f_best_min,
-                            q,
-                            cfg.qei.samples,
-                            acq_seed ^ 0x7B,
-                        );
-                        let ms = qei_multistart(&cfg, acq_seed);
-                        let out = optimize_qei(&gp, &qei, &region, &[], &ms);
+                        let qei =
+                            QExpectedImprovement::new(f_best, q, cfg.qei.samples, seed ^ 0x7B);
+                        let out = optimize_qei(gp, &qei, &region, &[], &qei_multistart(cfg, seed));
                         (out.batch, out.restart_shortfall)
                     }
-                });
-                e.sanitize_batch(&mut batch);
-                batch
+                })
             }
             BatchStepper::MicTurbo { tr, f_best_before } => {
-                e.fit_model();
-                let q = e.q();
-                let cfg = e.cfg().clone();
-                let acq_seed = e.seeds().fork(0xACC).next_seed();
-                let gp = e.model().clone();
-                let f_best_min = e.best_min();
-                *f_best_before = f_best_min;
+                *f_best_before = e.best_min();
                 let center = e.best_x_unit();
-                let region = tr.bounds(&center, &gp.kernel().lengthscales);
-
-                let mut batch = e.charge_acquisition(1, || {
-                    super::mic_qego::mic_batch(&gp, &region, q, &cfg, acq_seed)
-                });
-                e.sanitize_batch(&mut batch);
-                batch
+                fit_and_acquire(e, false, 1, |gp, cfg, seed| {
+                    let region = tr.bounds(&center, &gp.kernel().lengthscales);
+                    super::mic_qego::mic_batch(gp, &region, q, cfg, seed)
+                })
             }
             BatchStepper::Random => {
                 e.begin_cycle();
-                let q = e.q();
                 let d = e.dim();
                 // Per-cycle fork: deterministic yet fresh each cycle.
                 let cycle = e.cycle_index() as u64;
                 let mut rng = e.seeds().fork(0x3A00 + cycle).rng();
                 (0..q).map(|_| (0..d).map(|_| rng.gen::<f64>()).collect()).collect()
             }
-            BatchStepper::Thompson => {
-                e.fit_model();
-                let q = e.q();
-                let n_cand = e.cfg().acq.thompson_candidates;
-                let cycle_tag = 0xACC + e.cycle_index() as u64;
-                let acq_seed = e.seeds().fork(cycle_tag).next_seed();
-                let gp = e.model().clone();
-                // No inner optimization → no restart shortfall to
-                // report.
-                let mut batch = e.charge_acquisition(1, || {
-                    (super::thompson::thompson_batch(&gp, q, n_cand, acq_seed), 0)
-                });
-                e.sanitize_batch(&mut batch);
-                batch
-            }
-            BatchStepper::GpUcbPe => {
-                e.fit_model();
-                let q = e.q();
-                let bounds = e.unit_bounds();
-                let cfg = e.cfg().clone();
+            // No inner optimization → no restart shortfall to report.
+            BatchStepper::Thompson => fit_and_acquire(e, true, 1, |gp, cfg, seed| {
+                let n_cand = cfg.acq.thompson_candidates;
+                (super::thompson::thompson_batch(gp, q, n_cand, seed), 0)
+            }),
+            BatchStepper::GpUcbPe => fit_and_acquire(e, true, 1, |gp, cfg, seed| {
                 let n_cand = cfg.acq.pe_candidates;
-                // Per-cycle fork like Thompson: the Sobol candidate set
-                // must be fresh each cycle.
-                let cycle_tag = 0xACC + e.cycle_index() as u64;
-                let acq_seed = e.seeds().fork(cycle_tag).next_seed();
-                let gp = e.model().clone();
-                let mut batch = e.charge_acquisition(1, || {
-                    super::gp_ucb_pe::gp_ucb_pe_batch(&gp, &bounds, q, n_cand, &cfg, acq_seed)
-                });
-                e.sanitize_batch(&mut batch);
-                batch
-            }
+                super::gp_ucb_pe::gp_ucb_pe_batch(gp, &bounds, q, n_cand, cfg, seed)
+            }),
             BatchStepper::HybridQ { planned } => {
                 planned.take().unwrap_or_else(|| hybrid_propose(e))
             }
@@ -340,23 +252,36 @@ impl BatchStepper {
     }
 }
 
-/// The adaptive-q hybrid's pre-evaluate half, shared by
-/// [`BatchStepper::propose_q`] and [`BatchStepper::propose`]: fit,
-/// charge the leader-EI + fantasy growth loop to the acquisition clock
-/// (the telemetry event reports the batch size the loop actually
-/// chose), sanitize.
-fn hybrid_propose(e: &mut Engine) -> Vec<Vec<f64>> {
+/// The pre-evaluate half every model-based algorithm shares: fit the
+/// surrogate, derive the cycle's acquisition seed, run `acquire` on
+/// the engine's model and configuration under the acquisition clock
+/// ([`Engine::charge_acquisition`], `workers` as there), then sanitize
+/// duplicates. The seed forks the engine stream at `0xACC`, or at
+/// `0xACC + cycle` when `per_cycle_seed` is set (the Sobol candidate
+/// sets of Thompson sampling and GP-UCB-PE must be fresh each cycle).
+fn fit_and_acquire(
+    e: &mut Engine,
+    per_cycle_seed: bool,
+    workers: usize,
+    acquire: impl FnOnce(&SurrogateModel, &AlgoConfig, u64) -> (Vec<Vec<f64>>, usize),
+) -> Vec<Vec<f64>> {
     e.fit_model();
-    let q_max = e.q();
-    let bounds = e.unit_bounds();
-    let cfg = e.cfg().clone();
-    let acq_seed = e.seeds().fork(0xACC).next_seed();
-    let gp = e.model().clone();
-    let mut batch = e.charge_acquisition(1, || {
-        super::hybrid_q::hybrid_batch(&gp, &bounds, q_max, &cfg, acq_seed)
-    });
+    let cycle = if per_cycle_seed { e.cycle_index() as u64 } else { 0 };
+    let acq_seed = e.seeds().fork(0xACC + cycle).next_seed();
+    let mut batch = e.charge_acquisition(workers, |gp, cfg| acquire(gp, cfg, acq_seed));
     e.sanitize_batch(&mut batch);
     batch
+}
+
+/// The adaptive-q hybrid's pre-evaluate half, shared by
+/// [`BatchStepper::propose_q`] and [`BatchStepper::propose`]: the
+/// leader-EI + fantasy growth loop under [`fit_and_acquire`] (the
+/// telemetry event reports the batch size the loop actually chose).
+fn hybrid_propose(e: &mut Engine) -> Vec<Vec<f64>> {
+    let (q_max, bounds) = (e.q(), e.unit_bounds());
+    fit_and_acquire(e, false, 1, |gp, cfg, seed| {
+        super::hybrid_q::hybrid_batch(gp, &bounds, q_max, cfg, seed)
+    })
 }
 
 /// Drive a prepared engine to budget exhaustion through the stepper —

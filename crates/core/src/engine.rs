@@ -661,21 +661,25 @@ impl<'a> Engine<'a> {
     /// Run an acquisition process, charge it to the acquisition clock
     /// (`workers > 1` divides the measured time, modelling genuinely
     /// parallel sub-acquisitions as in BSP-EGO) and emit the
-    /// [`Event::AcquisitionCompleted`] telemetry. `work` returns the
+    /// [`Event::AcquisitionCompleted`] telemetry. `work` borrows the
+    /// fitted model and the configuration — field borrows disjoint
+    /// from the clock, so no caller copies the model — and returns the
     /// built batch plus its multistart restart shortfall. The event
     /// reports the batch's length — the configured q for fixed-q
     /// algorithms, the size the process chose for the adaptive-q
     /// hybrid — and is emitted *after* charging, outside the timed
-    /// region.
+    /// region. Panics if [`Engine::fit_model`] has not run.
     pub fn charge_acquisition(
         &mut self,
         workers: usize,
-        work: impl FnOnce() -> (Vec<Vec<f64>>, usize),
+        work: impl FnOnce(&SurrogateModel, &AlgoConfig) -> (Vec<Vec<f64>>, usize),
     ) -> Vec<Vec<f64>> {
+        let model = self.model.as_ref().expect("fit_model must be called before acquisition");
+        let cfg = &self.cfg;
         let a0 = self.clock.split().1;
         let wall = Instant::now();
         let (batch, restart_shortfall) =
-            self.clock.charge(TimeCategory::Acquisition, workers, work);
+            self.clock.charge(TimeCategory::Acquisition, workers, || work(model, cfg));
         let wall_ns = wall.elapsed().as_nanos() as u64;
         let virtual_s = self.clock.split().1 - a0;
         let cycle = self.cycle_idx;
@@ -1057,7 +1061,8 @@ mod tests {
             .build()
             .unwrap();
         e.fit_model();
-        let batch = e.charge_acquisition(1, || (vec![vec![0.3, 0.3, 0.3], vec![0.7, 0.2, 0.9]], 5));
+        let batch =
+            e.charge_acquisition(1, |_, _| (vec![vec![0.3, 0.3, 0.3], vec![0.7, 0.2, 0.9]], 5));
         e.commit_batch(batch);
         let r = e.finish();
         let events = std::mem::take(&mut sink.lock().unwrap().events);
@@ -1118,7 +1123,7 @@ mod tests {
             while e.should_continue() {
                 e.fit_model();
                 let c = e.cycle_index() as f64;
-                let mut batch = e.charge_acquisition(1, || {
+                let mut batch = e.charge_acquisition(1, |_, _| {
                     (vec![vec![0.3, 0.3, 0.2 + 0.1 * c], vec![0.7, 0.2, 0.1 + 0.1 * c]], 0)
                 });
                 e.sanitize_batch(&mut batch);

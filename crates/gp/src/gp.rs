@@ -41,8 +41,8 @@ pub struct GaussianProcess {
 }
 
 /// Reusable scratch for the allocation-free single-point posterior
-/// paths ([`GaussianProcess::predict_with`] and
-/// [`GaussianProcess::posterior_parts_with`]). Buffers grow to the
+/// path with gradient intermediates
+/// ([`GaussianProcess::posterior_parts_with`]). Buffers grow to the
 /// training-set size on first use and are reused verbatim afterwards,
 /// so steady-state calls perform zero heap allocations. Keep one per
 /// thread (e.g. in a `thread_local!`) — the workspace itself is plain
@@ -82,7 +82,6 @@ impl PredictWorkspace {
     }
 
     /// Cross-covariance row from the last `posterior_parts_with` call.
-    /// (Clobbered by `predict_with`, which reuses it as the solve buffer.)
     pub fn cross(&self) -> &[f64] {
         &self.k
     }
@@ -200,20 +199,6 @@ impl GaussianProcess {
         let mut v = k;
         self.chol.solve_lower_in_place(&mut v);
         let var_std = (self.kernel.prior_var() - dot(&v, &v)).max(1e-14);
-        (mean_std * self.scale + self.shift, var_std * self.scale * self.scale)
-    }
-
-    /// [`predict`](Self::predict) with a reusable workspace: bit-identical
-    /// results, zero heap allocations per call once the workspace has
-    /// warmed up to the training-set size.
-    pub fn predict_with(&self, p: &[f64], ws: &mut PredictWorkspace) -> (f64, f64) {
-        debug_assert_eq!(p.len(), self.dim());
-        ws.ensure(self.n());
-        self.kernel.cross_vec_into(&self.x, p, &mut ws.k);
-        let mean_std = self.trend + dot(&ws.k, &self.alpha);
-        // Same forward solve as `predict`, reusing k as the buffer.
-        self.chol.solve_lower_in_place(&mut ws.k);
-        let var_std = (self.kernel.prior_var() - dot(&ws.k, &ws.k)).max(1e-14);
         (mean_std * self.scale + self.shift, var_std * self.scale * self.scale)
     }
 
@@ -797,19 +782,6 @@ mod tests {
             let (gm, gv) = (means[i], vars[i]);
             assert!((gm - m).abs() <= 1e-10 * (1.0 + m.abs()), "mean {i}: {gm} vs {m}");
             assert!((gv - v).abs() <= 1e-10 * (1.0 + v.abs()), "var {i}: {gv} vs {v}");
-        }
-    }
-
-    #[test]
-    fn predict_with_is_bit_identical_to_predict() {
-        let gp = toy_gp(1e-6);
-        let mut ws = PredictWorkspace::new();
-        for i in 0..23 {
-            let p = [i as f64 * 0.13 - 0.4];
-            let (m0, v0) = gp.predict(&p);
-            let (m1, v1) = gp.predict_with(&p, &mut ws);
-            assert_eq!(m0.to_bits(), m1.to_bits(), "mean at {p:?}");
-            assert_eq!(v0.to_bits(), v1.to_bits(), "var at {p:?}");
         }
     }
 

@@ -211,15 +211,6 @@ impl Kernel {
         (0..x.rows()).map(|i| self.eval(x.row(i), p)).collect()
     }
 
-    /// [`cross_vec`](Self::cross_vec) into a caller-owned buffer
-    /// (bit-identical entries, zero allocations).
-    pub fn cross_vec_into(&self, x: &Matrix, p: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(out.len(), x.rows());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.eval(x.row(i), p);
-        }
-    }
-
     /// Fused cross-covariance + query-gradient factors against the rows
     /// of `x`: `k_out[i] = k(x_i, p)` and `gf_out[i] = s²·g(r_i)`, the
     /// scalar that [`grad_wrt_query_from_factor`](Self::grad_wrt_query_from_factor)

@@ -305,22 +305,6 @@ impl SparseGaussianProcess {
         (mean_std * self.scale + self.shift, var_std * self.scale * self.scale)
     }
 
-    /// [`predict`](Self::predict) with a reusable workspace:
-    /// bit-identical results, zero heap allocations per call once the
-    /// workspace has warmed up to the inducing-set size.
-    pub fn predict_with(&self, p: &[f64], ws: &mut PredictWorkspace) -> (f64, f64) {
-        debug_assert_eq!(p.len(), self.dim());
-        ws.ensure(self.m());
-        self.kernel.cross_vec_into(&self.z, p, &mut ws.k);
-        let mean_std = self.trend + dot(&ws.k, &self.alpha);
-        self.l_mm.solve_lower_in_place(&mut ws.k);
-        let t = dot(&ws.k, &ws.k);
-        self.l_b.solve_lower_in_place(&mut ws.k);
-        let var_std =
-            (self.kernel.prior_var() - (t - dot(&ws.k, &ws.k))).max(1e-14);
-        (mean_std * self.scale + self.shift, var_std * self.scale * self.scale)
-    }
-
     /// Standardized posterior mean and variance at `p`, leaving in `ws`
     /// the intermediates the acquisition gradient needs — the same
     /// contract as the dense

