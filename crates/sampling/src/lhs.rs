@@ -132,4 +132,36 @@ mod tests {
     fn min_pairwise_dist_of_singleton_is_inf() {
         assert_eq!(min_pairwise_dist2(&[vec![0.5]]), f64::INFINITY);
     }
+
+    /// FNV-1a over every coordinate's bits, row by row.
+    fn design_digest(pts: &[Vec<f64>]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in pts.iter().flatten().flat_map(|x| x.to_bits().to_le_bytes()) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    /// The engine's design draw (`doe` stream, four tries), pinned bit
+    /// for bit: a faster score must choose exactly the same design.
+    #[test]
+    fn maximin_designs_are_pinned() {
+        const PINS: [(u64, usize, usize, u64); 6] = [
+            (1, 1024, 12, 0x6fea_f88e_2dd9_2f15),
+            (2, 64, 12, 0xa038_2f9b_5442_c5d5),
+            (3, 256, 12, 0x69b7_2747_2def_411c),
+            (4, 48, 2, 0xfce9_f5de_5ac9_9593),
+            (5, 5, 1, 0x85da_d1d8_65e1_d2f8),
+            (6, 2, 7, 0x477c_26a9_3ac5_5061),
+        ];
+        let got: Vec<(u64, usize, usize, u64)> = PINS
+            .iter()
+            .map(|&(seed, n, d, _)| {
+                let mut rng = crate::SeedStream::new(seed).fork_named("doe").rng();
+                (seed, n, d, design_digest(&maximin_latin_hypercube(&mut rng, n, d, 4)))
+            })
+            .collect();
+        assert_eq!(got, PINS, "maximin design digests moved; recomputed: {got:#x?}");
+    }
 }
