@@ -15,7 +15,8 @@
 //! `fit_prepr` drives the same multi-start L-BFGS loop through the
 //! replica, so the `fit_prepr`-vs-`fit_workspace` ratio is the
 //! end-to-end speedup of the overhaul on the mll-dominated full fit.
-//! Results are recorded in `BENCH_fit.json` at the repo root.
+//! `maximin_lhs` times the initial design every model is first fitted
+//! on. Results are recorded in `BENCH_fit.json` at the repo root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pbo_gp::fit::{fit, mll_and_grad, refit_warm_with, unpack, FitConfig};
@@ -403,6 +404,27 @@ fn bench_predict_many(c: &mut Criterion) {
     g.finish();
 }
 
+/// The engine's initial design (best of four maximin LHS draws), which
+/// every run and every served session create draws before its first
+/// fit. Both sizes run under smoke too: the 1024-point case is a quick
+/// gate pin.
+fn bench_maximin_design(c: &mut Criterion) {
+    let mut g = c.benchmark_group("fit_scaling");
+    let (meas, warm) = if smoke() { (150, 30) } else { (1000, 200) };
+    g.measurement_time(std::time::Duration::from_millis(meas));
+    g.warm_up_time(std::time::Duration::from_millis(warm));
+    g.sample_size(10);
+    for n in [256usize, 1024] {
+        g.bench_with_input(BenchmarkId::new("maximin_lhs", n), &n, |b, &n| {
+            b.iter(|| {
+                let mut rng = SeedStream::new(11).fork_named("doe").rng();
+                lhs::maximin_latin_hypercube(&mut rng, n, DIM, 4).len()
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_mll_paths,
@@ -410,6 +432,7 @@ criterion_group!(
     bench_refit_warm,
     bench_update_vs_refit,
     bench_chol_factor,
-    bench_predict_many
+    bench_predict_many,
+    bench_maximin_design
 );
 criterion_main!(benches);
