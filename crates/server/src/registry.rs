@@ -2,7 +2,11 @@
 //!
 //! Concurrency model: a short-lived map lock hands out per-session
 //! `Arc<Mutex<…>>` entries; all engine work happens under the entry
-//! lock only, so sessions never block each other. Every
+//! lock only, so sessions never block each other. A create holds the
+//! map lock only to check the id and reserve it with an empty, locked
+//! entry; it draws the design and writes the first checkpoint under
+//! that entry's lock, so requests on the new id wait for the create and
+//! requests on other ids do not. Every
 //! journal-advancing transition (create, tell) is written through
 //! [`pbo_core::checkpoint::atomic_write`] before the reply goes out —
 //! a daemon killed at any instant restarts into exactly the set of
@@ -39,6 +43,12 @@ pub enum SessionEntry {
         reason: String,
     },
 }
+
+/// A table slot: `None` while a create holds the id. The creator keeps
+/// the slot locked until the session is built and persisted; a failed
+/// create takes the slot out of the table before it lets the lock go,
+/// so a request that waited on it finds no session.
+type Slot = Arc<Mutex<Option<SessionEntry>>>;
 
 /// What the table keeps of a finished session: the same size however
 /// long the run was. The record itself lives in `<id>.record.json`.
@@ -91,7 +101,7 @@ pub struct TellReply {
 /// The session registry: in-memory table + on-disk journal directory.
 pub struct Registry {
     dir: Option<PathBuf>,
-    sessions: Mutex<HashMap<String, Arc<Mutex<SessionEntry>>>>,
+    sessions: Mutex<HashMap<String, Slot>>,
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -171,7 +181,7 @@ impl Registry {
             reg.sessions
                 .lock()
                 .expect("session table poisoned")
-                .insert(id, Arc::new(Mutex::new(entry)));
+                .insert(id, Arc::new(Mutex::new(Some(entry))));
         }
         Ok(reg)
     }
@@ -182,7 +192,8 @@ impl Registry {
         &self.metrics
     }
 
-    /// Number of sessions (live, finished and quarantined).
+    /// Number of ids taken: live, finished and quarantined sessions,
+    /// and creates in flight.
     pub fn len(&self) -> usize {
         self.sessions.lock().expect("session table poisoned").len()
     }
@@ -224,30 +235,46 @@ impl Registry {
         id: &str,
         f: impl FnOnce(&mut SessionEntry) -> Result<R, ErrorBody>,
     ) -> Result<R, ErrorBody> {
-        let entry =
-            self.sessions.lock().expect("session table poisoned").get(id).cloned().ok_or_else(
-                || ErrorBody::request(RequestErrorKind::UnknownSession, format!("no session '{id}'")),
-            )?;
+        let entry = self
+            .sessions
+            .lock()
+            .expect("session table poisoned")
+            .get(id)
+            .cloned()
+            .ok_or_else(|| unknown_session(id))?;
         let mut guard = entry.lock().expect("session entry poisoned");
-        f(&mut guard)
+        f(guard.as_mut().ok_or_else(|| unknown_session(id))?)
     }
 
     /// Create a session, idempotently: re-creating an existing id with
     /// the same config key succeeds with `created: false` (this is how
     /// a restarted client re-attaches); a different key is the typed
     /// `config_mismatch` error.
+    ///
+    /// The table lock covers only the id check and the reservation; a
+    /// racing create of the same id waits on the reserved entry and
+    /// then answers as if it came second. A failed create frees the id
+    /// and leaves no checkpoint.
     pub fn create(&self, id: &str, cfg: SessionConfig) -> Result<CreateReply, ErrorBody> {
         validate_id(id)?;
         let key = cfg.key();
-        // Hold the table lock across the existence check and insert so
-        // two racing creates cannot both build the session.
-        let mut table = self.sessions.lock().expect("session table poisoned");
-        if let Some(entry) = table.get(id).cloned() {
-            let guard = entry.lock().expect("session entry poisoned");
+        let entry: Slot = Arc::new(Mutex::new(None));
+        let mut slot = entry.lock().expect("fresh entry");
+        loop {
+            let mut table = self.sessions.lock().expect("session table poisoned");
+            let Some(existing) = table.get(id).cloned() else {
+                table.insert(id.to_string(), entry.clone());
+                break;
+            };
+            // Never wait on an entry while holding the table.
+            drop(table);
+            let guard = existing.lock().expect("session entry poisoned");
             let (have, turn) = match &*guard {
-                SessionEntry::Live(state) => (state.config().key(), state.turn()),
-                SessionEntry::Finished(stub) => (stub.key.clone(), stub.status.turn),
-                SessionEntry::Corrupt { reason } => return Err(quarantined(id, reason)),
+                Some(SessionEntry::Live(state)) => (state.config().key(), state.turn()),
+                Some(SessionEntry::Finished(stub)) => (stub.key.clone(), stub.status.turn),
+                Some(SessionEntry::Corrupt { reason }) => return Err(quarantined(id, reason)),
+                // Its create failed and freed the id: try again.
+                None => continue,
             };
             return if have == key {
                 Ok(CreateReply { created: false, key, turn })
@@ -258,6 +285,7 @@ impl Registry {
                 ))
             };
         }
+        let reservation = Reservation { registry: self, id, entry: &entry };
         let observer = MetricsObserver::new(self.metrics.clone());
         let state = SessionState::create_observed(cfg, observer)
             .map_err(|e| ErrorBody::from_session(&e))?;
@@ -275,8 +303,10 @@ impl Registry {
             }
         }
         self.persist(id, &state)?;
+        // Persisted: the id stays taken.
+        std::mem::forget(reservation);
         self.metrics.counter("server.sessions.created").inc();
-        table.insert(id.to_string(), Arc::new(Mutex::new(SessionEntry::Live(Box::new(state)))));
+        *slot = Some(SessionEntry::Live(Box::new(state)));
         Ok(CreateReply { created: true, key, turn: 0 })
     }
 
@@ -366,27 +396,31 @@ impl Registry {
         })
     }
 
-    /// `(id, phase, turn)` for every session, sorted by id.
+    /// `(id, phase, turn)` for every session, sorted by id. A create
+    /// in flight is waited for, and listed only if it succeeded.
     pub fn list(&self) -> Vec<(String, String, usize)> {
-        let entries: Vec<(String, Arc<Mutex<SessionEntry>>)> = {
-            let table = self.sessions.lock().expect("session table poisoned");
-            table.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
-        let mut out: Vec<(String, String, usize)> = entries
+        let mut out: Vec<(String, String, usize)> = self
+            .slots()
             .into_iter()
-            .map(|(id, entry)| {
+            .filter_map(|(id, entry)| {
                 let guard = entry.lock().expect("session entry poisoned");
-                match &*guard {
+                Some(match guard.as_ref()? {
                     SessionEntry::Live(s) => (id, s.status().phase.to_string(), s.turn()),
                     SessionEntry::Finished(stub) => {
                         (id, stub.status.phase.to_string(), stub.status.turn)
                     }
                     SessionEntry::Corrupt { .. } => (id, "corrupt".to_string(), 0),
-                }
+                })
             })
             .collect();
         out.sort();
         out
+    }
+
+    /// A snapshot of the table, so entries are locked without it.
+    fn slots(&self) -> Vec<(String, Slot)> {
+        let table = self.sessions.lock().expect("session table poisoned");
+        table.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
     /// Drop a session from the live table. Its files stay on disk, so
@@ -397,9 +431,7 @@ impl Registry {
             .expect("session table poisoned")
             .remove(id)
             .map(|_| ())
-            .ok_or_else(|| {
-                ErrorBody::request(RequestErrorKind::UnknownSession, format!("no session '{id}'"))
-            })
+            .ok_or_else(|| unknown_session(id))
     }
 
     /// Evict finished sessions per `policy`: table entry, record file
@@ -410,19 +442,15 @@ impl Registry {
     /// [`GcReport::quarantined_kept`] instead.
     pub fn gc(&self, policy: &GcPolicy) -> GcReport {
         let mut report = GcReport::default();
-        let entries: Vec<(String, Arc<Mutex<SessionEntry>>)> = {
-            let table = self.sessions.lock().expect("session table poisoned");
-            table.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
-        // (age_secs, id) for every finished session; corrupt and
-        // in-flight entries are counted but never considered.
+        // (age_secs, id) for every finished session; corrupt entries are
+        // counted, and in-flight sessions and creates are never considered.
         let now = std::time::SystemTime::now();
         let mut done: Vec<(u64, String)> = Vec::new();
-        for (id, entry) in entries {
+        for (id, entry) in self.slots() {
             let guard = entry.lock().expect("session entry poisoned");
             match &*guard {
-                SessionEntry::Corrupt { .. } => report.quarantined_kept += 1,
-                SessionEntry::Finished(_) => {
+                Some(SessionEntry::Corrupt { .. }) => report.quarantined_kept += 1,
+                Some(SessionEntry::Finished(_)) => {
                     let age = self
                         .checkpoint_path(&id)
                         .and_then(|p| std::fs::metadata(p).ok())
@@ -431,7 +459,7 @@ impl Registry {
                         .map_or(0, |d| d.as_secs());
                     done.push((age, id));
                 }
-                SessionEntry::Live(_) => {}
+                Some(SessionEntry::Live(_)) | None => {}
             }
         }
         // Newest first; ties broken by id so eviction order is
@@ -466,6 +494,31 @@ impl Registry {
         }
         report
     }
+}
+
+/// An id reserved by [`Registry::create`]. Dropped before the session
+/// is persisted, on an error or a panic, it frees the id: it takes its
+/// own slot out of the table while the creator still holds the slot's
+/// lock.
+struct Reservation<'a> {
+    registry: &'a Registry,
+    id: &'a str,
+    entry: &'a Slot,
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        let mut table = self.registry.sessions.lock().unwrap_or_else(|e| e.into_inner());
+        // A `close` and a new create may have replaced the slot meanwhile.
+        if table.get(self.id).is_some_and(|slot| Arc::ptr_eq(slot, self.entry)) {
+            table.remove(self.id);
+        }
+    }
+}
+
+/// The typed answer for a request on an id with no session.
+fn unknown_session(id: &str) -> ErrorBody {
+    ErrorBody::request(RequestErrorKind::UnknownSession, format!("no session '{id}'"))
 }
 
 /// The typed answer for a request on a quarantined session.
@@ -588,7 +641,7 @@ mod tests {
     fn is_stub(reg: &Registry, id: &str) -> bool {
         let entry = reg.sessions.lock().unwrap().get(id).cloned().unwrap();
         let guard = entry.lock().unwrap();
-        matches!(&*guard, SessionEntry::Finished(_))
+        matches!(&*guard, Some(SessionEntry::Finished(_)))
     }
 
     #[test]
@@ -723,6 +776,29 @@ mod tests {
         assert_eq!(report.quarantined_kept, 1);
         assert!(bad.exists(), "quarantined checkpoint was deleted");
         assert_eq!(reg.ask("bad").unwrap_err().code, "session_corrupt");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A request that waited on a create which then failed holds a slot
+    /// the create left empty (and took out of the table). Planted here
+    /// in the table, as a snapshot taken before the failure sees it, it
+    /// is never listed, counted, evicted or answered as a session.
+    #[test]
+    fn list_gc_and_requests_pass_over_an_empty_slot() {
+        let dir = tmp_dir("empty_slot");
+        let reg = Registry::open(&dir).unwrap();
+        reg.create("done", cfg(1)).unwrap();
+        finish(&reg, "done");
+        reg.sessions.lock().unwrap().insert("freed".into(), Arc::new(Mutex::new(None)));
+        let listed: Vec<String> = reg.list().into_iter().map(|(id, _, _)| id).collect();
+        assert_eq!(listed, ["done"]);
+        assert_eq!(reg.ask("freed").unwrap_err().code, "unknown_session");
+        assert_eq!(reg.status("freed").unwrap_err().code, "unknown_session");
+        let report = reg.gc(&GcPolicy { max_age_secs: None, keep_newest: 0 });
+        assert_eq!(
+            report,
+            GcReport { evicted: vec!["done".to_string()], kept: 0, quarantined_kept: 0 }
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -1210,3 +1210,183 @@ fn oversized_design_or_batch_is_invalid_config_and_harms_nothing() {
     drive_dispatch(&reg, "sane", &p, &|_, points| points.iter().map(|x| p.eval(x)).collect());
     assert_eq!(reg.record_line("sane").unwrap(), reference_line(&p, &cfg));
 }
+
+/// The bytes a serial create of `id` with `cfg` writes as its first
+/// checkpoint.
+fn serial_checkpoint(id: &str, cfg: &SessionConfig) -> String {
+    let dir = tmp_dir(&format!("serial_{id}_{}", cfg.seed));
+    Registry::open(&dir).unwrap().create(id, cfg.clone()).unwrap();
+    let body = std::fs::read_to_string(dir.join(format!("{id}.session.json"))).unwrap();
+    let _ = std::fs::remove_dir_all(dir);
+    body
+}
+
+/// Two creates of one id with one config, released together: exactly
+/// one builds the session, the other re-attaches, and the checkpoint is
+/// the one a lone create writes.
+#[test]
+fn racing_creates_of_one_id_build_it_once() {
+    let dir = tmp_dir("race_same");
+    let reg = Registry::open(&dir).unwrap();
+    let (_, cfg) = session_cfg(AlgorithmKind::KbQEgo, 21, 2, 2);
+    let barrier = std::sync::Barrier::new(2);
+    let mut created: Vec<bool> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    reg.create("twin", cfg.clone())
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap().unwrap().created).collect()
+    });
+    created.sort();
+    assert_eq!(created, [false, true]);
+    assert_eq!(reg.metrics().snapshot().counter("server.sessions.created"), 1);
+    let on_disk = std::fs::read_to_string(dir.join("twin.session.json")).unwrap();
+    assert_eq!(on_disk, serial_checkpoint("twin", &cfg));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Two creates of one id with different configs: one wins, the other is
+/// `config_mismatch`, and the winner's checkpoint is on disk.
+#[test]
+fn racing_creates_with_different_configs_keep_the_winner() {
+    let dir = tmp_dir("race_mismatch");
+    let reg = Registry::open(&dir).unwrap();
+    let cfgs = [21, 22].map(|seed| session_cfg(AlgorithmKind::RandomSearch, seed, 2, 2).1);
+    let barrier = std::sync::Barrier::new(2);
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let racers: Vec<_> = cfgs
+            .iter()
+            .map(|cfg| {
+                let barrier = &barrier;
+                let reg = &reg;
+                scope.spawn(move || {
+                    barrier.wait();
+                    reg.create("contested", cfg.clone())
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    let winners: Vec<usize> = (0..2).filter(|&i| outcomes[i].is_ok()).collect();
+    assert_eq!(winners.len(), 1, "{outcomes:?}");
+    let (win, lose) = (winners[0], 1 - winners[0]);
+    assert!(outcomes[win].as_ref().unwrap().created);
+    assert_eq!(outcomes[lose].as_ref().unwrap_err().code, "config_mismatch");
+    assert_eq!(reg.metrics().snapshot().counter("server.sessions.created"), 1);
+    let on_disk = std::fs::read_to_string(dir.join("contested.session.json")).unwrap();
+    assert_eq!(on_disk, serial_checkpoint("contested", &cfgs[win]));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A create that fails, in validation or in its first checkpoint
+/// write, frees its id and leaves no checkpoint; a later valid create
+/// of the id succeeds.
+#[test]
+fn failed_create_frees_the_id_and_writes_no_checkpoint() {
+    let dir = tmp_dir("failed_create");
+    let reg = Registry::open(&dir).unwrap();
+    let files = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    let (_, mut huge) = session_cfg(AlgorithmKind::KbQEgo, 5, 2, 2);
+    huge.budget.initial_samples = 1 << 40;
+    assert_eq!(reg.create("s", huge).unwrap_err().code, "invalid_config");
+    assert!(files().is_empty());
+    assert!(reg.is_empty() && reg.list().is_empty());
+    assert_eq!(reg.ask("s").unwrap_err().code, "unknown_session");
+
+    // A directory squatting on the checkpoint's temp path fails the write.
+    let (p, cfg) = session_cfg(AlgorithmKind::KbQEgo, 5, 2, 2);
+    let squat = dir.join("s.session.json.tmp");
+    std::fs::create_dir(&squat).unwrap();
+    assert_eq!(reg.create("s", cfg.clone()).unwrap_err().code, "io");
+    assert_eq!(files(), ["s.session.json.tmp"]);
+    assert!(reg.is_empty() && reg.list().is_empty());
+    assert_eq!(reg.ask("s").unwrap_err().code, "unknown_session");
+
+    std::fs::remove_dir(&squat).unwrap();
+    assert!(reg.create("s", cfg.clone()).unwrap().created);
+    assert_eq!(reg.metrics().snapshot().counter("server.sessions.created"), 1);
+    let record = drive_state(
+        SessionState::from_checkpoint_line(&serial_checkpoint("s", &cfg), NullObserver).unwrap().1,
+        &p,
+    );
+    assert_eq!(record, reference_line(&p, &cfg));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Poll `done` until it holds; panics after a minute.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "{what} never happened");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The session table is locked only to check and reserve an id. A
+/// create paused inside its first checkpoint write (the temp file is a
+/// FIFO that nobody reads yet) holds up no request on another id, and
+/// cannot reply before its checkpoint is written. A second create of
+/// its id, `list` and `gc` wait for it, and then see a created session.
+#[cfg(unix)]
+#[test]
+fn create_in_flight_holds_only_its_own_id() {
+    use std::sync::mpsc;
+    let dir = tmp_dir("create_in_flight");
+    let reg = Arc::new(Registry::open(&dir).unwrap());
+    let (p, cfg) = session_cfg(AlgorithmKind::RandomSearch, 3, 2, 2);
+    reg.create("other", cfg.clone()).unwrap();
+    let fifo = dir.join("slow.session.json.tmp");
+    assert!(std::process::Command::new("mkfifo").arg(&fifo).status().unwrap().success());
+
+    let spawn = |f: Box<dyn FnOnce(&Registry) -> String + Send>| {
+        let reg = reg.clone();
+        std::thread::spawn(move || f(&reg))
+    };
+    let create_slow = |cfg: SessionConfig| {
+        Box::new(move |r: &Registry| format!("{:?}", r.create("slow", cfg).map(|c| c.created)))
+    };
+    let first = spawn(create_slow(cfg.clone()));
+    // Once `slow` is reserved, requests on other ids finish while it is
+    // mid-create. Only this thread touches the registry until then, so
+    // a table lock held across the create fails the test, not hangs it.
+    let (tx, rx) = mpsc::channel();
+    let bystander_cfg = cfg.clone();
+    spawn(Box::new(move |r: &Registry| {
+        wait_until("the reservation", || r.len() == 2);
+        let ask = r.ask("other").unwrap();
+        let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
+        r.tell("other", ask.turn, &values).unwrap();
+        let third = r.create("third", bystander_cfg).unwrap().created;
+        tx.send((third, r.status("other").unwrap().0.turn)).unwrap();
+        String::new()
+    }));
+    let bystander = rx.recv_timeout(Duration::from_secs(60));
+    assert_eq!(bystander, Ok((true, 1)), "a request on another id waited behind a create");
+    assert!(!first.is_finished(), "the create replied before its checkpoint was written");
+    let second = spawn(create_slow(cfg.clone()));
+    let list = spawn(Box::new(|r: &Registry| format!("{:?}", r.list())));
+    let gc = spawn(Box::new(|r: &Registry| {
+        format!("{:?}", r.gc(&GcPolicy { max_age_secs: None, keep_newest: 0 }).evicted)
+    }));
+
+    let body = std::fs::read_to_string(&fifo).unwrap();
+    assert_eq!(first.join().unwrap(), "Ok(true)");
+    assert_eq!(second.join().unwrap(), "Ok(false)");
+    let listed = list.join().unwrap();
+    assert!(listed.contains("(\"slow\", \"design\", 0)"), "{listed}");
+    assert_eq!(gc.join().unwrap(), "[]");
+    assert_eq!(reg.metrics().snapshot().counter("server.sessions.created"), 3);
+    assert_eq!(body, serial_checkpoint("slow", &cfg));
+    let _ = std::fs::remove_dir_all(dir);
+}
