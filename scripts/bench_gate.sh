@@ -6,9 +6,10 @@
 #   scripts/bench_gate.sh smoke      # one bench run + self-check of the gate machinery
 #
 # Profiles (BENCH_GATE_PROFILE=quick|standard|full, default quick):
-#   quick     fit_scaling plus the two pinned kb-q-EGO batches of
-#             acquisition_scaling (above and below BIT_EXACT_MAX_N),
-#             PBO_BENCH_SMOKE truncation — the ci.sh gate
+#   quick     fit_scaling (the maximin initial design included) plus the
+#             two pinned kb-q-EGO batches of acquisition_scaling (above
+#             and below BIT_EXACT_MAX_N), PBO_BENCH_SMOKE truncation —
+#             the ci.sh gate
 #   standard  fit_scaling + acquisition_scaling + sparse_scaling, smoke sizes
 #   full      all three families at full measurement sizes (minutes-scale;
 #             for recording the real BENCH_*.json baselines, not CI)
@@ -41,6 +42,7 @@ PINNED_FIT=(
   "fit_scaling/fit_workspace/64"
   "fit_scaling/gp_update/256q8"
   "fit_scaling/chol/512"
+  "fit_scaling/maximin_lhs/1024" # the initial design every session create draws
 )
 # The kb-q-EGO batches above and below BIT_EXACT_MAX_N (n = 136/256 and
 # n = 48/128 under smoke/full; the latter is the regime serve_bo runs):
