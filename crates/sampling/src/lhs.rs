@@ -11,13 +11,15 @@
 //! a sequential sum of non-negative terms in coordinate order, and a
 //! rounded sum of non-negative terms never decreases as terms are added,
 //! so a pair's first-coordinate term or any partial sum is a lower bound
-//! on its full sum. A pair is skipped only when such a bound already
-//! reaches the running minimum, so it could not have lowered it. The pair
-//! that attains the minimum is therefore always summed in full, in the
-//! same order, and every score that can decide the choice keeps its bits.
-//! A later draw is abandoned once its running minimum is at most the best
-//! score so far: its score can only end there or lower, and a draw wins
-//! only on a strictly larger score.
+//! on its full sum. Points are swept in order of their first coordinate,
+//! and rounding is monotone, so along one point's sweep that first term
+//! never shrinks. A pair, or the rest of a sweep, is skipped only when
+//! such a bound already reaches the running minimum, so it could not
+//! have lowered it. The pair that attains the minimum is therefore
+//! always summed in full, in the same order, and every score that can
+//! decide the choice keeps its bits. A later draw is abandoned once its
+//! running minimum is at most the best score so far: its score can only
+//! end there or lower, and a draw wins only on a strictly larger score.
 
 use rand::seq::SliceRandom;
 use rand::Rng;

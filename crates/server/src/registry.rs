@@ -235,13 +235,8 @@ impl Registry {
         id: &str,
         f: impl FnOnce(&mut SessionEntry) -> Result<R, ErrorBody>,
     ) -> Result<R, ErrorBody> {
-        let entry = self
-            .sessions
-            .lock()
-            .expect("session table poisoned")
-            .get(id)
-            .cloned()
-            .ok_or_else(|| unknown_session(id))?;
+        let entry = self.sessions.lock().expect("session table poisoned").get(id).cloned();
+        let entry = entry.ok_or_else(|| unknown_session(id))?;
         let mut guard = entry.lock().expect("session entry poisoned");
         f(guard.as_mut().ok_or_else(|| unknown_session(id))?)
     }
@@ -258,12 +253,12 @@ impl Registry {
     pub fn create(&self, id: &str, cfg: SessionConfig) -> Result<CreateReply, ErrorBody> {
         validate_id(id)?;
         let key = cfg.key();
-        let entry: Slot = Arc::new(Mutex::new(None));
-        let mut slot = entry.lock().expect("fresh entry");
+        let slot: Slot = Arc::new(Mutex::new(None));
+        let mut reserved = slot.lock().expect("fresh slot");
         loop {
             let mut table = self.sessions.lock().expect("session table poisoned");
             let Some(existing) = table.get(id).cloned() else {
-                table.insert(id.to_string(), entry.clone());
+                table.insert(id.to_string(), slot.clone());
                 break;
             };
             // Never wait on an entry while holding the table.
@@ -285,7 +280,7 @@ impl Registry {
                 ))
             };
         }
-        let reservation = Reservation { registry: self, id, entry: &entry };
+        let reservation = Reservation { registry: self, id, slot: &slot };
         let observer = MetricsObserver::new(self.metrics.clone());
         let state = SessionState::create_observed(cfg, observer)
             .map_err(|e| ErrorBody::from_session(&e))?;
@@ -306,7 +301,7 @@ impl Registry {
         // Persisted: the id stays taken.
         std::mem::forget(reservation);
         self.metrics.counter("server.sessions.created").inc();
-        *slot = Some(SessionEntry::Live(Box::new(state)));
+        *reserved = Some(SessionEntry::Live(Box::new(state)));
         Ok(CreateReply { created: true, key, turn: 0 })
     }
 
@@ -503,14 +498,14 @@ impl Registry {
 struct Reservation<'a> {
     registry: &'a Registry,
     id: &'a str,
-    entry: &'a Slot,
+    slot: &'a Slot,
 }
 
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
         let mut table = self.registry.sessions.lock().unwrap_or_else(|e| e.into_inner());
         // A `close` and a new create may have replaced the slot meanwhile.
-        if table.get(self.id).is_some_and(|slot| Arc::ptr_eq(slot, self.entry)) {
+        if table.get(self.id).is_some_and(|slot| Arc::ptr_eq(slot, self.slot)) {
             table.remove(self.id);
         }
     }

@@ -1358,11 +1358,12 @@ fn create_in_flight_holds_only_its_own_id() {
     };
     let first = spawn(create_slow(cfg.clone()));
     // Once `slow` is reserved, requests on other ids finish while it is
-    // mid-create. Only this thread touches the registry until then, so
-    // a table lock held across the create fails the test, not hangs it.
+    // mid-create. They run on a helper that this thread awaits on a
+    // channel, so a table lock held across a create fails the test
+    // instead of hanging it.
     let (tx, rx) = mpsc::channel();
     let bystander_cfg = cfg.clone();
-    spawn(Box::new(move |r: &Registry| {
+    let bystander = spawn(Box::new(move |r: &Registry| {
         wait_until("the reservation", || r.len() == 2);
         let ask = r.ask("other").unwrap();
         let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
@@ -1371,8 +1372,8 @@ fn create_in_flight_holds_only_its_own_id() {
         tx.send((third, r.status("other").unwrap().0.turn)).unwrap();
         String::new()
     }));
-    let bystander = rx.recv_timeout(Duration::from_secs(60));
-    assert_eq!(bystander, Ok((true, 1)), "a request on another id waited behind a create");
+    let served = rx.recv_timeout(Duration::from_secs(60));
+    assert_eq!(served, Ok((true, 1)), "a request on another id waited behind a create");
     assert!(!first.is_finished(), "the create replied before its checkpoint was written");
     let second = spawn(create_slow(cfg.clone()));
     let list = spawn(Box::new(|r: &Registry| format!("{:?}", r.list())));
@@ -1386,6 +1387,7 @@ fn create_in_flight_holds_only_its_own_id() {
     let listed = list.join().unwrap();
     assert!(listed.contains("(\"slow\", \"design\", 0)"), "{listed}");
     assert_eq!(gc.join().unwrap(), "[]");
+    bystander.join().unwrap();
     assert_eq!(reg.metrics().snapshot().counter("server.sessions.created"), 3);
     assert_eq!(body, serial_checkpoint("slow", &cfg));
     let _ = std::fs::remove_dir_all(dir);
