@@ -80,7 +80,8 @@ pub fn maximin_latin_hypercube<R: Rng + ?Sized>(
     best.expect("tries >= 1").1
 }
 
-/// Minimum pairwise squared distance of a point set (`inf` for < 2 pts).
+/// Minimum pairwise squared distance of a point set of equal-length
+/// rows (`inf` for < 2 pts).
 pub fn min_pairwise_dist2(pts: &[Vec<f64>]) -> f64 {
     min_dist2_above(pts, f64::NEG_INFINITY)
 }

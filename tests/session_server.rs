@@ -1325,12 +1325,23 @@ fn failed_create_frees_the_id_and_writes_no_checkpoint() {
 }
 
 /// Poll `done` until it holds; panics after a minute.
+#[cfg(unix)]
 fn wait_until(what: &str, done: impl Fn() -> bool) {
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
     while !done() {
         assert!(std::time::Instant::now() < deadline, "{what} never happened");
         std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+/// Run `f` against the registry on a thread of its own.
+#[cfg(unix)]
+fn on_thread<T: Send + 'static>(
+    reg: &Arc<Registry>,
+    f: impl FnOnce(&Registry) -> T + Send + 'static,
+) -> std::thread::JoinHandle<T> {
+    let reg = reg.clone();
+    std::thread::spawn(move || f(&reg))
 }
 
 /// The session table is locked only to check and reserve an id. A
@@ -1349,44 +1360,35 @@ fn create_in_flight_holds_only_its_own_id() {
     let fifo = dir.join("slow.session.json.tmp");
     assert!(std::process::Command::new("mkfifo").arg(&fifo).status().unwrap().success());
 
-    let spawn = |f: Box<dyn FnOnce(&Registry) -> String + Send>| {
-        let reg = reg.clone();
-        std::thread::spawn(move || f(&reg))
-    };
-    let create_slow = |cfg: SessionConfig| {
-        Box::new(move |r: &Registry| format!("{:?}", r.create("slow", cfg).map(|c| c.created)))
-    };
-    let first = spawn(create_slow(cfg.clone()));
+    let create_slow = |cfg: SessionConfig| move |r: &Registry| r.create("slow", cfg).unwrap().created;
+    let first = on_thread(&reg, create_slow(cfg.clone()));
     // Once `slow` is reserved, requests on other ids finish while it is
     // mid-create. They run on a helper that this thread awaits on a
     // channel, so a table lock held across a create fails the test
     // instead of hanging it.
     let (tx, rx) = mpsc::channel();
     let bystander_cfg = cfg.clone();
-    let bystander = spawn(Box::new(move |r: &Registry| {
+    let bystander = on_thread(&reg, move |r| {
         wait_until("the reservation", || r.len() == 2);
         let ask = r.ask("other").unwrap();
         let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
         r.tell("other", ask.turn, &values).unwrap();
         let third = r.create("third", bystander_cfg).unwrap().created;
         tx.send((third, r.status("other").unwrap().0.turn)).unwrap();
-        String::new()
-    }));
+    });
     let served = rx.recv_timeout(Duration::from_secs(60));
     assert_eq!(served, Ok((true, 1)), "a request on another id waited behind a create");
     assert!(!first.is_finished(), "the create replied before its checkpoint was written");
-    let second = spawn(create_slow(cfg.clone()));
-    let list = spawn(Box::new(|r: &Registry| format!("{:?}", r.list())));
-    let gc = spawn(Box::new(|r: &Registry| {
-        format!("{:?}", r.gc(&GcPolicy { max_age_secs: None, keep_newest: 0 }).evicted)
-    }));
+    let second = on_thread(&reg, create_slow(cfg.clone()));
+    let list = on_thread(&reg, |r| r.list());
+    let gc = on_thread(&reg, |r| r.gc(&GcPolicy { max_age_secs: None, keep_newest: 0 }));
 
     let body = std::fs::read_to_string(&fifo).unwrap();
-    assert_eq!(first.join().unwrap(), "Ok(true)");
-    assert_eq!(second.join().unwrap(), "Ok(false)");
+    assert!(first.join().unwrap());
+    assert!(!second.join().unwrap());
     let listed = list.join().unwrap();
-    assert!(listed.contains("(\"slow\", \"design\", 0)"), "{listed}");
-    assert_eq!(gc.join().unwrap(), "[]");
+    assert!(listed.contains(&("slow".into(), "design".into(), 0)), "{listed:?}");
+    assert!(gc.join().unwrap().evicted.is_empty());
     bystander.join().unwrap();
     assert_eq!(reg.metrics().snapshot().counter("server.sessions.created"), 3);
     assert_eq!(body, serial_checkpoint("slow", &cfg));
