@@ -16,7 +16,7 @@
 use super::acq_multistart;
 use crate::engine::AlgoConfig;
 use pbo_acq::single::{optimize_single, UpperConfidenceBound};
-use pbo_gp::Surrogate;
+use pbo_gp::GaussianProcess;
 use pbo_linalg::Matrix;
 use pbo_opt::Bounds;
 use pbo_sampling::sobol::Sobol;
@@ -30,7 +30,7 @@ const VAR_FLOOR: f64 = 1e-12;
 /// batch plus the leader's multistart restart shortfall — the fillers
 /// run no restarts at all.
 pub fn gp_ucb_pe_batch(
-    gp: &dyn Surrogate,
+    gp: &GaussianProcess,
     bounds: &Bounds,
     q: usize,
     n_cand: usize,

@@ -18,14 +18,14 @@
 use super::acq_multistart;
 use crate::engine::AlgoConfig;
 use pbo_acq::single::{optimize_single, ExpectedImprovement};
-use pbo_gp::FantasySurrogate;
+use pbo_gp::GaussianProcess;
 use pbo_opt::Bounds;
 
 /// Build one adaptive batch of between 1 and `q_max` candidates.
 /// Returns the batch plus the summed multistart restart shortfall
 /// (including the final, rejected maximization — its work was done).
-pub fn hybrid_batch<S: FantasySurrogate>(
-    gp: &S,
+pub fn hybrid_batch(
+    gp: &GaussianProcess,
     bounds: &Bounds,
     q_max: usize,
     cfg: &AlgoConfig,
@@ -39,7 +39,7 @@ pub fn hybrid_batch<S: FantasySurrogate>(
         let f_best = model.best_observed(false);
         let ei = ExpectedImprovement { f_best };
         let ms = acq_multistart(cfg, seed.wrapping_add(i as u64));
-        let r = optimize_single(&model as &dyn pbo_gp::Surrogate, &ei, bounds, &[], &ms);
+        let r = optimize_single(&model, &ei, bounds, &[], &ms);
         shortfall += r.restart_shortfall;
         if i == 0 {
             v0 = r.value;

@@ -11,15 +11,14 @@
 use super::acq_multistart;
 use crate::engine::{AlgoConfig, FantasyKind};
 use pbo_acq::single::{optimize_single, ExpectedImprovement};
-use pbo_gp::FantasySurrogate;
+use pbo_gp::GaussianProcess;
 use pbo_opt::Bounds;
 
 /// Build one Kriging-Believer batch of `q` candidates. Returns the
-/// batch plus the summed multistart restart shortfall. Generic over the
-/// surrogate backend: the believer's sequential conditioning costs
-/// O(n²) per fantasy on the dense GP and O(m²) on the sparse one.
-pub fn kb_batch<S: FantasySurrogate>(
-    gp: &S,
+/// batch plus the summed multistart restart shortfall. The believer's
+/// sequential conditioning costs O(n²) per fantasy.
+pub fn kb_batch(
+    gp: &GaussianProcess,
     bounds: &Bounds,
     q: usize,
     cfg: &AlgoConfig,
@@ -32,7 +31,7 @@ pub fn kb_batch<S: FantasySurrogate>(
         let f_best = model.best_observed(false);
         let ei = ExpectedImprovement { f_best };
         let ms = acq_multistart(cfg, seed.wrapping_add(i as u64));
-        let r = optimize_single(&model as &dyn pbo_gp::Surrogate, &ei, bounds, &[], &ms);
+        let r = optimize_single(&model, &ei, bounds, &[], &ms);
         shortfall += r.restart_shortfall;
         if i + 1 < q {
             // Fantasy conditioning (the believer by default; constant

@@ -10,14 +10,13 @@
 use super::acq_multistart;
 use crate::engine::AlgoConfig;
 use pbo_acq::single::{optimize_single, ExpectedImprovement, UpperConfidenceBound};
-use pbo_gp::FantasySurrogate;
+use pbo_gp::GaussianProcess;
 use pbo_opt::Bounds;
 
 /// Build one multi-infill batch of `q` candidates. Returns the batch
-/// plus the summed multistart restart shortfall. Generic over the
-/// surrogate backend, like [`super::kb_qego::kb_batch`].
-pub fn mic_batch<S: FantasySurrogate>(
-    gp: &S,
+/// plus the summed multistart restart shortfall.
+pub fn mic_batch(
+    gp: &GaussianProcess,
     bounds: &Bounds,
     q: usize,
     cfg: &AlgoConfig,
@@ -31,7 +30,7 @@ pub fn mic_batch<S: FantasySurrogate>(
         let f_best = model.best_observed(false);
         let ei = ExpectedImprovement { f_best };
         let ms = acq_multistart(cfg, seed.wrapping_add(step));
-        let r1 = optimize_single(&model as &dyn pbo_gp::Surrogate, &ei, bounds, &[], &ms);
+        let r1 = optimize_single(&model, &ei, bounds, &[], &ms);
         shortfall += r1.restart_shortfall;
         let x1 = r1.x;
         batch.push(x1.clone());
@@ -42,7 +41,7 @@ pub fn mic_batch<S: FantasySurrogate>(
             // 6–7: both argmax calls precede the partial update).
             let ucb = UpperConfidenceBound { beta: cfg.acq.ucb_beta };
             let ms2 = acq_multistart(cfg, seed.wrapping_add(step).wrapping_add(0x0CB));
-            let r2 = optimize_single(&model as &dyn pbo_gp::Surrogate, &ucb, bounds, &[], &ms2);
+            let r2 = optimize_single(&model, &ucb, bounds, &[], &ms2);
             shortfall += r2.restart_shortfall;
             let x2 = r2.x;
             fantasies.push((x2.clone(), model.predict_mean(&x2)));

@@ -58,20 +58,6 @@ pub enum ConfigError {
     /// schedule that re-fits hyperparameters every cycle, which leaves
     /// no hyperparameter-stable cycle for the fast path to run on.
     IncrementalUpdatesNeedStableCycles,
-    /// The sparse backend's inducing-point budget is too small to carry
-    /// a posterior (needs at least 2 points).
-    SparseInducingTooSmall {
-        /// The offending `m`.
-        got: usize,
-    },
-    /// The sparse backend's auto-switch threshold fires before the
-    /// dataset can supply `m` inducing candidates.
-    SparseSwitchBeforeInducing {
-        /// Configured inducing-point budget.
-        m: usize,
-        /// Configured switch threshold (must be >= `m`).
-        switch_at: usize,
-    },
     /// The adaptive-q hybrid's growth threshold must lie in (0, 1].
     HybridEtaOutOfRange {
         /// The offending `hybrid_eta`.
@@ -123,16 +109,6 @@ impl fmt::Display for ConfigError {
                     f,
                     "incremental_updates requires full_fit_every > 1; with a full refit every \
                      cycle there are no hyperparameter-stable cycles to update through"
-                )
-            }
-            ConfigError::SparseInducingTooSmall { got } => {
-                write!(f, "sparse surrogate needs at least 2 inducing points, got m = {got}")
-            }
-            ConfigError::SparseSwitchBeforeInducing { m, switch_at } => {
-                write!(
-                    f,
-                    "sparse switch threshold ({switch_at}) fires before the dataset can \
-                     supply m = {m} inducing candidates; need switch_at >= m"
                 )
             }
             ConfigError::HybridEtaOutOfRange { got } => {
@@ -189,10 +165,8 @@ mod tests {
         assert!(s.contains("budget.sim_seconds"));
         assert!(s.contains("-1"));
         assert!(ConfigError::ZeroBatchSize.to_string().contains("batch size"));
-        let e = ConfigError::SparseInducingTooSmall { got: 1 };
-        assert!(e.to_string().contains("m = 1"));
-        let e = ConfigError::SparseSwitchBeforeInducing { m: 64, switch_at: 10 };
-        assert!(e.to_string().contains("64") && e.to_string().contains("10"));
+        let e = ConfigError::HybridEtaOutOfRange { got: 1.5 };
+        assert!(e.to_string().contains("1.5"));
     }
 
     #[test]

@@ -19,13 +19,7 @@
 //!   Believer heuristic's inner update) and real-data appends,
 //! - [`fit`]: marginal likelihood, its gradient, and the multi-start /
 //!   warm-start fitting drivers (the paper's "full update at the start
-//!   of a cycle, reduced budget inside the acquisition loop"),
-//! - [`sparse`]: the [`sparse::SparseGaussianProcess`] inducing-point
-//!   backend (FITC, `O(n m²)` fit / `O(m²)` predict) for studies past
-//!   the dense `O(n³)` wall,
-//! - [`surrogate`]: the backend-agnostic [`surrogate::Surrogate`] /
-//!   [`surrogate::FantasySurrogate`] traits and the
-//!   [`surrogate::SurrogateModel`] dispatch enum the BO engine stores.
+//!   of a cycle, reduced budget inside the acquisition loop").
 //!
 //! Inputs are expected in (roughly) the unit cube — the BO engine
 //! normalizes all problems — and targets are standardized internally;
@@ -35,15 +29,11 @@
 pub mod fit;
 pub mod gp;
 pub mod kernel;
-pub mod sparse;
-pub mod surrogate;
 pub mod workspace;
 
 pub use fit::{FitConfig, FitReport};
 pub use gp::{GaussianProcess, PredictWorkspace};
 pub use kernel::{Kernel, KernelType};
-pub use sparse::SparseGaussianProcess;
-pub use surrogate::{FantasySurrogate, Surrogate, SurrogateModel};
 pub use workspace::FitWorkspace;
 
 /// Errors from model construction and fitting.

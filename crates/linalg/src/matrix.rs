@@ -173,11 +173,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the flat buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Copy of column `j`.
     pub fn col(&self, j: usize) -> Vec<f64> {
         (0..self.rows).map(|i| self[(i, j)]).collect()
@@ -272,11 +267,6 @@ impl Matrix {
             }
         });
         Ok(out)
-    }
-
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        dot(&self.data, &self.data).sqrt()
     }
 
     /// Largest absolute entry.

@@ -100,18 +100,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Squared Euclidean distance between two points.
-#[inline]
-pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut s = 0.0;
-    for (ai, bi) in a.iter().zip(b) {
-        let d = ai - bi;
-        s += d * d;
-    }
-    s
-}
-
 /// Weighted squared distance `sum_i ((a_i - b_i) * w_i)^2`, the kernel-space
 /// distance used by ARD (automatic relevance determination) kernels where
 /// `w_i = 1 / lengthscale_i`.

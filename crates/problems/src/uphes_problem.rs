@@ -1,7 +1,7 @@
 //! The UPHES scheduling problem as a [`Problem`].
 
 use crate::Problem;
-use pbo_uphes::{PlantConfig, Simulator, DECISION_DIM};
+use pbo_uphes::{Simulator, DECISION_DIM};
 
 /// Maximize the expected daily profit of the UPHES plant over the
 /// 12-dimensional unit-cube decision space.
@@ -28,11 +28,6 @@ impl UphesProblem {
     /// (the paper's "market day").
     pub fn maizeret(seed: u64) -> Self {
         Self::new(Simulator::maizeret(seed))
-    }
-
-    /// Instance with a custom plant configuration.
-    pub fn with_config(cfg: PlantConfig) -> Self {
-        Self::new(Simulator::new(cfg))
     }
 
     /// Access to the underlying simulator (for detailed breakdowns).

@@ -10,8 +10,8 @@
 #             two pinned kb-q-EGO batches of acquisition_scaling (above
 #             and below BIT_EXACT_MAX_N), PBO_BENCH_SMOKE truncation —
 #             the ci.sh gate
-#   standard  fit_scaling + acquisition_scaling + sparse_scaling, smoke sizes
-#   full      all three families at full measurement sizes (minutes-scale;
+#   standard  fit_scaling + acquisition_scaling, smoke sizes
+#   full      both families at full measurement sizes (minutes-scale;
 #             for recording the real BENCH_*.json baselines, not CI)
 #
 # The gate pins a handful of headline cases (below) and compares their
@@ -35,7 +35,7 @@ BASELINE="${BENCH_GATE_BASELINE:-$GATE_DIR/baseline.jsonl}"
 TOL_PCT="${BENCH_GATE_TOL_PCT:-15}"
 
 # Headline cases per bench family. All fit_scaling cases exist under the
-# PBO_BENCH_SMOKE truncation; the acquisition/sparse cases are chosen so
+# PBO_BENCH_SMOKE truncation; the acquisition cases are chosen so
 # the same id exists in both smoke and full profiles.
 PINNED_FIT=(
   "fit_scaling/mll_grad_workspace/64"
@@ -56,10 +56,6 @@ PINNED_ACQ=(
   "acq_mc_qei_joint/2"
   "acq_gp_ucb_pe/2"
 )
-PINNED_SPARSE=(
-  "sparse_scaling/sparse_build/1024"
-  "sparse_scaling/sparse_predict_many_q256/1024"
-)
 
 case "$PROFILE" in
   quick)
@@ -71,13 +67,13 @@ case "$PROFILE" in
     SMOKE=1
     ;;
   standard)
-    BENCHES=(fit_scaling acquisition_scaling sparse_scaling)
-    PINNED=("${PINNED_FIT[@]}" "${PINNED_ACQ[@]}" "${PINNED_SPARSE[@]}")
+    BENCHES=(fit_scaling acquisition_scaling)
+    PINNED=("${PINNED_FIT[@]}" "${PINNED_ACQ[@]}")
     SMOKE=1
     ;;
   full)
-    BENCHES=(fit_scaling acquisition_scaling sparse_scaling)
-    PINNED=("${PINNED_FIT[@]}" "${PINNED_ACQ[@]}" "${PINNED_SPARSE[@]}")
+    BENCHES=(fit_scaling acquisition_scaling)
+    PINNED=("${PINNED_FIT[@]}" "${PINNED_ACQ[@]}")
     SMOKE=0
     ;;
   *)

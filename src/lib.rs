@@ -74,9 +74,7 @@ pub use pbo_uphes as uphes;
 pub mod prelude {
     pub use crate::core::algorithms::{run_algorithm_observed, AlgorithmKind};
     pub use crate::core::budget::{Budget, Stopping};
-    pub use crate::core::config::{
-        AcqConfig, AlgoConfig, FantasyKind, QeiConfig, SurrogateBackend,
-    };
+    pub use crate::core::config::{AcqConfig, AlgoConfig, FantasyKind, QeiConfig};
     pub use crate::core::engine::{Engine, EngineBuilder};
     pub use crate::core::error::ConfigError;
     pub use crate::core::exec::FtPolicy;
