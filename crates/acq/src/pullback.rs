@@ -129,11 +129,8 @@ mod tests {
                 let fd = (f_of_sigma(&plus) - f_of_sigma(&minus)) / (2.0 * h);
                 // Perturbing the symmetric pair (a,b)+(b,a) picks up both
                 // adjoint entries.
-                let analytic = if a == b {
-                    sigma_bar[(a, b)]
-                } else {
-                    sigma_bar[(a, b)] + sigma_bar[(b, a)]
-                };
+                let analytic =
+                    if a == b { sigma_bar[(a, b)] } else { sigma_bar[(a, b)] + sigma_bar[(b, a)] };
                 assert!(
                     (fd - analytic).abs() < 1e-6 * (1.0 + fd.abs()),
                     "entry ({a},{b}): fd {fd} vs analytic {analytic}"

@@ -73,9 +73,8 @@ fn analytic_acquisition_workspace_path_is_allocation_free_after_warmup() {
         &ProbabilityOfImprovement { f_best },
         &UpperConfidenceBound::default(),
     ];
-    let queries: Vec<Vec<f64>> = (0..16)
-        .map(|i| (0..d).map(|j| (((i * d + j) as f64) * 0.417).fract()).collect())
-        .collect();
+    let queries: Vec<Vec<f64>> =
+        (0..16).map(|i| (0..d).map(|j| (((i * d + j) as f64) * 0.417).fract()).collect()).collect();
 
     let mut ws = AcqWorkspace::new();
     let mut grad = Vec::with_capacity(d);

@@ -41,11 +41,7 @@ fn sigma_floor_is_reachable() {
     // Guard that the degenerate model actually exercises the σ floor.
     let gp = degenerate_model();
     let (_, var) = gp.predict(&[0.2, 0.2]);
-    assert!(
-        var.sqrt() < 1e-12,
-        "expected sub-floor σ at a training point, got {}",
-        var.sqrt()
-    );
+    assert!(var.sqrt() < 1e-12, "expected sub-floor σ at a training point, got {}", var.sqrt());
 }
 
 proptest! {

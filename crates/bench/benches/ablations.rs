@@ -93,8 +93,7 @@ fn ablation_bsp_cells(c: &mut Criterion) {
     for &factor in &[1usize, 2] {
         let q = 4;
         let tree = pbo_core::partition::BspTree::new(Bounds::unit(12), factor * q);
-        let cells: Vec<Bounds> =
-            tree.leaves().iter().map(|&l| tree.bounds_of(l).clone()).collect();
+        let cells: Vec<Bounds> = tree.leaves().iter().map(|&l| tree.bounds_of(l).clone()).collect();
         g.bench_with_input(BenchmarkId::from_parameter(factor), &factor, |b, _| {
             b.iter(|| {
                 let mut total = 0.0;

@@ -194,8 +194,7 @@ fn bench_bsp_cells(c: &mut Criterion) {
     tune(&mut g);
     for &q in q_grid() {
         let tree = pbo_core::partition::BspTree::new(Bounds::unit(12), 2 * q);
-        let cells: Vec<Bounds> =
-            tree.leaves().iter().map(|&l| tree.bounds_of(l).clone()).collect();
+        let cells: Vec<Bounds> = tree.leaves().iter().map(|&l| tree.bounds_of(l).clone()).collect();
         g.bench_with_input(BenchmarkId::from_parameter(q), &q, |b, _| {
             b.iter(|| {
                 let mut total = 0.0;

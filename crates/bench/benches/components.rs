@@ -89,9 +89,8 @@ fn bench_fantasy_update(c: &mut Criterion) {
     let kernel = Kernel::new(KernelType::Matern52, 12);
     let gp = GaussianProcess::new(x, &y, kernel, 1e-4).unwrap();
     let mut rng = SeedStream::new(5).fork_named("f").rng();
-    let new_x: Vec<Vec<f64>> = (0..4)
-        .map(|_| (0..12).map(|_| rng.gen::<f64>()).collect())
-        .collect();
+    let new_x: Vec<Vec<f64>> =
+        (0..4).map(|_| (0..12).map(|_| rng.gen::<f64>()).collect()).collect();
     let new_y: Vec<f64> = (0..4).map(|_| rng.gen::<f64>()).collect();
     c.bench_function("fantasy_condition_on_q4_n256", |b| {
         b.iter(|| {

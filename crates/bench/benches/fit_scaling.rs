@@ -106,8 +106,7 @@ fn mll_and_grad_pre(
     let denom = dot(&ones, &kinv_ones).max(1e-300);
     let trend = dot(&ones, &kinv_y) / denom;
     let r: Vec<f64> = y_std.iter().map(|v| v - trend).collect();
-    let alpha: Vec<f64> =
-        kinv_y.iter().zip(&kinv_ones).map(|(a, b)| a - trend * b).collect();
+    let alpha: Vec<f64> = kinv_y.iter().zip(&kinv_ones).map(|(a, b)| a - trend * b).collect();
     let mll = -0.5 * dot(&r, &alpha)
         - 0.5 * chol.log_det()
         - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
@@ -128,8 +127,7 @@ fn mll_and_grad_pre(
     }
 
     let mut grad = vec![0.0; d + 2];
-    let inv_ls2: Vec<f64> =
-        kernel.lengthscales.iter().map(|l| 1.0 / (l * l)).collect();
+    let inv_ls2: Vec<f64> = kernel.lengthscales.iter().map(|l| 1.0 / (l * l)).collect();
     for a in 0..n {
         for b in 0..a {
             let w = alpha[a] * alpha[b] - kinv[(a, b)];
@@ -178,8 +176,7 @@ fn bench_mll_paths(c: &mut Criterion) {
         {
             let (v_pre, g_pre) =
                 mll_and_grad_pre(KernelType::Matern52, &x, &y_std, &params).unwrap();
-            let (v_ref, g_ref) =
-                mll_and_grad(KernelType::Matern52, &x, &y_std, &params).unwrap();
+            let (v_ref, g_ref) = mll_and_grad(KernelType::Matern52, &x, &y_std, &params).unwrap();
             assert!((v_pre - v_ref).abs() <= 1e-9 * (1.0 + v_ref.abs()));
             for (a, b) in g_pre.iter().zip(&g_ref) {
                 assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
@@ -194,11 +191,7 @@ fn bench_mll_paths(c: &mut Criterion) {
         let mut ws = FitWorkspace::new();
         ws.prepare(&x);
         g.bench_with_input(BenchmarkId::new("mll_grad_workspace", n), &n, |b, _| {
-            b.iter(|| {
-                mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params)
-                    .unwrap()
-                    .0
-            })
+            b.iter(|| mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap().0)
         });
     }
     g.finish();
@@ -233,9 +226,7 @@ fn fit_pre(x: &Matrix, y: &[f64], cfg: &FitConfig, seeds: &mut SeedStream) -> f6
     let mut rng = seeds.fork_named("fit-starts").rng();
     let mut starts = vec![mid_params()];
     for _ in 0..cfg.restarts {
-        let mut p: Vec<f64> = (0..d)
-            .map(|_| rng.gen_range((0.1f64).ln()..(2.0f64).ln()))
-            .collect();
+        let mut p: Vec<f64> = (0..d).map(|_| rng.gen_range((0.1f64).ln()..(2.0f64).ln())).collect();
         p.push(0.0);
         p.push(rng.gen_range((1e-6f64).ln()..(1e-2f64).ln()));
         starts.push(p);
@@ -328,8 +319,7 @@ fn bench_update_vs_refit(c: &mut Criterion) {
             let x = Matrix::from_fn(n, DIM, |i, j| x_all[(i, j)]);
             let kernel = Kernel::new(KernelType::Matern52, DIM);
             let base = GaussianProcess::new(x, &y_all[..n], kernel.clone(), 1e-4).unwrap();
-            let new_xs: Vec<Vec<f64>> =
-                (n..n + q).map(|i| x_all.row(i).to_vec()).collect();
+            let new_xs: Vec<Vec<f64>> = (n..n + q).map(|i| x_all.row(i).to_vec()).collect();
             let new_ys = &y_all[n..];
             let id = format!("{n}q{q}");
             g.bench_with_input(BenchmarkId::new("gp_update", &id), &n, |b, _| {
@@ -341,9 +331,7 @@ fn bench_update_vs_refit(c: &mut Criterion) {
             });
             g.bench_with_input(BenchmarkId::new("gp_rebuild", &id), &n, |b, _| {
                 b.iter(|| {
-                    GaussianProcess::new(x_all.clone(), &y_all, kernel.clone(), 1e-4)
-                        .unwrap()
-                        .n()
+                    GaussianProcess::new(x_all.clone(), &y_all, kernel.clone(), 1e-4).unwrap().n()
                 })
             });
         }

@@ -52,12 +52,8 @@ fn main() {
     let mut ws = FitWorkspace::new();
     ws.prepare(&x);
 
-    time("mll_and_grad_ws", 20, || {
-        mll_and_grad_ws(family, &mut ws, &y_std, &params).unwrap().0
-    });
-    time("mll_and_grad naive", 20, || {
-        mll_and_grad(family, &x, &y_std, &params).unwrap().0
-    });
+    time("mll_and_grad_ws", 20, || mll_and_grad_ws(family, &mut ws, &y_std, &params).unwrap().0);
+    time("mll_and_grad naive", 20, || mll_and_grad(family, &x, &y_std, &params).unwrap().0);
 
     // Individual phases on a fixed K_y.
     let (kernel, noise) = pbo_gp::fit::unpack(family, &params);
@@ -65,9 +61,7 @@ fn main() {
     ky.add_diag(noise);
     time("kernel.matrix", 20, || kernel.matrix(&x)[(1, 0)]);
     let chol = Cholesky::factor(&ky).unwrap();
-    time("cholesky factor", 20, || {
-        Cholesky::factor(&ky).unwrap().l()[(0, 0)]
-    });
+    time("cholesky factor", 20, || Cholesky::factor(&ky).unwrap().l()[(0, 0)]);
     let mut minv = Matrix::zeros(n, n);
     time("inv_lower_t_into", 20, || {
         chol.inv_lower_t_into(&mut minv);

@@ -44,10 +44,7 @@ fn save_csv(path: &Path, header: &str, rows: &[Vec<f64>]) {
 
 /// Run the full (algorithm × batch) grid for one problem through the
 /// orchestrator, reusing the same seeds across algorithms.
-fn run_grid(
-    spec: ProblemSpec,
-    opts: &Opts,
-) -> (Vec<usize>, Vec<AlgorithmKind>, GridRecords) {
+fn run_grid(spec: ProblemSpec, opts: &Opts) -> (Vec<usize>, Vec<AlgorithmKind>, GridRecords) {
     let batches = opts.batches.clone().unwrap_or_else(|| opts.profile.batch_sizes());
     let algos = AlgorithmKind::paper_set().to_vec();
     let runs = opts.runs.unwrap_or_else(|| opts.profile.runs());
@@ -224,13 +221,7 @@ fn uphes_artifacts(opts: &Opts, want: &str) {
             let sims = report::evals_by_batch(&per_q);
             let cycles = report::cycles_by_batch(&per_q);
             for (qi, &q) in batches.iter().enumerate() {
-                println!(
-                    "{:>8} {:>12} {:>12.1} {:>12.1}",
-                    q,
-                    a.name(),
-                    sims[qi].0,
-                    cycles[qi].0
-                );
+                println!("{:>8} {:>12} {:>12.1} {:>12.1}", q, a.name(), sims[qi].0, cycles[qi].0);
                 rows.push(vec![
                     q as f64,
                     ai as f64,
@@ -267,7 +258,10 @@ fn static_tables(which: &str) {
         }
         "table2" => {
             println!("# Table 2: budget allocation");
-            println!("{:>8} | {:>24} | {:>24}", "n_batch", "initial sample (sims)", "sim budget (min)");
+            println!(
+                "{:>8} | {:>24} | {:>24}",
+                "n_batch", "initial sample (sims)", "sim budget (min)"
+            );
             for q in [1usize, 2, 4, 8, 16] {
                 let b = pbo_core::budget::Budget::paper(q);
                 let mins = match b.stopping {
@@ -303,13 +297,8 @@ fn baseline(opts: &Opts) {
     let r = pbo_problems::random_search::random_search(&p, n, 99);
     println!("# §4 random baseline: best of {n} uniform samples");
     println!("best expected profit = {:.0} EUR", r.value);
-    let rows: Vec<Vec<f64>> = r
-        .trace
-        .iter()
-        .enumerate()
-        .step_by(50)
-        .map(|(i, v)| vec![i as f64, *v])
-        .collect();
+    let rows: Vec<Vec<f64>> =
+        r.trace.iter().enumerate().step_by(50).map(|(i, v)| vec![i as f64, *v]).collect();
     save_csv(&opts.out.join("baseline_random.csv"), "eval,best_profit", &rows);
 }
 
@@ -323,8 +312,15 @@ fn calibrate(opts: &Opts) {
     for algo in [AlgorithmKind::Turbo, AlgorithmKind::KbQEgo, AlgorithmKind::McQEgo] {
         let budget = opts.profile.budget(1);
         let t0 = std::time::Instant::now();
-        let r = run_algorithm_observed(algo, problem.as_ref(), &budget, cfg.clone(), 4242, NullObserver)
-            .expect("profile configurations are valid");
+        let r = run_algorithm_observed(
+            algo,
+            problem.as_ref(),
+            &budget,
+            cfg.clone(),
+            4242,
+            NullObserver,
+        )
+        .expect("profile configurations are valid");
         println!(
             "{:<10} -> {:>4} cycles ({:.1}s wall), time split fit/acq/sim = {:.0}/{:.0}/{:.0} s",
             algo.name(),
@@ -369,8 +365,7 @@ fn ablation_fantasy(opts: &Opts) {
             })
             .collect();
         let s = report::summarize_final(&recs);
-        let cycles: f64 =
-            recs.iter().map(|r| r.n_cycles() as f64).sum::<f64>() / runs as f64;
+        let cycles: f64 = recs.iter().map(|r| r.n_cycles() as f64).sum::<f64>() / runs as f64;
         println!("{name:<18} | {:>10.3} | {:>10.3} | {cycles:>8.0}", s.mean, s.sd);
     }
 }
@@ -383,7 +378,10 @@ fn extensions(opts: &Opts) {
     let budget = opts.profile.budget(q);
     let cfg = opts.profile.algo_config();
     println!("# extensions: Schwefel-12d, q = {q}, {runs} runs");
-    println!("{:<12} | {:>10} | {:>10} | {:>8} | {:>8}", "algorithm", "mean", "sd", "cycles", "sims");
+    println!(
+        "{:<12} | {:>10} | {:>10} | {:>8} | {:>8}",
+        "algorithm", "mean", "sd", "cycles", "sims"
+    );
     let mut kinds = vec![AlgorithmKind::Turbo, AlgorithmKind::MicQEgo];
     kinds.extend(AlgorithmKind::extension_set());
     let mut finals: Vec<Vec<f64>> = Vec::with_capacity(kinds.len());
@@ -402,10 +400,8 @@ fn extensions(opts: &Opts) {
             })
             .collect();
         let s = report::summarize_final(&recs);
-        let cycles: f64 =
-            recs.iter().map(|r| r.n_cycles() as f64).sum::<f64>() / runs as f64;
-        let sims: f64 =
-            recs.iter().map(|r| r.n_simulations() as f64).sum::<f64>() / runs as f64;
+        let cycles: f64 = recs.iter().map(|r| r.n_cycles() as f64).sum::<f64>() / runs as f64;
+        let sims: f64 = recs.iter().map(|r| r.n_simulations() as f64).sum::<f64>() / runs as f64;
         println!(
             "{:<12} | {:>10.1} | {:>10.1} | {cycles:>8.0} | {sims:>8.0}",
             kind.name(),
@@ -465,7 +461,9 @@ fn main() {
     }
     match opts.artifact.as_str() {
         "table1" | "table2" | "table3" => static_tables(&opts.artifact),
-        "table4" => benchmark_table(ProblemSpec::Rosenbrock, "Table 4: Rosenbrock final cost", &opts),
+        "table4" => {
+            benchmark_table(ProblemSpec::Rosenbrock, "Table 4: Rosenbrock final cost", &opts)
+        }
         "table5" => benchmark_table(ProblemSpec::Ackley, "Table 5: Ackley final cost", &opts),
         "table6" => benchmark_table(ProblemSpec::Schwefel, "Table 6: Schwefel final cost", &opts),
         "table7" | "fig3" | "fig4" | "fig5" | "fig6" | "fig7" | "fig8" | "fig9" => {

@@ -83,10 +83,7 @@ pub fn parse_args(args: &[String]) -> Result<Opts, String> {
             "--trace" => opts.trace = true,
             "--profile" | "--runs" | "--batches" | "--minutes" | "--out" | "--jobs" => {
                 i += 1;
-                let value = args
-                    .get(i)
-                    .ok_or_else(|| format!("{flag} needs a value"))?
-                    .as_str();
+                let value = args.get(i).ok_or_else(|| format!("{flag} needs a value"))?.as_str();
                 match flag {
                     "--profile" => {
                         opts.profile = Profile::from_name(value)
@@ -129,8 +126,7 @@ pub fn parse_args(args: &[String]) -> Result<Opts, String> {
 }
 
 fn parse_count(flag: &str, value: &str) -> Result<usize, String> {
-    let n: usize =
-        value.parse().map_err(|_| format!("{flag}: invalid count '{value}'"))?;
+    let n: usize = value.parse().map_err(|_| format!("{flag}: invalid count '{value}'"))?;
     if n == 0 {
         return Err(format!("{flag}: must be at least 1"));
     }
@@ -145,8 +141,7 @@ fn parse_batches(value: &str) -> Result<Vec<usize>, String> {
             if s.is_empty() {
                 return Err(format!("--batches: empty element in '{value}'"));
             }
-            let q: usize =
-                s.parse().map_err(|_| format!("--batches: invalid batch size '{s}'"))?;
+            let q: usize = s.parse().map_err(|_| format!("--batches: invalid batch size '{s}'"))?;
             if q == 0 {
                 return Err("--batches: batch sizes must be at least 1".to_string());
             }
@@ -187,8 +182,21 @@ mod tests {
         assert_eq!(o.artifact, "help");
         assert_eq!(o.jobs, 1);
         let o = parse_args(&args(&[
-            "table7", "--profile", "smoke", "--runs", "5", "--batches", "1,2,4", "--minutes",
-            "2.5", "--out", "tmp/x", "--jobs", "4", "--resume", "--trace",
+            "table7",
+            "--profile",
+            "smoke",
+            "--runs",
+            "5",
+            "--batches",
+            "1,2,4",
+            "--minutes",
+            "2.5",
+            "--out",
+            "tmp/x",
+            "--jobs",
+            "4",
+            "--resume",
+            "--trace",
         ]))
         .unwrap();
         assert_eq!(o.artifact, "table7");
@@ -232,9 +240,7 @@ mod tests {
         assert!(parse_args(&args(&["t", "--profile", "warp"]))
             .unwrap_err()
             .contains("unknown profile"));
-        assert!(parse_args(&args(&["t", "--frobnicate"]))
-            .unwrap_err()
-            .contains("unknown option"));
+        assert!(parse_args(&args(&["t", "--frobnicate"])).unwrap_err().contains("unknown option"));
         assert!(parse_args(&args(&["t", "--jobs", "0"])).unwrap_err().contains("at least 1"));
     }
 

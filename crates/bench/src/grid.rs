@@ -70,12 +70,7 @@ impl ProblemSpec {
 
     /// Every problem of the paper's evaluation, in table order.
     pub fn all() -> [ProblemSpec; 4] {
-        [
-            ProblemSpec::Rosenbrock,
-            ProblemSpec::Ackley,
-            ProblemSpec::Schwefel,
-            ProblemSpec::Uphes,
-        ]
+        [ProblemSpec::Rosenbrock, ProblemSpec::Ackley, ProblemSpec::Schwefel, ProblemSpec::Uphes]
     }
 }
 
@@ -170,13 +165,7 @@ mod tests {
 
     #[test]
     fn cell_produces_runs_records() {
-        let recs = run_cell(
-            ProblemSpec::Ackley,
-            AlgorithmKind::RandomSearch,
-            2,
-            2,
-            Profile::Smoke,
-        );
+        let recs = run_cell(ProblemSpec::Ackley, AlgorithmKind::RandomSearch, 2, 2, Profile::Smoke);
         assert_eq!(recs.len(), 2);
         for r in &recs {
             assert_eq!(r.batch_size, 2);

@@ -206,18 +206,13 @@ pub fn write_checkpoint(
     push_str_literal(&mut body, &record.algorithm);
     body.push_str(",\"problem\":");
     push_str_literal(&mut body, &record.problem);
-    let _ = write!(
-        body,
-        ",\"q\":{},\"seed\":\"{}\",\"profile\":",
-        record.batch_size, record.seed
-    );
+    let _ = write!(body, ",\"q\":{},\"seed\":\"{}\",\"profile\":", record.batch_size, record.seed);
     push_str_literal(&mut body, profile.name());
     body.push_str("}\n");
     body.push_str(&record.to_json_line());
     body.push('\n');
 
-    pbo_core::checkpoint::atomic_write(path, &body)
-        .map_err(|e| format!("checkpoint: {e}"))
+    pbo_core::checkpoint::atomic_write(path, &body).map_err(|e| format!("checkpoint: {e}"))
 }
 
 /// Read and validate one checkpoint. Any structural problem — missing
@@ -299,19 +294,18 @@ pub fn execute_grid(
         reg.counter("orchestrator.runs_executed").add(executed as u64);
         reg.counter("orchestrator.runs_resumed").add(resumed as u64);
         for ((algo, q), recs) in &records {
-            let name = format!(
-                "orchestrator.cell.{}.{}.q{q}.completed",
-                plan.problem.name(),
-                algo.name()
-            );
+            let name =
+                format!("orchestrator.cell.{}.{}.q{q}.completed", plan.problem.name(), algo.name());
             reg.counter(&name).add(recs.len() as u64);
             let mut faults = pbo_core::record::FaultCounters::default();
             for r in recs {
                 faults.merge(&r.fault_totals());
             }
             if faults.any() {
-                let cell = format!("orchestrator.cell.{}.{}.q{q}", plan.problem.name(), algo.name());
-                reg.counter(&format!("{cell}.faults.failed_attempts")).add(faults.failed_attempts());
+                let cell =
+                    format!("orchestrator.cell.{}.{}.q{q}", plan.problem.name(), algo.name());
+                reg.counter(&format!("{cell}.faults.failed_attempts"))
+                    .add(faults.failed_attempts());
                 reg.counter(&format!("{cell}.faults.imputed")).add(faults.imputed);
                 reg.counter(&format!("{cell}.faults.dropped")).add(faults.dropped);
             }

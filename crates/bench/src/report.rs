@@ -83,11 +83,7 @@ pub fn benchmark_csv_rows(batch_sizes: &[usize], cells: &[Vec<Summary>]) -> Vec<
 
 /// Table 7: per batch size, rows = algorithms, columns =
 /// min/mean/max/sd of the final profit.
-pub fn format_table7(
-    batch_sizes: &[usize],
-    algo_names: &[&str],
-    cells: &[Vec<Summary>],
-) -> String {
+pub fn format_table7(batch_sizes: &[usize], algo_names: &[&str], cells: &[Vec<Summary>]) -> String {
     let mut out = String::new();
     for (qi, &q) in batch_sizes.iter().enumerate() {
         let _ = writeln!(out, "# n_batch = {q}  (UPHES final profit, EUR)");
@@ -263,10 +259,7 @@ mod tests {
     #[test]
     fn table_formatting_contains_all_cells() {
         let s = summarize(&[1.0, 2.0]);
-        let txt = format_benchmark_table("t", &[1, 2], &["x", "y"], &[
-            vec![s, s],
-            vec![s, s],
-        ]);
+        let txt = format_benchmark_table("t", &[1, 2], &["x", "y"], &[vec![s, s], vec![s, s]]);
         assert!(txt.contains("n_batch"));
         assert_eq!(txt.lines().count(), 4);
     }

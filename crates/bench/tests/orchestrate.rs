@@ -3,9 +3,7 @@
 //! interrupted-then-resumed vs uninterrupted campaigns.
 
 use pbo_bench::grid::ProblemSpec;
-use pbo_bench::orchestrate::{
-    execute_grid, write_checkpoint, GridPlan, OrchestratorConfig,
-};
+use pbo_bench::orchestrate::{execute_grid, write_checkpoint, GridPlan, OrchestratorConfig};
 use pbo_bench::profiles::Profile;
 use pbo_bench::report;
 use pbo_core::algorithms::AlgorithmKind;
@@ -90,12 +88,7 @@ fn write_synthetic_checkpoints(plan: &GridPlan, dir: &Path) {
 
 /// Fold checkpoints with `jobs` workers and render the Tables-4–6 CSV.
 fn aggregate_to_csv(plan: &GridPlan, dir: &Path, jobs: usize) -> String {
-    let cfg = OrchestratorConfig {
-        jobs,
-        resume: true,
-        dir: dir.to_path_buf(),
-        trace: false,
-    };
+    let cfg = OrchestratorConfig { jobs, resume: true, dir: dir.to_path_buf(), trace: false };
     let outcome = execute_grid(plan, &cfg, None).unwrap();
     assert_eq!(outcome.executed, 0, "all runs must come from checkpoints");
     assert_eq!(outcome.resumed, plan.tasks().len());
@@ -103,10 +96,7 @@ fn aggregate_to_csv(plan: &GridPlan, dir: &Path, jobs: usize) -> String {
         .batches
         .iter()
         .map(|&q| {
-            plan.algos
-                .iter()
-                .map(|&a| report::summarize_final(&outcome.records[&(a, q)]))
-                .collect()
+            plan.algos.iter().map(|&a| report::summarize_final(&outcome.records[&(a, q)])).collect()
         })
         .collect();
     let rows = report::benchmark_csv_rows(&plan.batches, &cells);
@@ -172,10 +162,7 @@ fn real_plan() -> GridPlan {
 /// time (RandomSearch); GP algorithms carry wall-clock-measured
 /// overhead in `fit_time`/`acq_time`, so use [`artifact_fingerprint`]
 /// for them.
-fn records_fingerprint(
-    plan: &GridPlan,
-    records: &pbo_bench::orchestrate::GridRecords,
-) -> String {
+fn records_fingerprint(plan: &GridPlan, records: &pbo_bench::orchestrate::GridRecords) -> String {
     let mut out = String::new();
     for &q in &plan.batches {
         for &a in &plan.algos {
@@ -192,19 +179,11 @@ fn records_fingerprint(
 /// (Tables 4–6) and simulations-per-batch (Fig. 2/9) — which is what
 /// the orchestrator promises to keep identical across worker counts
 /// and interruptions. Excludes the wall-clock-measured overhead times.
-fn artifact_fingerprint(
-    plan: &GridPlan,
-    records: &pbo_bench::orchestrate::GridRecords,
-) -> String {
+fn artifact_fingerprint(plan: &GridPlan, records: &pbo_bench::orchestrate::GridRecords) -> String {
     let cells: Vec<Vec<pbo_core::stats::Summary>> = plan
         .batches
         .iter()
-        .map(|&q| {
-            plan.algos
-                .iter()
-                .map(|&a| report::summarize_final(&records[&(a, q)]))
-                .collect()
-        })
+        .map(|&q| plan.algos.iter().map(|&a| report::summarize_final(&records[&(a, q)])).collect())
         .collect();
     let mut out = String::new();
     for row in report::benchmark_csv_rows(&plan.batches, &cells) {

@@ -217,9 +217,8 @@ mod tests {
     #[test]
     fn matches_sequential_evaluation() {
         let p = SyntheticFn::ackley(5);
-        let pts: Vec<Vec<f64>> = (0..7)
-            .map(|i| (0..5).map(|j| (i * 5 + j) as f64 * 0.1 - 1.0).collect())
-            .collect();
+        let pts: Vec<Vec<f64>> =
+            (0..7).map(|i| (0..5).map(|j| (i * 5 + j) as f64 * 0.1 - 1.0).collect()).collect();
         for workers in WORKERS {
             let par = values(&p, &pts, workers);
             for (v, x) in par.iter().zip(&pts) {
@@ -268,9 +267,7 @@ mod tests {
     }
 
     fn grid(n: usize, d: usize) -> Vec<Vec<f64>> {
-        (0..n)
-            .map(|i| (0..d).map(|j| ((i * 13 + j * 5) % 29) as f64 * 0.03).collect())
-            .collect()
+        (0..n).map(|i| (0..d).map(|j| ((i * 13 + j * 5) % 29) as f64 * 0.03).collect()).collect()
     }
 
     #[test]
@@ -298,7 +295,12 @@ mod tests {
         let plan = FaultPlan { p_panic: 1.0, ..FaultPlan::none(7) };
         let p = FaultyProblem::new(&inner, plan);
         let pts = grid(5, 3);
-        let policy = FtPolicy { max_retries: 2, backoff_base: 1.0, backoff_factor: 2.0, ..FtPolicy::default() };
+        let policy = FtPolicy {
+            max_retries: 2,
+            backoff_base: 1.0,
+            backoff_factor: 2.0,
+            ..FtPolicy::default()
+        };
         let report = evaluate_batch(&p, &pts, 10.0, &policy);
         let c = report.counters();
         assert_eq!(c.panics, 15, "5 points x 3 attempts");
@@ -322,7 +324,12 @@ mod tests {
         let plan = FaultPlan { p_nan: 0.3, p_inf: 0.3, ..FaultPlan::none(41) };
         let p = FaultyProblem::new(&inner, plan);
         let pts = grid(40, 2);
-        let policy = FtPolicy { max_retries: 6, backoff_base: 0.5, backoff_factor: 1.0, ..FtPolicy::default() };
+        let policy = FtPolicy {
+            max_retries: 6,
+            backoff_base: 0.5,
+            backoff_factor: 1.0,
+            ..FtPolicy::default()
+        };
         let report = evaluate_batch(&p, &pts, 10.0, &policy);
         let c = report.counters();
         let log = p.injection_log();
@@ -342,8 +349,8 @@ mod tests {
         }
         // Lost time: each failed attempt re-costs a sim, each retry a
         // 0.5 s backoff, minus the nominal baseline of exhausted ranks.
-        let expect = c.failed_attempts() as f64 * 10.0 + c.retries as f64 * 0.5
-            - exhausted as f64 * 10.0;
+        let expect =
+            c.failed_attempts() as f64 * 10.0 + c.retries as f64 * 0.5 - exhausted as f64 * 10.0;
         assert!((c.virtual_secs_lost - expect).abs() < 1e-9);
     }
 
@@ -355,7 +362,13 @@ mod tests {
         let plan = FaultPlan { p_straggle: 1.0, max_straggle_secs: 30.0, ..FaultPlan::none(13) };
         let p = FaultyProblem::new(&inner, plan);
         let pts = grid(30, 2);
-        let policy = FtPolicy { max_retries: 8, backoff_base: 0.0, backoff_factor: 1.0, timeout_secs: 25.0, ..FtPolicy::default() };
+        let policy = FtPolicy {
+            max_retries: 8,
+            backoff_base: 0.0,
+            backoff_factor: 1.0,
+            timeout_secs: 25.0,
+            ..FtPolicy::default()
+        };
         let report = evaluate_batch(&p, &pts, 10.0, &policy);
         let c = report.counters();
         assert!(c.timeouts > 0, "some draws must exceed the cap");

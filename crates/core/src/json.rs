@@ -72,9 +72,7 @@ impl Json {
     /// above 2^53, which the encoder never produces).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v)
-                if *v >= 0.0 && v.fract() == 0.0 && *v <= 9_007_199_254_740_992.0 =>
-            {
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 9_007_199_254_740_992.0 => {
                 Some(*v as u64)
             }
             _ => None,
@@ -360,11 +358,7 @@ mod tests {
         assert_eq!(parse("\"a\\nb\"").unwrap(), Json::Str("a\nb".into()));
         assert_eq!(
             parse("[1,2,[3]]").unwrap(),
-            Json::Arr(vec![
-                Json::Num(1.0),
-                Json::Num(2.0),
-                Json::Arr(vec![Json::Num(3.0)])
-            ])
+            Json::Arr(vec![Json::Num(1.0), Json::Num(2.0), Json::Arr(vec![Json::Num(3.0)])])
         );
         let obj = parse("{\"a\":1,\"b\":{\"c\":[]}}").unwrap();
         assert_eq!(obj.get("a").and_then(Json::as_u64), Some(1));

@@ -284,9 +284,8 @@ mod tests {
     fn every_variant_roundtrips_through_the_validator() {
         for e in sample_events() {
             let line = e.to_json_line();
-            let name = validate_line(&line).unwrap_or_else(|err| {
-                panic!("line failed to validate: {err}\n  {line}")
-            });
+            let name = validate_line(&line)
+                .unwrap_or_else(|err| panic!("line failed to validate: {err}\n  {line}"));
             assert_eq!(name, e.name());
         }
     }
@@ -320,13 +319,13 @@ mod tests {
         for bad in [
             "",
             "{",
-            "{}",                          // no event field
+            "{}", // no event field
             "not json",
             "{\"event\":\"x\"} trailing",
             "{\"event\":\"x\",}",
             "{\"event\":\"x\",\"v\":nul}",
             "{\"event\":\"x\",\"v\":1.2.3}",
-            "{\"event\": \"x\"}",         // insignificant whitespace
+            "{\"event\": \"x\"}", // insignificant whitespace
         ] {
             assert!(validate_line(bad).is_err(), "accepted: {bad:?}");
         }

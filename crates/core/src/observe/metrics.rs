@@ -115,10 +115,7 @@ impl Histogram {
 
     /// Point-in-time copy `(bounds, per-bucket counts incl. overflow)`.
     pub fn snapshot(&self) -> (Vec<f64>, Vec<u64>) {
-        (
-            self.bounds.to_vec(),
-            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-        )
+        (self.bounds.to_vec(), self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect())
     }
 }
 
@@ -146,11 +143,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Counter value by name (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
+        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
     }
 }
 
@@ -176,9 +169,7 @@ impl MetricsRegistry {
     /// registration.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
         let mut map = self.histograms.lock().expect("metrics registry poisoned");
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new(bounds)))
-            .clone()
+        map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new(bounds))).clone()
     }
 
     /// Deterministically ordered copy of every instrument.

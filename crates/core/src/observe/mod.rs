@@ -312,12 +312,8 @@ mod tests {
 
     #[test]
     fn event_names_are_stable() {
-        let e = Event::RunFinished {
-            n_cycles: 0,
-            n_simulations: 0,
-            best_y_min: 0.0,
-            final_clock: 0.0,
-        };
+        let e =
+            Event::RunFinished { n_cycles: 0, n_simulations: 0, best_y_min: 0.0, final_clock: 0.0 };
         assert_eq!(e.name(), "run_finished");
     }
 }

@@ -357,12 +357,10 @@ impl RunRecord {
                 .ok_or_else(|| "field 'maximize' is not a bool".to_string())?,
             batch_size: require_usize(&v, "batch_size")?,
             seed: match v.require("seed")? {
-                Json::Str(s) => s
-                    .parse::<u64>()
-                    .map_err(|_| "field 'seed' is not a u64 string".to_string())?,
-                other => other
-                    .as_u64()
-                    .ok_or_else(|| "field 'seed' is not a count".to_string())?,
+                Json::Str(s) => {
+                    s.parse::<u64>().map_err(|_| "field 'seed' is not a u64 string".to_string())?
+                }
+                other => other.as_u64().ok_or_else(|| "field 'seed' is not a count".to_string())?,
             },
             doe_size: require_usize(&v, "doe_size")?,
             y_min: require_f64_array(&v, "y_min")?,
@@ -404,18 +402,16 @@ mod tests {
             doe_size: 2,
             best_x: vec![0.0],
             y_min: y,
-            cycles: vec![
-                CycleRecord {
-                    cycle: 0,
-                    fit_time: 1.0,
-                    acq_time: 2.0,
-                    sim_time: 10.0,
-                    n_evals: 2,
-                    best_y_min: 0.0,
-                    clock: 13.0,
-                    faults: FaultCounters::default(),
-                },
-            ],
+            cycles: vec![CycleRecord {
+                cycle: 0,
+                fit_time: 1.0,
+                acq_time: 2.0,
+                sim_time: 10.0,
+                n_evals: 2,
+                best_y_min: 0.0,
+                clock: 13.0,
+                faults: FaultCounters::default(),
+            }],
             final_clock: 13.0,
             doe_faults: FaultCounters::default(),
         }
@@ -486,11 +482,8 @@ mod tests {
         let r = rec(false, vec![1.0, 2.0]);
         let line = r.to_json_line();
         assert!(RunRecord::from_json_line(&line[..line.len() - 2]).is_err());
-        let stale = line.replacen(
-            &format!("\"schema\":{RECORD_SCHEMA_VERSION}"),
-            "\"schema\":999",
-            1,
-        );
+        let stale =
+            line.replacen(&format!("\"schema\":{RECORD_SCHEMA_VERSION}"), "\"schema\":999", 1);
         let err = RunRecord::from_json_line(&stale).unwrap_err();
         assert!(err.contains("schema"), "{err}");
         assert!(RunRecord::from_json_line("{}").is_err());
@@ -499,9 +492,14 @@ mod tests {
     #[test]
     fn fault_totals_merge_doe_and_cycles() {
         let mut r = rec(false, vec![1.0, 2.0]);
-        r.doe_faults = FaultCounters { panics: 1, virtual_secs_lost: 10.0, ..FaultCounters::default() };
-        r.cycles[0].faults =
-            FaultCounters { retries: 3, nan_quarantined: 2, imputed: 1, ..FaultCounters::default() };
+        r.doe_faults =
+            FaultCounters { panics: 1, virtual_secs_lost: 10.0, ..FaultCounters::default() };
+        r.cycles[0].faults = FaultCounters {
+            retries: 3,
+            nan_quarantined: 2,
+            imputed: 1,
+            ..FaultCounters::default()
+        };
         let t = r.fault_totals();
         assert_eq!(t.panics, 1);
         assert_eq!(t.retries, 3);

@@ -437,11 +437,7 @@ enum Phase {
     /// Waiting for the initial-design values.
     Design(Box<PreparedEngine<'static>>),
     /// In the cycle loop.
-    Cycle {
-        engine: Box<Engine<'static>>,
-        stepper: BatchStepper,
-        pending: Option<PendingBatch>,
-    },
+    Cycle { engine: Box<Engine<'static>>, stepper: BatchStepper, pending: Option<PendingBatch> },
     /// Budget exhausted; record closed.
     Done(Box<RunRecord>),
     /// A previous operation failed mid-transition.
@@ -656,8 +652,7 @@ impl SessionState {
                 let engine = prep.absorb_design(&report)?;
                 let stepper = BatchStepper::new(self.cfg.algorithm, &engine);
                 self.journal.push(values.to_vec());
-                self.phase =
-                    Phase::Cycle { engine: Box::new(engine), stepper, pending: None };
+                self.phase = Phase::Cycle { engine: Box::new(engine), stepper, pending: None };
                 self.close_if_exhausted();
                 Ok(())
             }
@@ -807,9 +802,7 @@ impl SessionState {
                 .iter()
                 .map(|q| q.as_usize().ok_or_else(|| corrupt("qs entries must be counts".into())))
                 .collect::<Result<_, _>>()?;
-            if qs.len() != tells.len()
-                || qs.iter().zip(&tells).any(|(&q, tell)| q != tell.len())
-            {
+            if qs.len() != tells.len() || qs.iter().zip(&tells).any(|(&q, tell)| q != tell.len()) {
                 return Err(corrupt(format!(
                     "qs ({qs:?}) disagree with the tell widths — truncated or spliced journal"
                 )));
@@ -1078,9 +1071,11 @@ mod tests {
         s.tell(ask.turn, &values).unwrap();
         let line = s.to_checkpoint_line("x");
         assert!(line.contains(",\"qs\":[6]"), "{line}");
-        for bad in [line.replace(",\"qs\":[6]", ",\"qs\":[5]"),
-                    line.replace(",\"qs\":[6]", ",\"qs\":[6,2]"),
-                    line.replace(",\"qs\":[6]", ",\"qs\":[]")] {
+        for bad in [
+            line.replace(",\"qs\":[6]", ",\"qs\":[5]"),
+            line.replace(",\"qs\":[6]", ",\"qs\":[6,2]"),
+            line.replace(",\"qs\":[6]", ",\"qs\":[]"),
+        ] {
             match SessionState::from_checkpoint_line(&bad, NullObserver) {
                 Err(SessionError::Corrupt(m)) => assert!(m.contains("qs"), "{m}"),
                 Err(other) => panic!("expected Corrupt, got {other:?}"),
@@ -1121,11 +1116,8 @@ mod tests {
         {
             let mut cfg = toy_cfg(algo, 5, 3, u64::MAX - 7);
             cfg.problem.maximize = maximize;
-            cfg.budget.stopping = if maximize {
-                Stopping::VirtualTime(1200.0)
-            } else {
-                Stopping::Cycles(5)
-            };
+            cfg.budget.stopping =
+                if maximize { Stopping::VirtualTime(1200.0) } else { Stopping::Cycles(5) };
             let mut s = String::new();
             cfg.encode_json(&mut s);
             let back = SessionConfig::from_json(&parse(&s).unwrap()).unwrap();

@@ -68,8 +68,7 @@ pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
     if x == 1.0 {
         return 1.0;
     }
-    let ln_front =
-        ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
+    let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
     let front = ln_front.exp();
     if x < (a + 1.0) / (a + b + 2.0) {
         front * beta_cf(a, b, x) / a
@@ -139,10 +138,7 @@ pub fn t_sf_two_sided(t: f64, nu: f64) -> f64 {
 pub fn welch_t_test(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
     assert!(a.len() >= 2 && b.len() >= 2, "need at least two samples per group");
     let (ma, mb) = (pbo_linalg::vec_ops::mean(a), pbo_linalg::vec_ops::mean(b));
-    let (va, vb) = (
-        pbo_linalg::vec_ops::variance(a),
-        pbo_linalg::vec_ops::variance(b),
-    );
+    let (va, vb) = (pbo_linalg::vec_ops::variance(a), pbo_linalg::vec_ops::variance(b));
     let (na, nb) = (a.len() as f64, b.len() as f64);
     let se2 = va / na + vb / nb;
     if se2 <= 0.0 {
@@ -150,8 +146,8 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
         return (if p == 1.0 { 0.0 } else { f64::INFINITY }, na + nb - 2.0, p);
     }
     let t = (ma - mb) / se2.sqrt();
-    let dof = se2 * se2
-        / ((va / na).powi(2) / (na - 1.0) + (vb / nb).powi(2) / (nb - 1.0)).max(1e-300);
+    let dof =
+        se2 * se2 / ((va / na).powi(2) / (na - 1.0) + (vb / nb).powi(2) / (nb - 1.0)).max(1e-300);
     (t, dof, t_sf_two_sided(t, dof))
 }
 

@@ -73,8 +73,7 @@ impl TrustRegion {
         let d = center.len();
         debug_assert_eq!(lengthscales.len(), d);
         // Volume-preserving weights: λ_i / geometric-mean(λ).
-        let log_mean: f64 =
-            lengthscales.iter().map(|l| l.max(1e-12).ln()).sum::<f64>() / d as f64;
+        let log_mean: f64 = lengthscales.iter().map(|l| l.max(1e-12).ln()).sum::<f64>() / d as f64;
         let gm = log_mean.exp();
         let mut lo = Vec::with_capacity(d);
         let mut hi = Vec::with_capacity(d);

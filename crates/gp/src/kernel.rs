@@ -219,7 +219,13 @@ impl Kernel {
     /// [`cross_vec`](Self::cross_vec) and the factor inside
     /// [`grad_wrt_query`](Self::grad_wrt_query) (see
     /// [`KernelType::rho_and_grad`]).
-    pub fn cross_vec_grad_into(&self, x: &Matrix, p: &[f64], k_out: &mut [f64], gf_out: &mut [f64]) {
+    pub fn cross_vec_grad_into(
+        &self,
+        x: &Matrix,
+        p: &[f64],
+        k_out: &mut [f64],
+        gf_out: &mut [f64],
+    ) {
         debug_assert_eq!(k_out.len(), x.rows());
         debug_assert_eq!(gf_out.len(), x.rows());
         for i in 0..x.rows() {
@@ -376,17 +382,9 @@ mod tests {
 
     #[test]
     fn kernel_matrix_symmetric_psd_diag() {
-        let k = Kernel {
-            family: KernelType::Matern52,
-            outputscale: 2.5,
-            lengthscales: vec![0.3, 0.8],
-        };
-        let x = Matrix::from_rows(&[
-            vec![0.1, 0.2],
-            vec![0.5, 0.9],
-            vec![0.4, 0.4],
-        ])
-        .unwrap();
+        let k =
+            Kernel { family: KernelType::Matern52, outputscale: 2.5, lengthscales: vec![0.3, 0.8] };
+        let x = Matrix::from_rows(&[vec![0.1, 0.2], vec![0.5, 0.9], vec![0.4, 0.4]]).unwrap();
         let m = k.matrix(&x);
         for i in 0..3 {
             assert!((m[(i, i)] - 2.5).abs() < 1e-15);
@@ -405,11 +403,8 @@ mod tests {
     #[test]
     fn ard_lengthscales_modulate_relevance() {
         // A huge lengthscale in dim 1 makes that dim irrelevant.
-        let k = Kernel {
-            family: KernelType::Matern52,
-            outputscale: 1.0,
-            lengthscales: vec![0.2, 1e6],
-        };
+        let k =
+            Kernel { family: KernelType::Matern52, outputscale: 1.0, lengthscales: vec![0.2, 1e6] };
         let a = [0.0, 0.0];
         let b = [0.0, 100.0];
         assert!((k.eval(&a, &b) - 1.0).abs() < 1e-3);

@@ -207,10 +207,7 @@ struct Decoded {
 
 fn decode(d: usize, params: &[f64]) -> Result<Decoded> {
     if params.len() != d + 2 {
-        return Err(GpError::BadHyperparameters(format!(
-            "{} params for dim {d}",
-            params.len()
-        )));
+        return Err(GpError::BadHyperparameters(format!("{} params for dim {d}", params.len())));
     }
     let inv_ls2 = params[..d]
         .iter()
@@ -247,8 +244,7 @@ fn factored(
     let denom = dot(&ones, &kinv_ones).max(1e-300);
     let trend = dot(&ones, &kinv_y) / denom;
     let r: Vec<f64> = y_std.iter().map(|v| v - trend).collect();
-    let alpha: Vec<f64> =
-        kinv_y.iter().zip(&kinv_ones).map(|(a, b)| a - trend * b).collect();
+    let alpha: Vec<f64> = kinv_y.iter().zip(&kinv_ones).map(|(a, b)| a - trend * b).collect();
     let mll = -0.5 * dot(&r, &alpha)
         - 0.5 * chol.log_det()
         - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
@@ -531,8 +527,7 @@ mod tests {
             ws.prepare(&x);
             assert_eq!(ws.n(), n);
             let params = vec![(0.5f64).ln(), (0.5f64).ln(), 0.0, (1e-4f64).ln()];
-            let (v_naive, _) =
-                mll_and_grad(KernelType::Matern52, &x, &y_std, &params).unwrap();
+            let (v_naive, _) = mll_and_grad(KernelType::Matern52, &x, &y_std, &params).unwrap();
             let (v_ws, _) =
                 mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
             assert!((v_naive - v_ws).abs() <= 1e-10 * (1.0 + v_naive.abs()));
@@ -602,8 +597,7 @@ mod tests {
         let mut ws = FitWorkspace::new();
         ws.prepare(&x);
         let params = vec![0.0, 0.0, 0.0, (1e-2f64).ln()];
-        let (v, g) =
-            mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
+        let (v, g) = mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
         let (vn, gn) = mll_and_grad(KernelType::Matern52, &x, &y_std, &params).unwrap();
         assert!((v - vn).abs() <= 1e-12 * (1.0 + vn.abs()));
         for (a, b) in g.iter().zip(&gn) {

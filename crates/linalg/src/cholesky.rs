@@ -62,11 +62,8 @@ impl Cholesky {
         }
         let n = a.rows();
         let mut l = if buf.rows() == n && buf.cols() == n { buf } else { Matrix::zeros(n, n) };
-        let mean_diag = if n == 0 {
-            1.0
-        } else {
-            a.diag().iter().map(|v| v.abs()).sum::<f64>() / n as f64
-        };
+        let mean_diag =
+            if n == 0 { 1.0 } else { a.diag().iter().map(|v| v.abs()).sum::<f64>() / n as f64 };
         let jitter =
             escalate_jitter(mean_diag, |jitter| factor_rows(&mut l, 0, jitter, |i, j| a[(i, j)]))?;
         Ok(Cholesky { l, jitter })
@@ -715,7 +712,6 @@ pub fn solve_transposed_in_place(lt: &Matrix, b: &mut [f64]) {
 }
 
 impl Cholesky {
-
     /// Reconstruct `A = L L^T` (minus any jitter); used by tests and by
     /// the GP fantasy machinery when it needs the implied covariance.
     pub fn reconstruct(&self) -> Matrix {
@@ -889,12 +885,9 @@ mod tests {
     #[test]
     fn jitter_rescues_singular() {
         // Rank-deficient: duplicate rows.
-        let mut a = Matrix::from_rows(&[
-            vec![1.0, 1.0, 0.5],
-            vec![1.0, 1.0, 0.5],
-            vec![0.5, 0.5, 1.0],
-        ])
-        .unwrap();
+        let mut a =
+            Matrix::from_rows(&[vec![1.0, 1.0, 0.5], vec![1.0, 1.0, 0.5], vec![0.5, 0.5, 1.0]])
+                .unwrap();
         a.symmetrize();
         let ch = Cholesky::factor(&a).unwrap();
         assert!(ch.jitter() > 0.0);
@@ -904,10 +897,7 @@ mod tests {
     #[test]
     fn non_spd_eventually_errors() {
         let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, -5.0]]).unwrap();
-        assert!(matches!(
-            Cholesky::factor(&a),
-            Err(LinalgError::NotPositiveDefinite { .. })
-        ));
+        assert!(matches!(Cholesky::factor(&a), Err(LinalgError::NotPositiveDefinite { .. })));
     }
 
     #[test]
@@ -1247,9 +1237,8 @@ mod tests {
         assert_bits_eq(dense.l(), &want, &format!("{what} dense"));
         for stride in [1usize, 2] {
             let packed = pack(a, stride);
-            let ch =
-                Cholesky::factor_packed_reusing(&packed, stride, diag, n, Matrix::zeros(0, 0))
-                    .unwrap();
+            let ch = Cholesky::factor_packed_reusing(&packed, stride, diag, n, Matrix::zeros(0, 0))
+                .unwrap();
             assert_eq!(ch.jitter().to_bits(), jitter.to_bits(), "{what} stride {stride} jitter");
             assert_bits_eq(ch.l(), &want, &format!("{what} stride {stride}"));
         }

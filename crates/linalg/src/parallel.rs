@@ -259,9 +259,7 @@ where
     slots
         .into_iter()
         .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker pool filled every slot")
+            m.into_inner().expect("result slot poisoned").expect("worker pool filled every slot")
         })
         .collect()
 }
@@ -390,8 +388,7 @@ mod tests {
             inner.iter().sum::<f64>()
         });
         set_num_threads(0);
-        let expect: Vec<f64> =
-            (0..8).map(|i| (0..16).map(|j| (i * 16 + j) as f64).sum()).collect();
+        let expect: Vec<f64> = (0..8).map(|i| (0..16).map(|j| (i * 16 + j) as f64).sum()).collect();
         assert_eq!(nested, expect);
     }
 }

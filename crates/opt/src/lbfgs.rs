@@ -136,7 +136,13 @@ fn wolfe_search<O: GradObjective + ?Sized>(
         if !p.f.is_finite() {
             // Step into NaN-land: treat as too long, bracket below.
             hi = Some(p);
-            lo = Some(LsPoint { alpha: prev_alpha, x: x.to_vec(), f: prev_f, g: vec![], dphi: dphi0 });
+            lo = Some(LsPoint {
+                alpha: prev_alpha,
+                x: x.to_vec(),
+                f: prev_f,
+                g: vec![],
+                dphi: dphi0,
+            });
             break;
         }
         if !armijo(&p) || (used > 1 && p.f >= prev_f) {
@@ -327,9 +333,7 @@ mod tests {
 
     #[test]
     fn rosenbrock_2d_converges() {
-        let rb = |x: &[f64]| {
-            100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2)
-        };
+        let rb = |x: &[f64]| 100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2);
         let obj = FnGradObjective::new(2, rb, move |x: &[f64]| {
             let g = vec![
                 -400.0 * x[0] * (x[1] - x[0] * x[0]) - 2.0 * (1.0 - x[0]),
@@ -340,17 +344,18 @@ mod tests {
         let b = Bounds::cube(2, -5.0, 10.0);
         let cfg = LbfgsConfig { max_iters: 500, ..LbfgsConfig::default() };
         let r = minimize(&obj, &b, &[-1.2, 1.0], &cfg);
-        assert!((r.x[0] - 1.0).abs() < 1e-3 && (r.x[1] - 1.0).abs() < 1e-3,
-                "got {:?} after {} iters", r.x, r.iters);
+        assert!(
+            (r.x[0] - 1.0).abs() < 1e-3 && (r.x[1] - 1.0).abs() < 1e-3,
+            "got {:?} after {} iters",
+            r.x,
+            r.iters
+        );
     }
 
     #[test]
     fn handles_nonfinite_start_gracefully() {
-        let obj = FnGradObjective::new(
-            1,
-            |_: &[f64]| f64::NAN,
-            |_: &[f64]| (f64::NAN, vec![f64::NAN]),
-        );
+        let obj =
+            FnGradObjective::new(1, |_: &[f64]| f64::NAN, |_: &[f64]| (f64::NAN, vec![f64::NAN]));
         let b = Bounds::unit(1);
         let r = minimize(&obj, &b, &[0.5], &LbfgsConfig::default());
         assert!(!r.converged);

@@ -71,9 +71,7 @@ impl Bounds {
     /// True if `x` lies inside (inclusive).
     pub fn contains(&self, x: &[f64]) -> bool {
         x.len() == self.dim()
-            && x.iter()
-                .zip(self.lo.iter().zip(&self.hi))
-                .all(|(v, (l, h))| *v >= *l && *v <= *h)
+            && x.iter().zip(self.lo.iter().zip(&self.hi)).all(|(v, (l, h))| *v >= *l && *v <= *h)
     }
 
     /// Side lengths.
@@ -91,15 +89,9 @@ impl Bounds {
     /// than inverted ones.
     pub fn intersect(&self, other: &Bounds) -> Bounds {
         assert_eq!(self.dim(), other.dim());
-        let lo: Vec<f64> =
-            self.lo.iter().zip(&other.lo).map(|(a, b)| a.max(*b)).collect();
-        let hi: Vec<f64> = self
-            .hi
-            .iter()
-            .zip(&other.hi)
-            .zip(&lo)
-            .map(|((a, b), l)| a.min(*b).max(*l))
-            .collect();
+        let lo: Vec<f64> = self.lo.iter().zip(&other.lo).map(|(a, b)| a.max(*b)).collect();
+        let hi: Vec<f64> =
+            self.hi.iter().zip(&other.hi).zip(&lo).map(|((a, b), l)| a.min(*b).max(*l)).collect();
         Bounds::new(lo, hi)
     }
 

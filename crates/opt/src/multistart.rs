@@ -49,12 +49,7 @@ pub struct MultistartConfig {
 
 impl Default for MultistartConfig {
     fn default() -> Self {
-        MultistartConfig {
-            raw_samples: 128,
-            restarts: 8,
-            lbfgs: LbfgsConfig::default(),
-            seed: 0,
-        }
+        MultistartConfig { raw_samples: 128, restarts: 8, lbfgs: LbfgsConfig::default(), seed: 0 }
     }
 }
 
@@ -334,10 +329,8 @@ mod tests {
                 }
             }
         }
-        let obj = CountingBatch {
-            batch_calls: AtomicUsize::new(0),
-            points_scored: AtomicUsize::new(0),
-        };
+        let obj =
+            CountingBatch { batch_calls: AtomicUsize::new(0), points_scored: AtomicUsize::new(0) };
         let b = Bounds::unit(1);
         let cfg = MultistartConfig { raw_samples: 96, restarts: 2, ..Default::default() };
         let r = minimize_multistart(&obj, &b, &[], &cfg);

@@ -90,20 +90,20 @@ impl FaultPlan {
     pub fn uniform(seed: u64, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "fault rate must be in [0,1]");
         let p = rate / 4.0;
-        FaultPlan {
-            seed,
-            p_panic: p,
-            p_nan: p,
-            p_inf: p,
-            p_straggle: p,
-            max_straggle_secs: 30.0,
-        }
+        FaultPlan { seed, p_panic: p, p_nan: p, p_inf: p, p_straggle: p, max_straggle_secs: 30.0 }
     }
 
     /// A plan that never faults (identity wrapper; useful to prove the
     /// zero-fault path is bit-identical to the plain executor).
     pub fn none(seed: u64) -> Self {
-        FaultPlan { seed, p_panic: 0.0, p_nan: 0.0, p_inf: 0.0, p_straggle: 0.0, max_straggle_secs: 0.0 }
+        FaultPlan {
+            seed,
+            p_panic: 0.0,
+            p_nan: 0.0,
+            p_inf: 0.0,
+            p_straggle: 0.0,
+            max_straggle_secs: 0.0,
+        }
     }
 
     /// Decide the fault for `(x-hash, attempt)`. Pure function of the

@@ -107,18 +107,13 @@ impl Problem for SyntheticFn {
         let d = x.len();
         match self.kind {
             SyntheticKind::Rosenbrock => (0..d - 1)
-                .map(|i| {
-                    100.0 * (x[i] * x[i] - x[i + 1]).powi(2) + (x[i] - 1.0).powi(2)
-                })
+                .map(|i| 100.0 * (x[i] * x[i] - x[i + 1]).powi(2) + (x[i] - 1.0).powi(2))
                 .sum(),
             SyntheticKind::Ackley => {
                 let nd = d as f64;
                 let s1: f64 = x.iter().map(|v| v * v).sum::<f64>() / nd;
-                let s2: f64 = x
-                    .iter()
-                    .map(|v| (2.0 * std::f64::consts::PI * v).cos())
-                    .sum::<f64>()
-                    / nd;
+                let s2: f64 =
+                    x.iter().map(|v| (2.0 * std::f64::consts::PI * v).cos()).sum::<f64>() / nd;
                 -20.0 * (-0.2 * s1.sqrt()).exp() - s2.exp() + 20.0 + std::f64::consts::E
             }
             SyntheticKind::Schwefel => {
@@ -177,12 +172,8 @@ mod tests {
     #[test]
     fn values_positive_away_from_optimum() {
         for f in SyntheticFn::paper_suite() {
-            let mid: Vec<f64> = f
-                .lower()
-                .iter()
-                .zip(f.upper())
-                .map(|(l, u)| 0.37 * l + 0.63 * u)
-                .collect();
+            let mid: Vec<f64> =
+                f.lower().iter().zip(f.upper()).map(|(l, u)| 0.37 * l + 0.63 * u).collect();
             assert!(f.eval(&mid) > 0.1, "{} at midpointish", f.name());
         }
     }

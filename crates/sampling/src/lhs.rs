@@ -255,7 +255,11 @@ mod tests {
                 for (c, pts) in score_cases(n as u64 * 31 + d as u64, n, d).iter().enumerate() {
                     let want = naive_min_dist2(pts);
                     let got = min_pairwise_dist2(pts);
-                    assert_eq!(got.to_bits(), want.to_bits(), "n={n} d={d} case={c}: {got} vs {want}");
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "n={n} d={d} case={c}: {got} vs {want}"
+                    );
                     // With a floor: exact above it, at most the floor otherwise.
                     for floor in [want, want * 0.5, want * 2.0] {
                         let got = min_dist2_above(pts, floor);
@@ -277,7 +281,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let got = maximin_latin_hypercube(&mut rng, n, d, 4);
             let mut rng = StdRng::seed_from_u64(seed);
-            let draws: Vec<Vec<Vec<f64>>> = (0..4).map(|_| latin_hypercube(&mut rng, n, d)).collect();
+            let draws: Vec<Vec<Vec<f64>>> =
+                (0..4).map(|_| latin_hypercube(&mut rng, n, d)).collect();
             let mut want = &draws[0];
             for cand in &draws[1..] {
                 if naive_min_dist2(cand) > naive_min_dist2(want) {

@@ -104,10 +104,7 @@ mod tests {
     #[test]
     fn named_forks_differ() {
         let root = SeedStream::new(5);
-        assert_ne!(
-            root.fork_named("doe").next_seed(),
-            root.fork_named("acq").next_seed()
-        );
+        assert_ne!(root.fork_named("doe").next_seed(), root.fork_named("acq").next_seed());
     }
 
     #[test]

@@ -217,9 +217,7 @@ impl Sobol {
     /// Next point in `[0,1)^dim`.
     pub fn next_point(&mut self) -> Vec<f64> {
         let scale = 1.0 / (1u64 << BITS) as f64;
-        let p = (0..self.dim)
-            .map(|d| (self.state[d] ^ self.scramble[d]) as f64 * scale)
-            .collect();
+        let p = (0..self.dim).map(|d| (self.state[d] ^ self.scramble[d]) as f64 * scale).collect();
         self.advance();
         p
     }
@@ -307,7 +305,7 @@ mod tests {
         let ps = primitive_polynomials(10);
         assert_eq!(ps[0], 0b11); // x + 1
         assert_eq!(ps[1], 0b111); // x^2 + x + 1 (only primitive quadratic)
-        // All returned masks have constant term 1 and are primitive.
+                                  // All returned masks have constant term 1 and are primitive.
         for &p in &ps {
             let s = 63 - p.leading_zeros();
             assert!(p & 1 == 1);

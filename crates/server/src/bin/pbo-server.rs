@@ -85,11 +85,9 @@ fn render(v: &Json) -> String {
         Json::Arr(items) => {
             format!("[{}]", items.iter().map(render).collect::<Vec<_>>().join(", "))
         }
-        Json::Obj(fields) => fields
-            .iter()
-            .map(|(k, v)| format!("{k}={}", render(v)))
-            .collect::<Vec<_>>()
-            .join(" "),
+        Json::Obj(fields) => {
+            fields.iter().map(|(k, v)| format!("{k}={}", render(v))).collect::<Vec<_>>().join(" ")
+        }
     }
 }
 
@@ -126,8 +124,7 @@ fn run_drive(opts: DriveOpts) -> Result<(), String> {
 
 fn gc(opts: GcOpts) -> Result<(), String> {
     let registry = Registry::open(&opts.dir)?;
-    let policy =
-        GcPolicy { max_age_secs: opts.max_age_secs, keep_newest: opts.keep.unwrap_or(0) };
+    let policy = GcPolicy { max_age_secs: opts.max_age_secs, keep_newest: opts.keep.unwrap_or(0) };
     let report = registry.gc(&policy);
     for id in &report.evicted {
         println!("evicted {id}");
@@ -160,11 +157,9 @@ fn validate(dir: &std::path::Path) -> Result<(), String> {
     // The record file each replayed finished session should have.
     let mut records: HashMap<String, String> = HashMap::new();
     for (path, _) in suffixed(".session.json") {
-        let verdict = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|body| {
-                SessionState::from_checkpoint_line(&body, NullObserver).map_err(|e| e.to_string())
-            });
+        let verdict = std::fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|body| {
+            SessionState::from_checkpoint_line(&body, NullObserver).map_err(|e| e.to_string())
+        });
         match verdict {
             Ok((id, state)) => {
                 ok += 1;

@@ -230,9 +230,8 @@ fn parse_serve(args: &[String]) -> Result<ServeOpts, String> {
             "--dir" => opts.dir = PathBuf::from(value),
             "--addr-file" => opts.addr_file = Some(PathBuf::from(value)),
             "--idle-timeout-s" => {
-                let n: u64 = value
-                    .parse()
-                    .map_err(|_| format!("{flag}: invalid seconds '{value}'"))?;
+                let n: u64 =
+                    value.parse().map_err(|_| format!("{flag}: invalid seconds '{value}'"))?;
                 if n == 0 {
                     return Err(format!("{flag}: must be at least 1 second"));
                 }
@@ -283,39 +282,33 @@ fn parse_drive(args: &[String]) -> Result<DriveOpts, String> {
         record_out: None,
         local: false,
     };
-    parse_flags(
-        args,
-        &["--local"],
-        |flag, value| {
-            match flag {
-                "--local" => opts.local = true,
-                "--addr" => opts.addr = value.into(),
-                "--id" => opts.id = value.into(),
-                "--problem" => opts.problem = value.into(),
-                "--algo" => opts.algo = value.into(),
-                "--cycles" => opts.cycles = parse_count(flag, value)?,
-                "--q" => opts.q = parse_count(flag, value)?,
-                "--init" => opts.init = parse_count(flag, value)?,
-                "--seed" => {
-                    opts.seed =
-                        value.parse().map_err(|_| format!("--seed: invalid seed '{value}'"))?;
-                }
-                "--profile" => {
-                    opts.profile = SessionProfile::from_name(value)
-                        .ok_or_else(|| format!("--profile: unknown profile '{value}'"))?;
-                }
-                "--stop-after" => {
-                    let k: usize = value
-                        .parse()
-                        .map_err(|_| format!("--stop-after: invalid count '{value}'"))?;
-                    opts.stop_after = Some(k);
-                }
-                "--record-out" => opts.record_out = Some(PathBuf::from(value)),
-                _ => return Ok(false),
+    parse_flags(args, &["--local"], |flag, value| {
+        match flag {
+            "--local" => opts.local = true,
+            "--addr" => opts.addr = value.into(),
+            "--id" => opts.id = value.into(),
+            "--problem" => opts.problem = value.into(),
+            "--algo" => opts.algo = value.into(),
+            "--cycles" => opts.cycles = parse_count(flag, value)?,
+            "--q" => opts.q = parse_count(flag, value)?,
+            "--init" => opts.init = parse_count(flag, value)?,
+            "--seed" => {
+                opts.seed = value.parse().map_err(|_| format!("--seed: invalid seed '{value}'"))?;
             }
-            Ok(true)
-        },
-    )?;
+            "--profile" => {
+                opts.profile = SessionProfile::from_name(value)
+                    .ok_or_else(|| format!("--profile: unknown profile '{value}'"))?;
+            }
+            "--stop-after" => {
+                let k: usize =
+                    value.parse().map_err(|_| format!("--stop-after: invalid count '{value}'"))?;
+                opts.stop_after = Some(k);
+            }
+            "--record-out" => opts.record_out = Some(PathBuf::from(value)),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
     if opts.id.is_empty() {
         return Err("drive needs --id".into());
     }
@@ -344,8 +337,7 @@ fn parse_validate(args: &[String]) -> Result<Cmd, String> {
 }
 
 fn parse_gc(args: &[String]) -> Result<GcOpts, String> {
-    let mut opts =
-        GcOpts { dir: PathBuf::from(DEFAULT_DIR), max_age_secs: None, keep: None };
+    let mut opts = GcOpts { dir: PathBuf::from(DEFAULT_DIR), max_age_secs: None, keep: None };
     parse_flags(args, &[], |flag, value| {
         match flag {
             "--dir" => opts.dir = PathBuf::from(value),
@@ -403,8 +395,17 @@ mod tests {
         assert_eq!(parse_args(&args(&["help"])).unwrap(), Cmd::Help);
 
         let Cmd::Serve(o) = parse_args(&args(&[
-            "serve", "--addr", "127.0.0.1:0", "--dir", "tmp/s", "--addr-file", "tmp/a",
-            "--idle-timeout-s", "30", "--max-line-bytes", "65536",
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--dir",
+            "tmp/s",
+            "--addr-file",
+            "tmp/a",
+            "--idle-timeout-s",
+            "30",
+            "--max-line-bytes",
+            "65536",
         ]))
         .unwrap() else {
             panic!("expected serve")
@@ -421,17 +422,35 @@ mod tests {
         };
         assert_eq!(o.config, ServerConfig::default());
 
-        let Cmd::Status(o) =
-            parse_args(&args(&["status", "--addr", "h:1", "--id", "s7"])).unwrap()
+        let Cmd::Status(o) = parse_args(&args(&["status", "--addr", "h:1", "--id", "s7"])).unwrap()
         else {
             panic!("expected status")
         };
         assert_eq!(o.id.as_deref(), Some("s7"));
 
         let Cmd::Drive(o) = parse_args(&args(&[
-            "drive", "--id", "s1", "--problem", "schwefel-2d", "--algo", "turbo", "--cycles",
-            "5", "--q", "3", "--init", "8", "--seed", "42", "--profile", "standard",
-            "--stop-after", "2", "--record-out", "r.json", "--local",
+            "drive",
+            "--id",
+            "s1",
+            "--problem",
+            "schwefel-2d",
+            "--algo",
+            "turbo",
+            "--cycles",
+            "5",
+            "--q",
+            "3",
+            "--init",
+            "8",
+            "--seed",
+            "42",
+            "--profile",
+            "standard",
+            "--stop-after",
+            "2",
+            "--record-out",
+            "r.json",
+            "--local",
         ]))
         .unwrap() else {
             panic!("expected drive")
@@ -446,8 +465,7 @@ mod tests {
         let cfg = o.session_config().unwrap();
         assert_eq!(cfg.problem.name, "schwefel-2d");
 
-        let Cmd::Validate { dir } = parse_args(&args(&["validate", "--dir", "x"])).unwrap()
-        else {
+        let Cmd::Validate { dir } = parse_args(&args(&["validate", "--dir", "x"])).unwrap() else {
             panic!("expected validate")
         };
         assert_eq!(dir, PathBuf::from("x"));
@@ -459,10 +477,10 @@ mod tests {
 
     #[test]
     fn gc_requires_an_explicit_shield() {
-        let Cmd::Gc(o) = parse_args(&args(&[
-            "gc", "--dir", "tmp/g", "--max-age-secs", "3600", "--keep", "4",
-        ]))
-        .unwrap() else {
+        let Cmd::Gc(o) =
+            parse_args(&args(&["gc", "--dir", "tmp/g", "--max-age-secs", "3600", "--keep", "4"]))
+                .unwrap()
+        else {
             panic!("expected gc")
         };
         assert_eq!(o.dir, PathBuf::from("tmp/g"));

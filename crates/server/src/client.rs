@@ -52,14 +52,10 @@ impl Client {
     /// newline leave in one write.
     pub fn raw(&mut self, line: &str) -> Result<Json, RpcError> {
         let framed = format!("{line}\n");
-        self.writer
-            .write_all(framed.as_bytes())
-            .map_err(|e| transport(format!("send: {e}")))?;
+        self.writer.write_all(framed.as_bytes()).map_err(|e| transport(format!("send: {e}")))?;
         let mut response = String::new();
-        let n = self
-            .reader
-            .read_line(&mut response)
-            .map_err(|e| transport(format!("recv: {e}")))?;
+        let n =
+            self.reader.read_line(&mut response).map_err(|e| transport(format!("recv: {e}")))?;
         if n == 0 {
             return Err(transport("server closed the connection"));
         }
@@ -188,11 +184,8 @@ pub fn drive(
 ) -> Result<DriveOutcome, RpcError> {
     client.create(id, cfg)?;
     let mut tells = 0usize;
-    let mut done = client
-        .status(id)?
-        .get("phase")
-        .and_then(Json::as_str)
-        .is_some_and(|p| p == "done");
+    let mut done =
+        client.status(id)?.get("phase").and_then(Json::as_str).is_some_and(|p| p == "done");
     while !done {
         if stop_after.is_some_and(|k| tells >= k) {
             return Ok(DriveOutcome { tells, done: false, record: None });

@@ -54,8 +54,17 @@ mod tests {
         // round-trip invariant: resolve("ackley-+3d").name() would be
         // "ackley-3d", not the requested spelling.
         for bad in [
-            "", "ackley", "ackley-3", "ackley-xd", "ackley-1d", "warp-3d", "3d",
-            "ackley-+3d", "ackley-03d", "ackley-0d", "ackley- 3d",
+            "",
+            "ackley",
+            "ackley-3",
+            "ackley-xd",
+            "ackley-1d",
+            "warp-3d",
+            "3d",
+            "ackley-+3d",
+            "ackley-03d",
+            "ackley-0d",
+            "ackley- 3d",
         ] {
             assert!(resolve_problem(bad).is_none(), "{bad} should not resolve");
         }

@@ -230,10 +230,8 @@ pub fn parse_request(line: &str) -> Result<(u64, Request), ErrorBody> {
         }
     };
     let malformed = |msg: &str| ErrorBody::request(RequestErrorKind::MalformedJson, msg);
-    let op = v
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| malformed("missing string field 'op'"))?;
+    let op =
+        v.get("op").and_then(Json::as_str).ok_or_else(|| malformed("missing string field 'op'"))?;
     let id = |v: &Json| -> Result<String, ErrorBody> {
         let id = v
             .get("id")
@@ -369,7 +367,11 @@ mod tests {
             (encode_ask("s1"), Request::Ask { id: "s1".into() }),
             (
                 encode_tell("s1", 3, &[1.0, f64::NAN, f64::NEG_INFINITY]),
-                Request::Tell { id: "s1".into(), turn: 3, values: vec![1.0, f64::NAN, f64::NEG_INFINITY] },
+                Request::Tell {
+                    id: "s1".into(),
+                    turn: 3,
+                    values: vec![1.0, f64::NAN, f64::NEG_INFINITY],
+                },
             ),
             (encode_id_op("status", "s1"), Request::Status { id: "s1".into() }),
             (encode_id_op("record", "s1"), Request::Record { id: "s1".into() }),
@@ -421,7 +423,10 @@ mod tests {
             ("{\"proto\":1,\"op\":\"ask\"}", "malformed_json"),
             ("{\"proto\":1,\"op\":\"ask\",\"id\":\"../etc\"}", "invalid_id"),
             ("{\"proto\":1,\"op\":\"tell\",\"id\":\"x\",\"turn\":0}", "malformed_json"),
-            ("{\"proto\":1,\"op\":\"tell\",\"id\":\"x\",\"turn\":0,\"values\":[\"no\"]}", "malformed_json"),
+            (
+                "{\"proto\":1,\"op\":\"tell\",\"id\":\"x\",\"turn\":0,\"values\":[\"no\"]}",
+                "malformed_json",
+            ),
             ("{\"proto\":1,\"op\":\"create\",\"id\":\"x\",\"config\":{}}", "invalid_config"),
         ] {
             let err = parse_request(line).unwrap_err();

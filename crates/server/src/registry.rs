@@ -136,9 +136,7 @@ impl Registry {
             .map_err(|e| format!("cannot read session dir {}: {e}", dir.display()))?
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.ends_with(".session.json"))
+                p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.ends_with(".session.json"))
             })
             .collect();
         entries.sort(); // deterministic restore order
@@ -276,7 +274,9 @@ impl Registry {
             } else {
                 Err(ErrorBody::request(
                     RequestErrorKind::ConfigMismatch,
-                    format!("session '{id}' exists with config key {have}, request hashes to {key}"),
+                    format!(
+                        "session '{id}' exists with config key {have}, request hashes to {key}"
+                    ),
                 ))
             };
         }
@@ -372,7 +372,10 @@ impl Registry {
         self.with_entry(id, |entry| match entry {
             // Done only when the closing checkpoint failed to persist.
             SessionEntry::Live(s) => s.record().map(|r| r.to_json_line()).ok_or_else(|| {
-                ErrorBody::request(RequestErrorKind::NotDone, format!("session '{id}' has not finished"))
+                ErrorBody::request(
+                    RequestErrorKind::NotDone,
+                    format!("session '{id}' has not finished"),
+                )
             }),
             SessionEntry::Finished(FinishedStub { record: Some(line), .. }) => Ok(line.clone()),
             SessionEntry::Finished(_) => {

@@ -125,13 +125,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        Ok(Server {
-            registry,
-            listener,
-            addr,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            config,
-        })
+        Ok(Server { registry, listener, addr, shutdown: Arc::new(AtomicBool::new(false)), config })
     }
 
     /// The bound address.
@@ -144,12 +138,8 @@ impl Server {
     /// connection and join every connection thread. Blocking; when it
     /// returns, no connection thread survives.
     pub fn run(self) -> std::io::Result<()> {
-        let front = Arc::new(Front::new(
-            self.registry,
-            self.addr,
-            self.shutdown.clone(),
-            self.config,
-        ));
+        let front =
+            Arc::new(Front::new(self.registry, self.addr, self.shutdown.clone(), self.config));
         let mut threads: Vec<JoinHandle<()>> = Vec::new();
         let mut panicked = false;
         let mut next_id = 0u64;
@@ -182,9 +172,8 @@ impl Server {
             next_id += 1;
             let conn_front = front.clone();
             // A failed spawn drops the closure, and with it the slot.
-            if let Ok(t) = std::thread::Builder::new()
-                .name(format!("pbo-conn-{}", slot.id))
-                .spawn(move || {
+            if let Ok(t) =
+                std::thread::Builder::new().name(format!("pbo-conn-{}", slot.id)).spawn(move || {
                     let _slot = slot;
                     serve_conn(&conn_front, stream);
                 })
@@ -572,10 +561,7 @@ pub fn dispatch(registry: &Registry, line: &str) -> (String, bool) {
     match result {
         Ok(line) => (line, false),
         Err(e) => {
-            registry
-                .metrics()
-                .counter(&format!("server.errors.{}", e.code))
-                .inc();
+            registry.metrics().counter(&format!("server.errors.{}", e.code)).inc();
             (e.to_line(), false)
         }
     }
@@ -670,12 +656,7 @@ mod tests {
     }
 
     fn error_code(resp: &str) -> Option<String> {
-        parse(resp)
-            .ok()?
-            .get("error")?
-            .get("code")
-            .and_then(Json::as_str)
-            .map(str::to_string)
+        parse(resp).ok()?.get("error")?.get("code").and_then(Json::as_str).map(str::to_string)
     }
 
     #[test]

@@ -267,20 +267,11 @@ mod tests {
         }
         // Inside cavitation band → rejected.
         let p_cav = 0.5 * (clo + chi);
-        assert_eq!(
-            m.dispatch(p_cav, 75.0),
-            Dispatch::Rejected(Infeasibility::Cavitation)
-        );
+        assert_eq!(m.dispatch(p_cav, 75.0), Dispatch::Rejected(Infeasibility::Cavitation));
         // Power between idle and turbine minimum → rejected.
-        assert_eq!(
-            m.dispatch(2.0, 75.0),
-            Dispatch::Rejected(Infeasibility::OutsideRange)
-        );
+        assert_eq!(m.dispatch(2.0, 75.0), Dispatch::Rejected(Infeasibility::OutsideRange));
         // Unsafe head.
-        assert_eq!(
-            m.dispatch(6.0, 40.0),
-            Dispatch::Rejected(Infeasibility::UnsafeHead)
-        );
+        assert_eq!(m.dispatch(6.0, 40.0), Dispatch::Rejected(Infeasibility::UnsafeHead));
         // Pump draws water upward (negative flow).
         match m.dispatch(-7.0, 75.0) {
             Dispatch::Ok { mode: Mode::Pump, flow, .. } => assert!(flow < 0.0),

@@ -7,7 +7,7 @@
 //! upward-regulation headroom, with penalties when an activation cannot
 //! be served).
 
-use crate::{STEP_HOURS, STEPS};
+use crate::{STEPS, STEP_HOURS};
 
 /// Day-ahead energy market: a deterministic daily price shape that the
 /// scenario generator perturbs multiplicatively.

@@ -37,12 +37,7 @@ impl ScenarioSet {
     /// mean-reverting (AR(1)) multiplicative log process with ~12%
     /// stationary deviation; activations are Bernoulli events with a
     /// uniform activation depth.
-    pub fn generate(
-        n: usize,
-        market: &DayAheadMarket,
-        reserve: &ReserveMarket,
-        seed: u64,
-    ) -> Self {
+    pub fn generate(n: usize, market: &DayAheadMarket, reserve: &ReserveMarket, seed: u64) -> Self {
         let root = SeedStream::new(seed);
         let scenarios = (0..n)
             .map(|s| {
@@ -110,10 +105,7 @@ mod tests {
             assert_eq!(sa.activations, sb.activations);
         }
         let c = set(4, 10);
-        assert_ne!(
-            a.iter().next().unwrap().prices,
-            c.iter().next().unwrap().prices
-        );
+        assert_ne!(a.iter().next().unwrap().prices, c.iter().next().unwrap().prices);
     }
 
     #[test]
@@ -131,10 +123,8 @@ mod tests {
     #[test]
     fn activation_frequency_matches_probability() {
         let s = set(64, 5);
-        let total: usize = s
-            .iter()
-            .map(|sc| sc.activations.iter().filter(|a| **a > 0.0).count())
-            .sum();
+        let total: usize =
+            s.iter().map(|sc| sc.activations.iter().filter(|a| **a > 0.0).count()).sum();
         let rate = total as f64 / (64.0 * STEPS as f64);
         assert!((rate - 0.06).abs() < 0.015, "rate {rate}");
     }

@@ -101,10 +101,7 @@ mod tests {
         for i in 0..=1000 {
             let u = i as f64 / 1000.0;
             let p = decode_block(u);
-            assert!(
-                p <= -6.0 || p == 0.0 || p >= 4.0,
-                "u={u} decoded into the forbidden gap: {p}"
-            );
+            assert!(p <= -6.0 || p == 0.0 || p >= 4.0, "u={u} decoded into the forbidden gap: {p}");
             assert!((-8.0..=8.0).contains(&p));
         }
     }

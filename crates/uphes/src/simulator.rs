@@ -132,11 +132,8 @@ impl Simulator {
         let schedule = Schedule::decode(x_unit);
         // Deterministic unit-commitment violation: direct pump↔turbine
         // reversals between consecutive blocks.
-        let reversals = schedule
-            .block_power
-            .windows(2)
-            .filter(|w| w[0] * w[1] < 0.0)
-            .count() as f64;
+        let reversals =
+            schedule.block_power.windows(2).filter(|w| w[0] * w[1] < 0.0).count() as f64;
         let reversal_penalty = reversals * self.cfg.reversal_penalty;
         let mut acc = ProfitBreakdown::default();
         for scenario in self.scenarios.iter() {
@@ -172,8 +169,7 @@ impl Simulator {
         let mut out = ProfitBreakdown::default();
 
         for t in 0..STEPS {
-            let head =
-                cfg.upper.surface_elevation(vu) - cfg.lower.surface_elevation(vl);
+            let head = cfg.upper.surface_elevation(vu) - cfg.lower.surface_elevation(vl);
             let price = sc.prices[t];
             let activation = sc.activations[t];
             let offer = schedule.reserve_at_step(t);
@@ -191,7 +187,9 @@ impl Simulator {
                     vu -= dv;
                     vl += dv;
                     // Reservoir-bound violations: clamp and penalize.
-                    for (v, cap) in [(&mut vu, cfg.upper.capacity()), (&mut vl, cfg.lower.capacity())] {
+                    for (v, cap) in
+                        [(&mut vu, cfg.upper.capacity()), (&mut vl, cfg.lower.capacity())]
+                    {
                         if *v < 0.0 {
                             out.penalties += -*v * cfg.volume_penalty;
                             *v = 0.0;
@@ -217,9 +215,8 @@ impl Simulator {
                             // avoided purchase is already in `energy`;
                             // the delivered regulation is remunerated.
                             let delivered = activation * offer * STEP_HOURS;
-                            out.reserve_revenue += delivered
-                                * price
-                                * (cfg.reserve.activation_price_factor - 1.0);
+                            out.reserve_revenue +=
+                                delivered * price * (cfg.reserve.activation_price_factor - 1.0);
                         }
                         Mode::Idle => {
                             // Idle with an activation request means the
@@ -233,8 +230,8 @@ impl Simulator {
                         cfg.infeasible_penalty + cfg.infeasible_penalty_per_mw * target.abs();
                     if activation > 0.0 && offer > 0.0 {
                         // Activated reserve not delivered.
-                        out.penalties += activation * offer * STEP_HOURS
-                            * cfg.reserve.shortfall_penalty;
+                        out.penalties +=
+                            activation * offer * STEP_HOURS * cfg.reserve.shortfall_penalty;
                     }
                     out.infeasible_steps += 1.0;
                 }
@@ -253,13 +250,10 @@ impl Simulator {
         // discounted mean price (keeps "drain everything" from being
         // optimal for free).
         let eta_ref = 0.85;
-        let delta_mwh =
-            RHO * G * self.cfg.machine.h_nominal * (vu - vu0) * eta_ref / 3.6e9;
-        out.water_value =
-            delta_mwh * cfg.market.mean_price() * cfg.water_value_factor;
+        let delta_mwh = RHO * G * self.cfg.machine.h_nominal * (vu - vu0) * eta_ref / 3.6e9;
+        out.water_value = delta_mwh * cfg.market.mean_price() * cfg.water_value_factor;
 
-        out.profit = out.energy_revenue - out.pumping_cost + out.reserve_revenue
-            - out.penalties
+        out.profit = out.energy_revenue - out.pumping_cost + out.reserve_revenue - out.penalties
             + out.water_value;
         out
     }
@@ -276,8 +270,7 @@ mod tests {
     }
 
     /// All-idle, no reserve: a feasible do-nothing day.
-    const IDLE: [f64; 12] =
-        [0.45, 0.45, 0.45, 0.45, 0.45, 0.45, 0.45, 0.45, 0.0, 0.0, 0.0, 0.0];
+    const IDLE: [f64; 12] = [0.45, 0.45, 0.45, 0.45, 0.45, 0.45, 0.45, 0.45, 0.0, 0.0, 0.0, 0.0];
 
     #[test]
     fn idle_schedule_is_feasible_and_cheap() {
@@ -352,8 +345,8 @@ mod tests {
         let s = sim();
         let x = [0.2, 0.3, 0.45, 0.8, 0.45, 0.6, 0.9, 0.45, 0.4, 0.2, 0.0, 0.6];
         let b = s.evaluate_detailed(&x);
-        let recomposed = b.energy_revenue - b.pumping_cost + b.reserve_revenue - b.penalties
-            + b.water_value;
+        let recomposed =
+            b.energy_revenue - b.pumping_cost + b.reserve_revenue - b.penalties + b.water_value;
         assert!((b.profit - recomposed).abs() < 1e-9);
     }
 
@@ -367,8 +360,7 @@ mod tests {
         let p64 = mk(64).expected_profit(&x);
         let p128 = mk(128).expected_profit(&x);
         // Larger scenario sets converge: 64 vs 128 closer than 8 vs 128.
-        assert!((p64 - p128).abs() <= (p8 - p128).abs() + 150.0,
-                "p8={p8} p64={p64} p128={p128}");
+        assert!((p64 - p128).abs() <= (p8 - p128).abs() + 150.0, "p8={p8} p64={p64} p128={p128}");
     }
 
     #[test]

@@ -64,7 +64,10 @@ fn main() -> Result<(), ConfigError> {
         run_algorithm_observed(AlgorithmKind::Turbo, &problem, &budget, cfg, 11, NullObserver)?;
 
     println!("best profit found : {:.3}", record.best_y());
-    println!("best allocation   : {:?}", record.best_x.iter().map(|v| (v * 100.0).round() / 100.0).collect::<Vec<_>>());
+    println!(
+        "best allocation   : {:?}",
+        record.best_x.iter().map(|v| (v * 100.0).round() / 100.0).collect::<Vec<_>>()
+    );
     println!("simulations used  : {}", record.n_simulations());
 
     // Sanity reference: the unconstrained per-shift optimum of

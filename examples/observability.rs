@@ -22,9 +22,7 @@ fn main() {
     let path = std::env::temp_dir().join(format!("pbo_trace_{}.jsonl", std::process::id()));
     let trace = JsonlTraceWriter::create(&path).expect("create trace file");
     let registry = Arc::new(MetricsRegistry::new());
-    let observer = FanoutObserver::new()
-        .with(trace)
-        .with(MetricsObserver::new(registry.clone()));
+    let observer = FanoutObserver::new().with(trace).with(MetricsObserver::new(registry.clone()));
 
     println!("tracing mic-q-ego on {} to {}", problem.name(), path.display());
     let record =

@@ -31,7 +31,9 @@ fn main() -> Result<(), ConfigError> {
     println!("cycles completed        : {}", record.n_cycles());
     println!("simulations (DoE incl.) : {}", record.n_simulations());
     println!("best objective value    : {:.4}", record.best_y());
-    println!("virtual time split      : fit {fit:.0} s | acquisition {acq:.0} s | simulation {sim:.0} s");
+    println!(
+        "virtual time split      : fit {fit:.0} s | acquisition {acq:.0} s | simulation {sim:.0} s"
+    );
 
     // The best-so-far trace is what the paper's Figs. 3–7 plot.
     let trace = record.best_trace();

@@ -90,10 +90,8 @@ fn shared_initial_design_across_algorithms() {
     // common seed, the DoE segment of y_min must be identical.
     let problem = SyntheticFn::ackley(4);
     let budget = Budget::cycles(1, 2).with_initial_samples(10);
-    let recs: Vec<_> = AlgorithmKind::paper_set()
-        .iter()
-        .map(|&k| run(k, &problem, &budget, 33))
-        .collect();
+    let recs: Vec<_> =
+        AlgorithmKind::paper_set().iter().map(|&k| run(k, &problem, &budget, 33)).collect();
     for r in &recs[1..] {
         assert_eq!(r.y_min[..10], recs[0].y_min[..10]);
     }

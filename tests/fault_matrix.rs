@@ -49,11 +49,7 @@ fn all_algorithms_survive_ten_percent_fault_rate() {
     for algo in ALGOS {
         let (r, log) = faulty_run(algo, 0.10, 7);
         // Completed, finite incumbent, clean trace.
-        assert!(
-            r.best_y().is_finite(),
-            "{algo:?}: non-finite incumbent {}",
-            r.best_y()
-        );
+        assert!(r.best_y().is_finite(), "{algo:?}: non-finite incumbent {}", r.best_y());
         assert!(
             r.y_min.iter().all(|v| v.is_finite()),
             "{algo:?}: non-finite value in best-so-far trace"

@@ -88,11 +88,7 @@ fn fold(events: &[Event]) -> Folded {
 fn assert_reconciles(r: &RunRecord, events: &[Event], label: &str) {
     let f = fold(events);
     assert_eq!(f.n_cycles, r.n_cycles(), "{label}: cycle count");
-    assert_eq!(
-        f.design_evaluated + f.batch_evals,
-        r.n_simulations(),
-        "{label}: simulation count"
-    );
+    assert_eq!(f.design_evaluated + f.batch_evals, r.n_simulations(), "{label}: simulation count");
     let (fit, acq, sim) = r.time_split();
     assert_eq!(f.fit.to_bits(), fit.to_bits(), "{label}: fit time");
     assert_eq!(f.acq.to_bits(), acq.to_bits(), "{label}: acq time");
@@ -164,8 +160,7 @@ fn faulty_run_reconciles_and_reports_point_faults() {
     // A 30% fault plan must surface per-point fault events, and each
     // must itself carry a non-trivial tally.
     assert!(r.fault_totals().any());
-    let faulted: Vec<&Event> =
-        events.iter().filter(|e| e.name() == "point_faulted").collect();
+    let faulted: Vec<&Event> = events.iter().filter(|e| e.name() == "point_faulted").collect();
     assert!(!faulted.is_empty(), "expected point_faulted events");
     for e in &faulted {
         match e {
@@ -295,7 +290,6 @@ fn metrics_observer_aggregates_a_run() {
     let snap = registry.snapshot();
     assert_eq!(snap.counter("engine.cycles"), r.n_cycles() as u64);
     assert_eq!(snap.counter("engine.evaluations"), r.n_simulations() as u64);
-    let fits =
-        snap.counter("fit.full") + snap.counter("fit.warm") + snap.counter("fit.fallbacks");
+    let fits = snap.counter("fit.full") + snap.counter("fit.warm") + snap.counter("fit.fallbacks");
     assert_eq!(fits, r.n_cycles() as u64);
 }

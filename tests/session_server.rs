@@ -6,8 +6,8 @@
 //! against the in-process reference (`run_algorithm_observed` with the
 //! same config and seed) — not "close", identical.
 
-use pbo::prelude::*;
 use pbo::core::session::{ProblemSpec, SessionConfig, SessionProfile, SessionState};
+use pbo::prelude::*;
 use pbo_server::client::{drive, Client};
 use pbo_server::proto;
 use pbo_server::registry::{GcPolicy, Registry};
@@ -301,11 +301,8 @@ fn design_wire_code_table_is_exhaustive() {
         })
         .collect();
     documented.sort_unstable();
-    let mut expected: Vec<&str> = RequestErrorKind::ALL
-        .iter()
-        .map(|k| k.code())
-        .chain(SessionError::ALL_CODES)
-        .collect();
+    let mut expected: Vec<&str> =
+        RequestErrorKind::ALL.iter().map(|k| k.code()).chain(SessionError::ALL_CODES).collect();
     expected.sort_unstable();
     expected.dedup();
     assert_eq!(
@@ -365,8 +362,7 @@ fn soak_64_interleaved_sessions_are_isolated() {
     let server = Server::bind(Arc::new(Registry::in_memory()), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let handle = server.spawn();
-    let mut clients: Vec<Client> =
-        (0..4).map(|_| Client::connect(addr).unwrap()).collect();
+    let mut clients: Vec<Client> = (0..4).map(|_| Client::connect(addr).unwrap()).collect();
 
     struct Sess {
         id: String,
@@ -378,11 +374,8 @@ fn soak_64_interleaved_sessions_are_isolated() {
         .map(|i| {
             // A few surrogate-driven sessions in the mix; the bulk is
             // random search so the soak stays fast.
-            let algorithm = if i % 8 == 0 {
-                AlgorithmKind::KbQEgo
-            } else {
-                AlgorithmKind::RandomSearch
-            };
+            let algorithm =
+                if i % 8 == 0 { AlgorithmKind::KbQEgo } else { AlgorithmKind::RandomSearch };
             let (p, cfg) = session_cfg(algorithm, 500 + i as u64, 2, 2);
             Sess { id: format!("soak-{i:02}"), p, cfg, done: false }
         })
@@ -400,8 +393,7 @@ fn soak_64_interleaved_sessions_are_isolated() {
         (lcg >> 33) as usize
     };
     while sessions.iter().any(|s| !s.done) {
-        let open: Vec<usize> =
-            (0..sessions.len()).filter(|&i| !sessions[i].done).collect();
+        let open: Vec<usize> = (0..sessions.len()).filter(|&i| !sessions[i].done).collect();
         let i = open[next() % open.len()];
         let client = &mut clients[i % 4];
         let (turn, points) = client.ask(&sessions[i].id).unwrap();
@@ -445,7 +437,10 @@ fn protocol_fuzz_yields_typed_errors_and_harms_nothing() {
         (proto::encode_tell("live", turn0, &vec![1.0; q + 3]), "wrong_point_count"),
         (proto::encode_tell("live", turn0 + 7, &vec![1.0; q]), "wrong_turn"),
         (proto::encode_id_op("record", "live"), "not_done"),
-        ("{\"proto\":1,\"op\":\"create\",\"id\":\"live\",\"config\":{\"bogus\":1}}".into(), "invalid_config"),
+        (
+            "{\"proto\":1,\"op\":\"create\",\"id\":\"live\",\"config\":{\"bogus\":1}}".into(),
+            "invalid_config",
+        ),
     ];
     for (frame, want_code) in fuzz {
         let resp = client.raw(&frame).unwrap();
@@ -511,10 +506,7 @@ fn nan_inf_tells_are_quarantined_imputed_and_counted() {
     assert!(r.y_min.iter().all(|v| v.is_finite()));
 
     // The worst finite value is the liar for cycle 0's NaN slot.
-    let liar: f64 = r.y_min[..doe + 2]
-        .iter()
-        .copied()
-        .fold(f64::NEG_INFINITY, f64::max);
+    let liar: f64 = r.y_min[..doe + 2].iter().copied().fold(f64::NEG_INFINITY, f64::max);
     assert!(r.y_min[doe..doe + 2].contains(&liar));
 }
 
@@ -598,8 +590,7 @@ fn gauge(status: &pbo::core::json::Json, name: &str) -> f64 {
 #[test]
 fn oversize_line_gets_typed_error_and_connection_survives() {
     let config = ServerConfig { max_line_bytes: 64 * 1024, ..ServerConfig::default() };
-    let server =
-        Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
+    let server = Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
     let handle = server.spawn();
     let mut client = Client::connect(addr).unwrap();
@@ -608,10 +599,8 @@ fn oversize_line_gets_typed_error_and_connection_survives() {
     // the line is still streaming in.
     let huge = format!("{{\"proto\":2,\"op\":\"ask\",\"id\":\"{}\"}}", "x".repeat(256 * 1024));
     let resp = client.raw(&huge).unwrap();
-    let code = resp
-        .get("error")
-        .and_then(|e| e.get("code"))
-        .and_then(pbo::core::json::Json::as_str);
+    let code =
+        resp.get("error").and_then(|e| e.get("code")).and_then(pbo::core::json::Json::as_str);
     assert_eq!(code, Some("line_too_long"), "{resp:?}");
 
     // Same connection: a normal session still drives to byte-identity.
@@ -634,8 +623,7 @@ fn oversize_line_gets_typed_error_and_connection_survives() {
 #[test]
 fn connection_cap_refuses_with_typed_server_busy() {
     let config = ServerConfig { max_conns: 1, ..ServerConfig::default() };
-    let server =
-        Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
+    let server = Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
     let handle = server.spawn();
 
@@ -652,7 +640,11 @@ fn connection_cap_refuses_with_typed_server_busy() {
         "{line}"
     );
     let mut rest = String::new();
-    assert_eq!(b_reader.read_to_string(&mut rest).unwrap(), 0, "B must be closed after the refusal");
+    assert_eq!(
+        b_reader.read_to_string(&mut rest).unwrap(),
+        0,
+        "B must be closed after the refusal"
+    );
 
     // A is unaffected and sees the rejection in the counters.
     let status = a.server_status().unwrap();
@@ -668,12 +660,9 @@ fn connection_cap_refuses_with_typed_server_busy() {
 /// healthy for clients that arrive afterwards.
 #[test]
 fn idle_connection_gets_typed_timeout_and_is_closed() {
-    let config = ServerConfig {
-        idle_timeout: Duration::from_millis(400),
-        ..ServerConfig::default()
-    };
-    let server =
-        Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
+    let config =
+        ServerConfig { idle_timeout: Duration::from_millis(400), ..ServerConfig::default() };
+    let server = Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
     let handle = server.spawn();
 
@@ -773,8 +762,7 @@ fn pooled_soak_64_threaded_clients_are_byte_identical() {
         idle_timeout: Duration::from_secs(60),
         max_line_bytes: 64 * 1024,
     };
-    let server =
-        Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
+    let server = Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
     let handle = server.spawn();
 
@@ -785,11 +773,8 @@ fn pooled_soak_64_threaded_clients_are_byte_identical() {
     let drivers: Vec<std::thread::JoinHandle<(String, String, String)>> = (0..64)
         .map(|i| {
             std::thread::spawn(move || {
-                let algorithm = if i % 8 == 0 {
-                    AlgorithmKind::KbQEgo
-                } else {
-                    AlgorithmKind::RandomSearch
-                };
+                let algorithm =
+                    if i % 8 == 0 { AlgorithmKind::KbQEgo } else { AlgorithmKind::RandomSearch };
                 let (p, cfg) = session_cfg(algorithm, 900 + i as u64, 2, 2);
                 let id = format!("pool-soak-{i:02}");
                 let mut client = Client::connect(addr).unwrap();
@@ -846,12 +831,9 @@ fn pooled_soak_64_threaded_clients_are_byte_identical() {
 /// lasts.
 #[test]
 fn trickled_partial_line_does_not_reset_the_idle_deadline() {
-    let config = ServerConfig {
-        idle_timeout: Duration::from_millis(400),
-        ..ServerConfig::default()
-    };
-    let server =
-        Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
+    let config =
+        ServerConfig { idle_timeout: Duration::from_millis(400), ..ServerConfig::default() };
+    let server = Server::bind_with(Arc::new(Registry::in_memory()), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
     let handle = server.spawn();
 
@@ -1024,7 +1006,8 @@ fn finished_session_stub_answers_byte_identically_across_restart() {
     let (_, vq) = session_cfg(AlgorithmKind::HybridQ, 62, 2, 2);
     let (_, live) = session_cfg(AlgorithmKind::RandomSearch, 63, 2, 2);
     let (_, other) = session_cfg(AlgorithmKind::RandomSearch, 99, 2, 2);
-    let finished = "{\"ok\":false,\"error\":{\"code\":\"finished\",\"message\":\"session already finished\"}}";
+    let finished =
+        "{\"ok\":false,\"error\":{\"code\":\"finished\",\"message\":\"session already finished\"}}";
     let pinned: Vec<(String, &str)> = vec![
         (proto::encode_create("fin", &fin),
          "{\"ok\":true,\"id\":\"fin\",\"key\":\"ccd841f6c30a4536\",\"created\":false,\"turn\":3}"),
@@ -1113,12 +1096,7 @@ type TellValues<'a> = dyn Fn(usize, &[Vec<f64>]) -> Vec<f64> + 'a;
 /// (cycle 0 is the design); a tell the session refuses is retried with
 /// the true objective values. Every reply must be `ok` or a typed
 /// error, and the session must finish.
-fn drive_dispatch(
-    reg: &Registry,
-    id: &str,
-    p: &SyntheticFn,
-    values: &TellValues<'_>,
-) {
+fn drive_dispatch(reg: &Registry, id: &str, p: &SyntheticFn, values: &TellValues<'_>) {
     use pbo::core::json::Json;
     use pbo_server::server::dispatch;
     for cycle in 0.. {
@@ -1360,7 +1338,8 @@ fn create_in_flight_holds_only_its_own_id() {
     let fifo = dir.join("slow.session.json.tmp");
     assert!(std::process::Command::new("mkfifo").arg(&fifo).status().unwrap().success());
 
-    let create_slow = |cfg: SessionConfig| move |r: &Registry| r.create("slow", cfg).unwrap().created;
+    let create_slow =
+        |cfg: SessionConfig| move |r: &Registry| r.create("slow", cfg).unwrap().created;
     let first = on_thread(&reg, create_slow(cfg.clone()));
     // Once `slow` is reserved, requests on other ids finish while it is
     // mid-create. They run on a helper that this thread awaits on a

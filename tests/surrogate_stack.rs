@@ -48,10 +48,7 @@ fn gp_generalizes_on_ackley_12d() {
         se_gp += (m - truth) * (m - truth);
         se_mean += (ybar - truth) * (ybar - truth);
     }
-    assert!(
-        se_gp < 0.8 * se_mean,
-        "GP RMSE² {se_gp:.1} not clearly below baseline {se_mean:.1}"
-    );
+    assert!(se_gp < 0.8 * se_mean, "GP RMSE² {se_gp:.1} not clearly below baseline {se_mean:.1}");
 }
 
 #[test]

@@ -16,7 +16,12 @@ fn uphes_test_config() -> AlgoConfig {
     use pbo::core::clock::CostModel;
     use pbo::gp::FitConfig;
     AlgoConfig {
-        fit: pbo::gp::FitConfig { restarts: 2, max_iters: 40, warm_iters: 12, ..FitConfig::default() },
+        fit: pbo::gp::FitConfig {
+            restarts: 2,
+            max_iters: 40,
+            warm_iters: 12,
+            ..FitConfig::default()
+        },
         full_fit_every: 1,
         acq: AcqConfig { restarts: 8, raw_samples: 96, ..AcqConfig::default() },
         qei: QeiConfig { samples: 64, restarts: 2, raw_samples: 12 },
