@@ -1,12 +1,13 @@
 //! The multi-tenant session table.
 //!
 //! Concurrency model: a short-lived map lock hands out per-session
-//! `Arc<Mutex<…>>` entries; all engine work happens under the entry
-//! lock only, so sessions never block each other. A create holds the
-//! map lock only to check the id and reserve it with an empty, locked
-//! entry; it draws the design and writes the first checkpoint under
-//! that entry's lock, so requests on the new id wait for the create and
-//! requests on other ids do not. Every
+//! `Arc<Mutex<…>>` slots, always locked before the map, never after.
+//! All engine work happens under the slot lock only, so sessions never
+//! block each other. A create holds the map lock only to reserve the id
+//! with an empty, locked slot, and builds and persists the session
+//! under that slot's lock. A slot leaves the map only when its holder
+//! has emptied it, so `close` waits for a request in flight, and a
+//! request that waited finds no session and writes nothing. Every
 //! journal-advancing transition (create, tell) is written through
 //! [`pbo_core::checkpoint::atomic_write`] before the reply goes out —
 //! a daemon killed at any instant restarts into exactly the set of
@@ -18,10 +19,13 @@
 //! request byte-identically. Restart replays the checkpoint, rewrites a
 //! missing or differing record file and keeps the stub.
 //!
-//! A checkpoint file that fails to parse or replay is *quarantined*:
-//! the session id stays visible with a typed `session_corrupt` error
-//! and every other session loads normally. Nothing panics on bad disk
-//! state.
+//! A checkpoint file that fails to parse or replay, or that names
+//! another session than its file name, is *quarantined* under its file
+//! name: the id stays visible with a typed `session_corrupt` error and
+//! every other session loads normally. A request that panics with its
+//! slot locked quarantines that session in memory the same way; its
+//! checkpoint keeps the last acknowledged state. Nothing panics on bad
+//! disk state.
 
 use crate::proto::{validate_id, ErrorBody, RequestErrorKind};
 use pbo_core::checkpoint::atomic_write;
@@ -29,7 +33,7 @@ use pbo_core::observe::metrics::{MetricsObserver, MetricsRegistry};
 use pbo_core::session::{AskReply, SessionConfig, SessionError, SessionState, SessionStatus};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One slot in the session table.
 pub enum SessionEntry {
@@ -37,17 +41,19 @@ pub enum SessionEntry {
     Live(Box<SessionState>),
     /// A finished session, reduced to what its replies need.
     Finished(FinishedStub),
-    /// A quarantined session whose checkpoint could not be restored.
+    /// A quarantined session: its checkpoint could not be restored, or
+    /// a request panicked while it held the session.
     Corrupt {
-        /// Why the restore failed.
+        /// Why it was quarantined.
         reason: String,
     },
 }
 
-/// A table slot: `None` while a create holds the id. The creator keeps
-/// the slot locked until the session is built and persisted; a failed
-/// create takes the slot out of the table before it lets the lock go,
-/// so a request that waited on it finds no session.
+/// A table slot, always locked through `lock`. `None` while a create
+/// holds the id, and after the slot left the table: the creator keeps
+/// it locked until the session is built and persisted, and whoever
+/// empties a slot unlinks it (`Registry::unlink`) before letting the
+/// lock go, so a request that waited on it finds no session.
 type Slot = Arc<Mutex<Option<SessionEntry>>>;
 
 /// What the table keeps of a finished session: the same size however
@@ -116,11 +122,12 @@ impl Registry {
     }
 
     /// Open (creating if needed) a persistent registry rooted at `dir`
-    /// and restore every `*.session.json` checkpoint found there. Each
-    /// journal is replayed once, into a session that streams its events
-    /// to the metrics registry; a finished one becomes a stub, and its
-    /// record file is rewritten if missing. Corrupt checkpoints are
-    /// quarantined, never fatal.
+    /// and restore every `*.session.json` checkpoint found there, under
+    /// the id its file name gives. Each journal is replayed once, into
+    /// a session that streams its events to the metrics registry; a
+    /// finished one becomes a stub, and its record file is rewritten if
+    /// missing. Corrupt checkpoints, and those naming another id than
+    /// their file, are quarantined, never fatal.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Registry, String> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
@@ -132,31 +139,30 @@ impl Registry {
         };
         let resumed = reg.metrics.counter("server.sessions.resumed");
         let quarantined = reg.metrics.counter("server.sessions.quarantined");
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
             .map_err(|e| format!("cannot read session dir {}: {e}", dir.display()))?
             .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.ends_with(".session.json"))
-            })
             .collect();
-        entries.sort(); // deterministic restore order
-        for path in entries {
-            let fallback_id = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(|n| n.strip_suffix(".session.json"))
-                .unwrap_or("unknown")
-                .to_string();
-            let entry = std::fs::read_to_string(&path)
+        paths.sort(); // deterministic restore order
+        for path in paths {
+            let name = path.file_name().and_then(|n| n.to_str());
+            let Some(id) = name.and_then(|n| n.strip_suffix(".session.json")) else { continue };
+            let id = id.to_string();
+            let restored = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))
                 .and_then(|body| {
                     let observer = MetricsObserver::new(reg.metrics.clone());
                     SessionState::from_checkpoint_line(&body, observer).map_err(|e| e.to_string())
+                })
+                .and_then(|(named, state)| {
+                    (named == id).then_some(state).ok_or_else(|| {
+                        format!("checkpoint names session '{named}', not its file name '{id}'")
+                    })
                 });
-            let (id, entry) = match entry {
-                Ok((id, state)) => {
+            let entry = match restored {
+                Ok(state) => {
                     resumed.inc();
-                    let entry = match state.record().map(|r| r.to_json_line()) {
+                    match state.record().map(|r| r.to_json_line()) {
                         Some(line) => {
                             // Rewrite the record file only when it is
                             // missing or differs from the replay.
@@ -168,12 +174,11 @@ impl Registry {
                             SessionEntry::Finished(FinishedStub::of(&state, record))
                         }
                         None => SessionEntry::Live(Box::new(state)),
-                    };
-                    (id, entry)
+                    }
                 }
                 Err(reason) => {
                     quarantined.inc();
-                    (fallback_id, SessionEntry::Corrupt { reason })
+                    SessionEntry::Corrupt { reason }
                 }
             };
             reg.sessions
@@ -233,10 +238,20 @@ impl Registry {
         id: &str,
         f: impl FnOnce(&mut SessionEntry) -> Result<R, ErrorBody>,
     ) -> Result<R, ErrorBody> {
-        let entry = self.sessions.lock().expect("session table poisoned").get(id).cloned();
-        let entry = entry.ok_or_else(|| unknown_session(id))?;
-        let mut guard = entry.lock().expect("session entry poisoned");
+        let slot = self.sessions.lock().expect("session table poisoned").get(id).cloned();
+        let slot = slot.ok_or_else(|| unknown_session(id))?;
+        let mut guard = lock(&slot);
         f(guard.as_mut().ok_or_else(|| unknown_session(id))?)
+    }
+
+    /// Take `slot` out of the table if `id` still maps to it: the one way
+    /// an entry leaves the table. The caller holds `slot`'s lock and
+    /// leaves it `None`, so a request that waited on it finds no session.
+    fn unlink(&self, id: &str, slot: &Slot) {
+        let mut table = self.sessions.lock().expect("session table poisoned");
+        if table.get(id).is_some_and(|s| Arc::ptr_eq(s, slot)) {
+            table.remove(id);
+        }
     }
 
     /// Create a session, idempotently: re-creating an existing id with
@@ -261,7 +276,7 @@ impl Registry {
             };
             // Never wait on an entry while holding the table.
             drop(table);
-            let guard = existing.lock().expect("session entry poisoned");
+            let guard = lock(&existing);
             let (have, turn) = match &*guard {
                 Some(SessionEntry::Live(state)) => (state.config().key(), state.turn()),
                 Some(SessionEntry::Finished(stub)) => (stub.key.clone(), stub.status.turn),
@@ -400,8 +415,8 @@ impl Registry {
         let mut out: Vec<(String, String, usize)> = self
             .slots()
             .into_iter()
-            .filter_map(|(id, entry)| {
-                let guard = entry.lock().expect("session entry poisoned");
+            .filter_map(|(id, slot)| {
+                let guard = lock(&slot);
                 Some(match guard.as_ref()? {
                     SessionEntry::Live(s) => (id, s.status().phase.to_string(), s.turn()),
                     SessionEntry::Finished(stub) => {
@@ -421,15 +436,16 @@ impl Registry {
         table.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
-    /// Drop a session from the live table. Its files stay on disk, so
-    /// the next daemon start restores it.
+    /// Drop a session from the live table, once a request in flight on
+    /// it has replied. Its files stay on disk, so the next daemon start
+    /// restores it.
     pub fn close(&self, id: &str) -> Result<(), ErrorBody> {
-        self.sessions
-            .lock()
-            .expect("session table poisoned")
-            .remove(id)
-            .map(|_| ())
-            .ok_or_else(|| unknown_session(id))
+        let slot = self.sessions.lock().expect("session table poisoned").get(id).cloned();
+        let slot = slot.ok_or_else(|| unknown_session(id))?;
+        let mut guard = lock(&slot);
+        guard.take().ok_or_else(|| unknown_session(id))?;
+        self.unlink(id, &slot);
+        Ok(())
     }
 
     /// Evict finished sessions per `policy`: table entry, record file
@@ -440,31 +456,32 @@ impl Registry {
     /// [`GcReport::quarantined_kept`] instead.
     pub fn gc(&self, policy: &GcPolicy) -> GcReport {
         let mut report = GcReport::default();
-        // (age_secs, id) for every finished session; corrupt entries are
-        // counted, and in-flight sessions and creates are never considered.
         let now = std::time::SystemTime::now();
-        let mut done: Vec<(u64, String)> = Vec::new();
-        for (id, entry) in self.slots() {
-            let guard = entry.lock().expect("session entry poisoned");
-            match &*guard {
-                Some(SessionEntry::Corrupt { .. }) => report.quarantined_kept += 1,
-                Some(SessionEntry::Finished(_)) => {
-                    let age = self
-                        .checkpoint_path(&id)
-                        .and_then(|p| std::fs::metadata(p).ok())
-                        .and_then(|m| m.modified().ok())
-                        .and_then(|t| now.duration_since(t).ok())
-                        .map_or(0, |d| d.as_secs());
-                    done.push((age, id));
-                }
-                Some(SessionEntry::Live(_)) | None => {}
-            }
-        }
+        let age = |id: &str| {
+            self.checkpoint_path(id)
+                .and_then(|p| std::fs::metadata(p).ok())
+                .and_then(|m| m.modified().ok())
+                .and_then(|t| now.duration_since(t).ok())
+                .map_or(0, |d| d.as_secs())
+        };
+        let mut slots: Vec<(u64, String, Slot)> =
+            self.slots().into_iter().map(|(id, slot)| (age(&id), id, slot)).collect();
         // Newest first; ties broken by id so eviction order is
         // deterministic on filesystems with coarse mtimes.
-        done.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        for (i, (age, id)) in done.into_iter().enumerate() {
-            let shielded_by_count = i < policy.keep_newest;
+        slots.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        let mut finished = 0;
+        for (age, id, slot) in slots {
+            // Held from classification to unlink. Corrupt entries are
+            // counted; in-flight sessions and creates are never candidates.
+            let mut guard = lock(&slot);
+            let Some(SessionEntry::Finished(_)) = &*guard else {
+                if let Some(SessionEntry::Corrupt { .. }) = &*guard {
+                    report.quarantined_kept += 1;
+                }
+                continue;
+            };
+            let shielded_by_count = finished < policy.keep_newest;
+            finished += 1;
             let shielded_by_age = policy.max_age_secs.is_some_and(|max| age <= max);
             if shielded_by_count || shielded_by_age {
                 report.kept += 1;
@@ -486,7 +503,8 @@ impl Registry {
                 report.kept += 1;
                 continue;
             }
-            self.sessions.lock().expect("session table poisoned").remove(&id);
+            *guard = None;
+            self.unlink(&id, &slot);
             self.metrics.counter("server.sessions.gc_evicted").inc();
             report.evicted.push(id);
         }
@@ -495,9 +513,8 @@ impl Registry {
 }
 
 /// An id reserved by [`Registry::create`]. Dropped before the session
-/// is persisted, on an error or a panic, it frees the id: it takes its
-/// own slot out of the table while the creator still holds the slot's
-/// lock.
+/// is persisted, on an error or a panic, it frees the id: it unlinks its
+/// own empty slot while the creator still holds the slot's lock.
 struct Reservation<'a> {
     registry: &'a Registry,
     id: &'a str,
@@ -506,12 +523,23 @@ struct Reservation<'a> {
 
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
-        let mut table = self.registry.sessions.lock().unwrap_or_else(|e| e.into_inner());
-        // A `close` and a new create may have replaced the slot meanwhile.
-        if table.get(self.id).is_some_and(|slot| Arc::ptr_eq(slot, self.slot)) {
-            table.remove(self.id);
-        }
+        self.registry.unlink(self.id, self.slot);
     }
+}
+
+/// Lock `slot`. A request that panicked while holding it may have left
+/// its session half updated: that session is quarantined in memory, and
+/// an empty slot stays empty.
+fn lock(slot: &Slot) -> MutexGuard<'_, Option<SessionEntry>> {
+    slot.lock().unwrap_or_else(|poisoned| {
+        slot.clear_poison();
+        let mut guard = poisoned.into_inner();
+        if let Some(entry) = guard.as_mut() {
+            let reason = "a request panicked while it held the session".to_string();
+            *entry = SessionEntry::Corrupt { reason };
+        }
+        guard
+    })
 }
 
 /// The typed answer for a request on an id with no session.
@@ -674,6 +702,8 @@ mod tests {
         finish(&reg, "s");
         assert!(dir.join("s.record.json").exists());
         reg.close("s").unwrap();
+        assert_eq!(reg.close("s").unwrap_err().code, "unknown_session");
+        assert_eq!(reg.ask("s").unwrap_err().code, "unknown_session");
         // Any config: the fresh session owns the id's files.
         assert!(reg.create("s", cfg(9)).unwrap().created);
         assert!(!dir.join("s.record.json").exists());
@@ -816,5 +846,95 @@ mod tests {
         assert!(reg.ask("good").is_ok());
         assert_eq!(reg.metrics().snapshot().counter("server.sessions.quarantined"), 1);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A request that panics while it holds a session's slot leaves the
+    /// lock poisoned. The session is then quarantined: later requests on
+    /// it get `session_corrupt` instead of a panic, `close` frees the id,
+    /// and another session drives on to the same record as on its own.
+    #[test]
+    fn a_panic_under_a_slot_lock_quarantines_that_session_only() {
+        let reg = Registry::in_memory();
+        reg.create("s", cfg(1)).unwrap();
+        reg.create("other", cfg(2)).unwrap();
+        let p = SyntheticFn::ackley(2);
+        let step = |id: &str| {
+            let ask = reg.ask(id).unwrap();
+            let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
+            reg.tell(id, ask.turn, &values).unwrap();
+        };
+        let slot = reg.sessions.lock().unwrap().get("s").cloned().unwrap();
+        let panicked = std::thread::spawn(move || {
+            let _held = slot.lock().unwrap();
+            panic!("a request panics while it holds the session");
+        })
+        .join();
+        assert!(panicked.is_err());
+
+        let codes = [
+            reg.ask("s").map(drop),
+            reg.status("s").map(drop),
+            reg.tell("s", 0, &[1.0; 4]).map(drop),
+            reg.create("s", cfg(1)).map(drop),
+        ]
+        .map(|r| r.unwrap_err().code);
+        assert_eq!(codes, ["session_corrupt"; 4]);
+        step("other");
+        assert_eq!(reg.list()[1], ("s".to_string(), "corrupt".to_string(), 0));
+        let report = reg.gc(&GcPolicy { max_age_secs: None, keep_newest: 0 });
+        assert_eq!(report, GcReport { evicted: vec![], kept: 0, quarantined_kept: 1 });
+        step("other");
+        reg.close("s").unwrap();
+        assert!(reg.create("s", cfg(1)).unwrap().created);
+        assert!(reg.ask("s").is_ok());
+
+        finish(&reg, "other");
+        let alone = Registry::in_memory();
+        alone.create("other", cfg(2)).unwrap();
+        finish(&alone, "other");
+        assert_eq!(reg.record_line("other").unwrap(), alone.record_line("other").unwrap());
+    }
+
+    /// A restored session's id is its checkpoint's file name, never the
+    /// id written inside it. A checkpoint that names another session is
+    /// quarantined under its file name, so restore builds no path from
+    /// file contents: nothing is written outside the directory, and no
+    /// checkpoint shadows another session.
+    #[test]
+    fn restore_keys_every_checkpoint_by_its_file_name() {
+        let root = tmp_dir("restore_id");
+        let dir = root.join("sessions");
+        let reg = Registry::open(&dir).unwrap();
+        for (id, seed) in [("a", 1), ("b", 2), ("s", 3)] {
+            reg.create(id, cfg(seed)).unwrap();
+            finish(&reg, id);
+        }
+        let b_record = reg.record_line("b").unwrap();
+        drop(reg);
+        let s = std::fs::read_to_string(dir.join("s.session.json")).unwrap();
+        let escape = s.replace("\"id\":\"s\"", "\"id\":\"../escape\"");
+        assert_ne!(escape, s);
+        std::fs::write(dir.join("s.session.json"), escape).unwrap();
+        std::fs::copy(dir.join("b.session.json"), dir.join("a.session.json")).unwrap();
+        for id in ["a", "s"] {
+            std::fs::remove_file(dir.join(format!("{id}.record.json"))).unwrap();
+        }
+
+        let reg = Registry::open(&dir).unwrap();
+        let outside: Vec<_> =
+            std::fs::read_dir(&root).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(outside, ["sessions"]);
+        let listed: Vec<(String, String)> =
+            reg.list().into_iter().map(|(id, phase, _)| (id, phase)).collect();
+        let want = [("a", "corrupt"), ("b", "done"), ("s", "corrupt")];
+        assert_eq!(listed, want.map(|(id, phase)| (id.to_string(), phase.to_string())));
+        let err = reg.ask("a").unwrap_err();
+        assert!(err.message.contains("names session 'b'"), "{}", err.message);
+        assert_eq!(reg.record_line("b").unwrap(), b_record);
+        assert_eq!(reg.metrics().snapshot().counter("server.sessions.quarantined"), 2);
+        let report = reg.gc(&GcPolicy { max_age_secs: None, keep_newest: 0 });
+        assert_eq!(report, GcReport { evicted: vec!["b".into()], kept: 0, quarantined_kept: 2 });
+        assert!(dir.join("a.session.json").exists() && dir.join("s.session.json").exists());
+        let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -1373,3 +1373,56 @@ fn create_in_flight_holds_only_its_own_id() {
     assert_eq!(body, serial_checkpoint("slow", &cfg));
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Run `f` on a thread of its own and wait at most a minute for it, so
+/// a step that blocks for ever fails the test instead of hanging it.
+#[cfg(unix)]
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(Duration::from_secs(60)).unwrap_or_else(|_| panic!("{what} never finished"))
+}
+
+/// `close` waits for a request in flight on its session. A tell paused
+/// inside its checkpoint write (the temp file is a FIFO that nobody
+/// reads yet) holds the session: a `close` sent meanwhile replies only
+/// after the tell has, and a create of the id sent after the close
+/// builds a fresh session whose checkpoint no write of the closed one
+/// replaces.
+#[cfg(unix)]
+#[test]
+fn close_waits_for_a_request_in_flight() {
+    let dir = tmp_dir("close_in_flight");
+    let reg = Arc::new(Registry::open(&dir).unwrap());
+    let (p, cfg) = session_cfg(AlgorithmKind::RandomSearch, 3, 2, 2);
+    let (_, fresh_cfg) = session_cfg(AlgorithmKind::RandomSearch, 4, 2, 2);
+    reg.create("s", cfg).unwrap();
+    let ask = reg.ask("s").unwrap();
+    let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
+    let fifo = dir.join("s.session.json.tmp");
+    assert!(std::process::Command::new("mkfifo").arg(&fifo).status().unwrap().success());
+
+    let tell = on_thread(&reg, move |r| r.tell("s", ask.turn, &values).map(|t| t.turn));
+    // The tell commits its values, and so counts them, while it holds
+    // the session's lock; it keeps the lock until its checkpoint write
+    // returns.
+    wait_until("the tell", || reg.metrics().snapshot().counter("engine.evaluations") > 0);
+    let (closed_tx, closed) = std::sync::mpsc::channel();
+    let recreate_cfg = fresh_cfg.clone();
+    let recreate = on_thread(&reg, move |r| {
+        let _ = closed_tx.send(r.close("s").map_err(|e| e.code));
+        r.create("s", recreate_cfg).map(|c| c.created).map_err(|e| e.code)
+    });
+    let early = closed.recv_timeout(Duration::from_millis(500));
+    assert!(early.is_err(), "close replied while a tell was in flight: {early:?}");
+    assert!(!tell.is_finished(), "the tell replied before its checkpoint was written");
+
+    within("draining the tell's checkpoint write", move || std::fs::read_to_string(fifo)).unwrap();
+    assert_eq!(within("the tell", move || tell.join().unwrap()).map_err(|e| e.code), Ok(1));
+    assert_eq!(closed.recv_timeout(Duration::from_secs(60)), Ok(Ok(())));
+    assert_eq!(within("the re-create", move || recreate.join().unwrap()), Ok(true));
+    let checkpoint = dir.join("s.session.json");
+    assert!(std::fs::symlink_metadata(&checkpoint).unwrap().file_type().is_file());
+    assert_eq!(std::fs::read_to_string(checkpoint).unwrap(), serial_checkpoint("s", &fresh_cfg));
+    let _ = std::fs::remove_dir_all(dir);
+}
