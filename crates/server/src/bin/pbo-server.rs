@@ -155,13 +155,22 @@ fn validate(dir: &std::path::Path) -> Result<(), String> {
         })
     };
     // The record file each replayed finished session should have.
-    let mut records: HashMap<String, String> = HashMap::new();
-    for (path, _) in suffixed(".session.json") {
-        let verdict = std::fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|body| {
-            SessionState::from_checkpoint_line(&body, NullObserver).map_err(|e| e.to_string())
-        });
+    let mut records: HashMap<&str, String> = HashMap::new();
+    // A checkpoint is filed under its file name, as `Registry::open`
+    // restores it; one that names another session is corrupt.
+    for (path, id) in suffixed(".session.json") {
+        let verdict = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|body| {
+                SessionState::from_checkpoint_line(&body, NullObserver).map_err(|e| e.to_string())
+            })
+            .and_then(|(named, state)| {
+                (named == id).then_some(state).ok_or_else(|| {
+                    format!("checkpoint names session '{named}', not its file name '{id}'")
+                })
+            });
         match verdict {
-            Ok((id, state)) => {
+            Ok(state) => {
                 ok += 1;
                 println!(
                     "ok      {} (id {id}, phase {}, turn {})",
@@ -202,4 +211,52 @@ fn validate(dir: &std::path::Path) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pbo_core::algorithms::AlgorithmKind;
+    use pbo_core::budget::Budget;
+    use pbo_core::session::{ProblemSpec, SessionConfig, SessionProfile};
+    use pbo_problems::{Problem, SyntheticFn};
+
+    /// `validate` files a checkpoint under its file name, as a restart
+    /// does: one that names another session is corrupt, and its record
+    /// is never checked under the name written inside it.
+    #[test]
+    fn validate_reports_a_checkpoint_naming_another_session_as_corrupt() {
+        let dir = std::env::temp_dir().join(format!("pbo_validate_id_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let p = SyntheticFn::ackley(2);
+        let reg = Registry::open(&dir).unwrap();
+        for (id, seed) in [("a", 1), ("b", 2), ("s", 3)] {
+            let cfg = SessionConfig {
+                algorithm: AlgorithmKind::RandomSearch,
+                problem: ProblemSpec::of(&p),
+                budget: Budget::cycles(2, 2).with_initial_samples(4),
+                profile: SessionProfile::Test,
+                seed,
+            };
+            reg.create(id, cfg).unwrap();
+            while reg.status(id).unwrap().0.phase != "done" {
+                let ask = reg.ask(id).unwrap();
+                let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
+                reg.tell(id, ask.turn, &values).unwrap();
+            }
+        }
+        drop(reg);
+        assert_eq!(validate(&dir), Ok(()));
+
+        let s = std::fs::read_to_string(dir.join("s.session.json")).unwrap();
+        std::fs::write(dir.join("s.session.json"), s.replace("\"id\":\"s\"", "\"id\":\"x\""))
+            .unwrap();
+        std::fs::copy(dir.join("b.session.json"), dir.join("a.session.json")).unwrap();
+        for id in ["a", "s"] {
+            std::fs::remove_file(dir.join(format!("{id}.record.json"))).unwrap();
+        }
+        let want = "2 corrupt session checkpoint(s), 0 record mismatch(es)";
+        assert_eq!(validate(&dir), Err(want.to_string()));
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

@@ -19,6 +19,9 @@ commands:
   validate   check session checkpoints and record files offline
   gc         evict finished sessions' checkpoints offline
 
+validate and gc are for a directory that no daemon is serving: nothing
+locks it across processes.
+
 serve options:
   --addr HOST:PORT   listen address (default 127.0.0.1:7341; port 0
                      picks an ephemeral port)
