@@ -99,7 +99,8 @@ if [[ "${1:-}" != "--quick" ]]; then
   # be byte-identical to the in-process reference (`drive --local`).
   # Then kill -9 and restart once more: the finished session's record,
   # served from its record file, must still match, and `validate` must
-  # cross-check that file against the replayed checkpoint.
+  # cross-check that file against the replayed checkpoint. Last, an
+  # offline `gc` evicts the finished session and keeps a corrupt one.
   echo "== pbo-server smoke: kill -9 / restart / resume is byte-identical =="
   srv=target/ci-server
   rm -rf "$srv"; mkdir -p "$srv"
@@ -138,6 +139,16 @@ if [[ "${1:-}" != "--quick" ]]; then
     echo "validate accepted a record file that disagrees with its checkpoint" >&2
     exit 1
   fi
+  # Offline gc leg: with no shield left, the finished session goes (both
+  # files), and a corrupt checkpoint beside it is kept.
+  echo '{"event":"pbo-session",trunc' >"$srv/sessions/bad.session.json"
+  target/release/pbo-server gc --dir "$srv/sessions" --keep 0 >"$srv/gc.log"
+  grep -qx 'evicted ci-smoke' "$srv/gc.log"
+  if [[ -e "$srv/sessions/ci-smoke.session.json" || -e "$srv/sessions/ci-smoke.record.json" ]]; then
+    echo "gc left a file of the finished session ci-smoke" >&2
+    exit 1
+  fi
+  [[ -f "$srv/sessions/bad.session.json" ]] || { echo "gc deleted a corrupt checkpoint" >&2; exit 1; }
   rm -rf "$srv"
 
   # Variable-q leg: the same kill -9 / restart / resume contract for a
