@@ -282,7 +282,7 @@ pub fn posterior_with_grad_ws(gp: &GaussianProcess, x: &[f64], ws: &mut AcqWorks
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbo_gp::kernel::{Kernel, KernelType};
+    use pbo_gp::kernel::Kernel;
     use pbo_gp::GaussianProcess;
     use pbo_linalg::Matrix;
 
@@ -290,7 +290,7 @@ mod tests {
         let xs: Vec<f64> = (0..8).map(|i| i as f64 / 7.0).collect();
         let x = Matrix::from_rows(&xs.iter().map(|&v| vec![v, v * v]).collect::<Vec<_>>()).unwrap();
         let y: Vec<f64> = xs.iter().map(|&v| (5.0 * v).sin() + 2.0 * v).collect();
-        let mut kernel = Kernel::new(KernelType::Matern52, 2);
+        let mut kernel = Kernel::new(2);
         kernel.lengthscales = vec![0.3, 0.5];
         GaussianProcess::new(x, &y, kernel, 1e-6).unwrap()
     }
@@ -382,7 +382,7 @@ mod tests {
             .collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let y: Vec<f64> = rows.iter().map(|r| (5.0 * r[0]).sin() + 2.0 * r[1]).collect();
-        let mut kernel = Kernel::new(KernelType::Matern52, 2);
+        let mut kernel = Kernel::new(2);
         kernel.lengthscales = vec![0.3, 0.5];
         let gp = GaussianProcess::new(x, &y, kernel, 1e-6).unwrap();
 

@@ -371,7 +371,7 @@ pub fn optimize_qei(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbo_gp::kernel::{Kernel, KernelType};
+    use pbo_gp::kernel::Kernel;
     use pbo_gp::GaussianProcess;
     use pbo_sampling::SeedStream;
     use rand::Rng;
@@ -387,7 +387,7 @@ mod tests {
             x[(i, 1)] = b;
             y.push((a - 0.3).powi(2) + (b - 0.6).powi(2) + 0.1 * (7.0 * a).sin());
         }
-        let mut kernel = Kernel::new(KernelType::Matern52, 2);
+        let mut kernel = Kernel::new(2);
         kernel.lengthscales = vec![0.35, 0.35];
         GaussianProcess::new(x, &y, kernel, 1e-6).unwrap()
     }

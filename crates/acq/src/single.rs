@@ -187,7 +187,7 @@ pub fn optimize_single(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbo_gp::kernel::{Kernel, KernelType};
+    use pbo_gp::kernel::Kernel;
     use pbo_gp::GaussianProcess;
     use pbo_linalg::Matrix;
 
@@ -196,7 +196,7 @@ mod tests {
         let xs = [0.0, 0.15, 0.5, 0.72, 1.0];
         let x = Matrix::from_rows(&xs.iter().map(|&v| vec![v]).collect::<Vec<_>>()).unwrap();
         let y: Vec<f64> = xs.iter().map(|&v: &f64| (v - 0.35) * (v - 0.35)).collect();
-        let mut kernel = Kernel::new(KernelType::Matern52, 1);
+        let mut kernel = Kernel::new(1);
         kernel.lengthscales = vec![0.3];
         kernel.outputscale = 1.0;
         GaussianProcess::new(x, &y, kernel, 1e-6).unwrap()
@@ -255,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn ucb_beta_zero_is_posterior_mean_exploitation() {
+    fn zero_beta_ucb_is_posterior_mean_exploitation() {
         let gp = gp_1d();
         let ucb = UpperConfidenceBound { beta: 0.0 };
         let bounds = Bounds::unit(1);

@@ -10,7 +10,7 @@ use pbo_acq::{
     posterior_with_grad_ws, AcqWorkspace, Acquisition, ExpectedImprovement,
     ProbabilityOfImprovement, UpperConfidenceBound,
 };
-use pbo_gp::kernel::{Kernel, KernelType};
+use pbo_gp::kernel::Kernel;
 use pbo_gp::GaussianProcess;
 use pbo_linalg::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -58,7 +58,7 @@ fn fitted_gp(n: usize, d: usize) -> GaussianProcess {
         }
         y.push(s);
     }
-    let mut kernel = Kernel::new(KernelType::Matern52, d);
+    let mut kernel = Kernel::new(d);
     kernel.lengthscales = vec![0.4; d];
     GaussianProcess::new(x, &y, kernel, 1e-6).unwrap()
 }

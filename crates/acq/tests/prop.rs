@@ -3,7 +3,7 @@
 use pbo_acq::mc::QExpectedImprovement;
 use pbo_acq::single::{ExpectedImprovement, ProbabilityOfImprovement, UpperConfidenceBound};
 use pbo_acq::Acquisition;
-use pbo_gp::kernel::{Kernel, KernelType};
+use pbo_gp::kernel::Kernel;
 use pbo_gp::GaussianProcess;
 use pbo_linalg::Matrix;
 use proptest::prelude::*;
@@ -15,7 +15,7 @@ fn model(rows: &[(f64, f64, f64)]) -> GaussianProcess {
         x.push_row(&[*a, *b]).unwrap();
         y.push(*v);
     }
-    let mut kernel = Kernel::new(KernelType::Matern52, 2);
+    let mut kernel = Kernel::new(2);
     kernel.lengthscales = vec![0.35; 2];
     GaussianProcess::new(x, &y, kernel, 1e-4).unwrap()
 }
@@ -31,7 +31,7 @@ fn degenerate_model() -> GaussianProcess {
     let pts = [[0.2, 0.2], [0.8, 0.3], [0.5, 0.5], [0.1, 0.9], [0.7, 0.8], [0.4, 0.1]];
     let x = Matrix::from_rows(&pts.iter().map(|p| p.to_vec()).collect::<Vec<_>>()).unwrap();
     let y = vec![0.5; pts.len()];
-    let mut kernel = Kernel::new(KernelType::Matern52, 2);
+    let mut kernel = Kernel::new(2);
     kernel.lengthscales = vec![0.35; 2];
     GaussianProcess::new(x, &y, kernel, 1e-10).unwrap()
 }

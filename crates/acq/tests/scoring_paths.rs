@@ -12,7 +12,7 @@
 
 use pbo_acq::single::{ExpectedImprovement, ProbabilityOfImprovement, UpperConfidenceBound};
 use pbo_acq::{AcqWorkspace, Acquisition};
-use pbo_gp::kernel::{Kernel, KernelType};
+use pbo_gp::kernel::Kernel;
 use pbo_gp::GaussianProcess;
 use pbo_linalg::cholesky::BIT_EXACT_MAX_N;
 use pbo_linalg::Matrix;
@@ -30,7 +30,7 @@ fn data(n: usize) -> (Matrix, Vec<f64>) {
 }
 
 fn kernel() -> Kernel {
-    let mut k = Kernel::new(KernelType::Matern52, D);
+    let mut k = Kernel::new(D);
     k.lengthscales = vec![0.3, 0.45, 0.6];
     k
 }

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pbo_gp::fit::{fit, refit_warm_with, FitConfig};
-use pbo_gp::kernel::{Kernel, KernelType};
+use pbo_gp::kernel::Kernel;
 use pbo_gp::{FitWorkspace, GaussianProcess};
 use pbo_linalg::Matrix;
 use pbo_opt::Bounds;
@@ -54,7 +54,7 @@ fn ablation_refit(c: &mut Criterion) {
 /// accuracy/cost dial of the reparameterization estimator).
 fn ablation_qei_samples(c: &mut Criterion) {
     let (x, y) = dataset(96);
-    let mut kernel = Kernel::new(KernelType::Matern52, 12);
+    let mut kernel = Kernel::new(12);
     kernel.lengthscales = vec![0.4; 12];
     let gp = GaussianProcess::new(x, &y, kernel, 1e-4).unwrap();
     let f_best = gp.best_observed(false);
@@ -74,7 +74,7 @@ fn ablation_qei_samples(c: &mut Criterion) {
 /// BSP-EGO with n_cand = q vs the paper's 2q: serial acquisition work.
 fn ablation_bsp_cells(c: &mut Criterion) {
     let (x, y) = dataset(96);
-    let mut kernel = Kernel::new(KernelType::Matern52, 12);
+    let mut kernel = Kernel::new(12);
     kernel.lengthscales = vec![0.4; 12];
     let gp = GaussianProcess::new(x, &y, kernel, 1e-4).unwrap();
     let f_best = gp.best_observed(false);

@@ -26,7 +26,7 @@ use pbo_acq::single::ExpectedImprovement;
 use pbo_acq::Acquisition;
 use pbo_core::algorithms::{kb_qego, mic_qego, qei_multistart};
 use pbo_core::engine::{AcqConfig, AlgoConfig, QeiConfig};
-use pbo_gp::kernel::{Kernel, KernelType};
+use pbo_gp::kernel::Kernel;
 use pbo_gp::GaussianProcess;
 use pbo_linalg::Matrix;
 use pbo_opt::multistart::MultistartConfig;
@@ -70,7 +70,7 @@ fn fitted_gp(n: usize) -> GaussianProcess {
         y.push(p.iter().enumerate().map(|(i, v)| ((i + 1) as f64 * v).sin()).sum::<f64>());
         x.push_row(p).unwrap();
     }
-    let mut kernel = Kernel::new(KernelType::Matern52, 12);
+    let mut kernel = Kernel::new(12);
     kernel.lengthscales = vec![0.4; 12];
     GaussianProcess::new(x, &y, kernel, 1e-4).unwrap()
 }
@@ -169,7 +169,7 @@ fn bench_gp_ucb_pe(c: &mut Criterion) {
     let gp = fitted_gp(if smoke() { 48 } else { 128 });
     let bounds = Bounds::unit(12);
     let cfg = cfg();
-    let n_cand = cfg.acq.pe_candidates;
+    let n_cand = pbo_core::algorithms::stepper::PE_CANDIDATES;
     let mut g = c.benchmark_group("acq_gp_ucb_pe");
     tune(&mut g);
     for &q in q_grid() {
@@ -256,7 +256,7 @@ fn optimize_single_pre(
     let mut best: Option<OptResult> = None;
     let mut total_iters = 0;
     for s in &starts {
-        let r = pbo_opt::lbfgs::minimize(&obj, bounds, s, &cfg.lbfgs);
+        let r = pbo_opt::lbfgs::minimize(&obj, bounds, s, cfg.max_iters);
         evals += r.evals;
         total_iters += r.iters;
         if r.value.is_finite() && best.as_ref().is_none_or(|b| r.value < b.value) {

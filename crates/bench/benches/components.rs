@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pbo_gp::fit::{fit, mll_and_grad, FitConfig};
-use pbo_gp::kernel::{Kernel, KernelType};
+use pbo_gp::kernel::Kernel;
 use pbo_gp::GaussianProcess;
 use pbo_linalg::{Cholesky, Matrix};
 use pbo_sampling::{lhs, SeedStream};
@@ -31,7 +31,7 @@ fn bench_cholesky(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(300));
     for &n in &[64usize, 128, 256, 512] {
         let (x, _) = dataset(n, 12, 1);
-        let kernel = Kernel::new(KernelType::Matern52, 12);
+        let kernel = Kernel::new(12);
         let mut k = kernel.matrix(&x);
         k.add_diag(1e-4);
         g.bench_with_input(BenchmarkId::from_parameter(n), &k, |b, k| {
@@ -57,7 +57,7 @@ fn bench_mll_grad(c: &mut Criterion) {
         params.push(0.0);
         params.push((1e-4f64).ln());
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| mll_and_grad(KernelType::Matern52, &x, &y_std, &params).unwrap().0)
+            b.iter(|| mll_and_grad(&x, &y_std, &params).unwrap().0)
         });
     }
     g.finish();
@@ -86,7 +86,7 @@ fn bench_fit(c: &mut Criterion) {
 /// Fantasy conditioning (rank-q extension) vs plain O(n³) rebuild.
 fn bench_fantasy_update(c: &mut Criterion) {
     let (x, y) = dataset(256, 12, 4);
-    let kernel = Kernel::new(KernelType::Matern52, 12);
+    let kernel = Kernel::new(12);
     let gp = GaussianProcess::new(x, &y, kernel, 1e-4).unwrap();
     let mut rng = SeedStream::new(5).fork_named("f").rng();
     let new_x: Vec<Vec<f64>> =
@@ -112,7 +112,7 @@ fn bench_uphes_eval(c: &mut Criterion) {
 /// Posterior prediction cost (mean+variance) on a fitted model.
 fn bench_predict(c: &mut Criterion) {
     let (x, y) = dataset(256, 12, 6);
-    let kernel = Kernel::new(KernelType::Matern52, 12);
+    let kernel = Kernel::new(12);
     let gp = GaussianProcess::new(x, &y, kernel, 1e-4).unwrap();
     let p = vec![0.37; 12];
     c.bench_function("gp_predict_n256", |b| b.iter(|| gp.predict(&p)));

@@ -19,14 +19,13 @@
 //! on. Results are recorded in `BENCH_fit.json` at the repo root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pbo_gp::fit::{fit, mll_and_grad, refit_warm_with, unpack, FitConfig};
-use pbo_gp::kernel::{Kernel, KernelType};
+use pbo_gp::fit::{fit, mll_and_grad, param_bounds, refit_warm_with, unpack, FitConfig};
+use pbo_gp::kernel::{grad_factor, Kernel};
 use pbo_gp::workspace::{mll_and_grad_ws, FitWorkspace};
 use pbo_gp::GaussianProcess;
 use pbo_linalg::vec_ops::dot;
 use pbo_linalg::{Cholesky, Matrix};
-use pbo_opt::lbfgs::LbfgsConfig;
-use pbo_opt::{Bounds, FnGradObjective};
+use pbo_opt::FnGradObjective;
 use pbo_sampling::{lhs, SeedStream};
 use rand::Rng;
 
@@ -77,15 +76,10 @@ fn mid_params() -> Vec<f64> {
 /// time through scalar triangular solves, and the O(n²d) gradient
 /// contraction recomputing distances a second time. Byte-for-byte the
 /// arithmetic the overhaul replaced.
-fn mll_and_grad_pre(
-    family: KernelType,
-    x: &Matrix,
-    y_std: &[f64],
-    params: &[f64],
-) -> Option<(f64, Vec<f64>)> {
+fn mll_and_grad_pre(x: &Matrix, y_std: &[f64], params: &[f64]) -> Option<(f64, Vec<f64>)> {
     let n = x.rows();
     let d = x.cols();
-    let (kernel, noise) = unpack(family, params);
+    let (kernel, noise) = unpack(params);
     // Pre-PR Kernel::matrix: serial, entry-at-a-time with mirroring.
     let mut k_kernel = Matrix::zeros(n, n);
     for i in 0..n {
@@ -134,7 +128,7 @@ fn mll_and_grad_pre(
             let ra = x.row(a);
             let rb = x.row(b);
             let rdist = kernel.scaled_dist(ra, rb);
-            let gf = kernel.outputscale * family.grad_factor(rdist);
+            let gf = kernel.outputscale * grad_factor(rdist);
             for j in 0..d {
                 let dj = ra[j] - rb[j];
                 grad[j] += w * gf * dj * dj * inv_ls2[j];
@@ -174,24 +168,23 @@ fn bench_mll_paths(c: &mut Criterion) {
         // workspace path is property-tested against) — guard the
         // recorded baseline against drift.
         {
-            let (v_pre, g_pre) =
-                mll_and_grad_pre(KernelType::Matern52, &x, &y_std, &params).unwrap();
-            let (v_ref, g_ref) = mll_and_grad(KernelType::Matern52, &x, &y_std, &params).unwrap();
+            let (v_pre, g_pre) = mll_and_grad_pre(&x, &y_std, &params).unwrap();
+            let (v_ref, g_ref) = mll_and_grad(&x, &y_std, &params).unwrap();
             assert!((v_pre - v_ref).abs() <= 1e-9 * (1.0 + v_ref.abs()));
             for (a, b) in g_pre.iter().zip(&g_ref) {
                 assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
             }
         }
         g.bench_with_input(BenchmarkId::new("mll_grad_prepr", n), &n, |b, _| {
-            b.iter(|| mll_and_grad_pre(KernelType::Matern52, &x, &y_std, &params).unwrap().0)
+            b.iter(|| mll_and_grad_pre(&x, &y_std, &params).unwrap().0)
         });
         g.bench_with_input(BenchmarkId::new("mll_grad_naive", n), &n, |b, _| {
-            b.iter(|| mll_and_grad(KernelType::Matern52, &x, &y_std, &params).unwrap().0)
+            b.iter(|| mll_and_grad(&x, &y_std, &params).unwrap().0)
         });
         let mut ws = FitWorkspace::new();
         ws.prepare(&x);
         g.bench_with_input(BenchmarkId::new("mll_grad_workspace", n), &n, |b, _| {
-            b.iter(|| mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap().0)
+            b.iter(|| mll_and_grad_ws(&mut ws, &y_std, &params).unwrap().0)
         });
     }
     g.finish();
@@ -203,26 +196,18 @@ fn bench_mll_paths(c: &mut Criterion) {
 fn fit_pre(x: &Matrix, y: &[f64], cfg: &FitConfig, seeds: &mut SeedStream) -> f64 {
     let d = x.cols();
     let y_std = standardized(y);
-    let family = cfg.family;
     let obj = FnGradObjective::new(
         d + 2,
-        |p: &[f64]| match mll_and_grad_pre(family, x, &y_std, p) {
+        |p: &[f64]| match mll_and_grad_pre(x, &y_std, p) {
             Some((v, _)) => -v,
             None => f64::INFINITY,
         },
-        |p: &[f64]| match mll_and_grad_pre(family, x, &y_std, p) {
+        |p: &[f64]| match mll_and_grad_pre(x, &y_std, p) {
             Some((v, g)) => (-v, g.into_iter().map(|gi| -gi).collect()),
             None => (f64::INFINITY, vec![0.0; p.len()]),
         },
     );
-    let mut lo = vec![cfg.log_ls_bounds.0; d];
-    let mut hi = vec![cfg.log_ls_bounds.1; d];
-    lo.push(cfg.log_os_bounds.0);
-    hi.push(cfg.log_os_bounds.1);
-    lo.push(cfg.log_noise_bounds.0);
-    hi.push(cfg.log_noise_bounds.1);
-    let bounds = Bounds::new(lo, hi);
-    let lbfgs = LbfgsConfig { max_iters: cfg.max_iters, ..LbfgsConfig::default() };
+    let bounds = param_bounds(d);
     let mut rng = seeds.fork_named("fit-starts").rng();
     let mut starts = vec![mid_params()];
     for _ in 0..cfg.restarts {
@@ -235,7 +220,7 @@ fn fit_pre(x: &Matrix, y: &[f64], cfg: &FitConfig, seeds: &mut SeedStream) -> f6
     for s in &starts {
         let mut s = s.clone();
         bounds.clamp(&mut s);
-        let r = pbo_opt::lbfgs::minimize(&obj, &bounds, &s, &lbfgs);
+        let r = pbo_opt::lbfgs::minimize(&obj, &bounds, &s, cfg.max_iters);
         if r.value.is_finite() && r.value < best {
             best = r.value;
         }
@@ -317,7 +302,7 @@ fn bench_update_vs_refit(c: &mut Criterion) {
         for &q in qs {
             let (x_all, y_all) = dataset(n + q, 6);
             let x = Matrix::from_fn(n, DIM, |i, j| x_all[(i, j)]);
-            let kernel = Kernel::new(KernelType::Matern52, DIM);
+            let kernel = Kernel::new(DIM);
             let base = GaussianProcess::new(x, &y_all[..n], kernel.clone(), 1e-4).unwrap();
             let new_xs: Vec<Vec<f64>> = (n..n + q).map(|i| x_all.row(i).to_vec()).collect();
             let new_ys = &y_all[n..];
@@ -350,7 +335,7 @@ fn bench_chol_factor(c: &mut Criterion) {
     g.sample_size(10);
     for &n in sizes(&[512usize, 1024]) {
         let (x, _) = dataset(n, 7);
-        let kernel = Kernel::new(KernelType::Matern52, DIM);
+        let kernel = Kernel::new(DIM);
         let mut a = kernel.matrix(&x);
         a.add_diag(1e-4);
         g.bench_with_input(BenchmarkId::new("chol", n), &n, |b, _| {
@@ -371,7 +356,7 @@ fn bench_predict_many(c: &mut Criterion) {
     let q = 128usize;
     for &n in sizes(&[64usize, 128, 256, 512]) {
         let (x, y) = dataset(n, 5);
-        let kernel = Kernel::new(KernelType::Matern52, DIM);
+        let kernel = Kernel::new(DIM);
         let gp = GaussianProcess::new(x, &y, kernel, 1e-4).unwrap();
         let mut rng = SeedStream::new(21).fork_named("cands").rng();
         let cands = lhs::latin_hypercube(&mut rng, q, DIM);

@@ -3,7 +3,6 @@
 //! --example profile_fit`.
 
 use pbo_gp::fit::mll_and_grad;
-use pbo_gp::kernel::KernelType;
 use pbo_gp::workspace::{mll_and_grad_ws, FitWorkspace};
 use pbo_linalg::vec_ops::dot;
 use pbo_linalg::{Cholesky, Matrix};
@@ -47,16 +46,15 @@ fn main() {
     let mut params = vec![(0.5f64).ln(); DIM];
     params.push(0.0);
     params.push((1e-4f64).ln());
-    let family = KernelType::Matern52;
 
     let mut ws = FitWorkspace::new();
     ws.prepare(&x);
 
-    time("mll_and_grad_ws", 20, || mll_and_grad_ws(family, &mut ws, &y_std, &params).unwrap().0);
-    time("mll_and_grad naive", 20, || mll_and_grad(family, &x, &y_std, &params).unwrap().0);
+    time("mll_and_grad_ws", 20, || mll_and_grad_ws(&mut ws, &y_std, &params).unwrap().0);
+    time("mll_and_grad naive", 20, || mll_and_grad(&x, &y_std, &params).unwrap().0);
 
     // Individual phases on a fixed K_y.
-    let (kernel, noise) = pbo_gp::fit::unpack(family, &params);
+    let (kernel, noise) = pbo_gp::fit::unpack(&params);
     let mut ky = kernel.matrix(&x);
     ky.add_diag(noise);
     time("kernel.matrix", 20, || kernel.matrix(&x)[(1, 0)]);

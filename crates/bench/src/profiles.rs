@@ -89,7 +89,6 @@ impl Profile {
                     // No cap: the O(n³) fitting growth is the paper's
                     // breaking-point mechanism and must stay live.
                     max_fit_points: None,
-                    ..FitConfig::default()
                 },
                 full_fit_every: 8,
                 acq: AcqConfig { restarts: 4, raw_samples: 48, ..AcqConfig::default() },
@@ -103,7 +102,6 @@ impl Profile {
                     max_iters: 12,
                     warm_iters: 5,
                     max_fit_points: Some(96),
-                    ..FitConfig::default()
                 },
                 full_fit_every: 6,
                 acq: AcqConfig { restarts: 2, raw_samples: 16, ..AcqConfig::default() },

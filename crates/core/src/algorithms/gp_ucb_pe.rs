@@ -13,7 +13,7 @@
 //! and the reason it needs no fantasy values: exploration is driven by
 //! geometry alone.
 
-use super::acq_multistart;
+use super::{acq_multistart, UCB_BETA};
 use crate::engine::AlgoConfig;
 use pbo_acq::single::{optimize_single, UpperConfidenceBound};
 use pbo_gp::GaussianProcess;
@@ -37,7 +37,7 @@ pub fn gp_ucb_pe_batch(
     cfg: &AlgoConfig,
     seed: u64,
 ) -> (Vec<Vec<f64>>, usize) {
-    let ucb = UpperConfidenceBound { beta: cfg.acq.ucb_beta };
+    let ucb = UpperConfidenceBound { beta: UCB_BETA };
     let ms = acq_multistart(cfg, seed);
     let leader = optimize_single(gp, &ucb, bounds, &[], &ms);
     let mut batch = vec![leader.x.clone()];
@@ -100,7 +100,7 @@ mod tests {
     use super::*;
     use crate::algorithms::{run_test, AlgorithmKind};
     use crate::budget::Budget;
-    use pbo_gp::kernel::{Kernel, KernelType};
+    use pbo_gp::kernel::Kernel;
     use pbo_gp::GaussianProcess;
     use pbo_problems::SyntheticFn;
 
@@ -108,7 +108,7 @@ mod tests {
         let xs = [0.05, 0.3, 0.55, 0.8, 0.95];
         let x = Matrix::from_rows(&xs.iter().map(|&v| vec![v]).collect::<Vec<_>>()).unwrap();
         let y: Vec<f64> = xs.iter().map(|&v: &f64| (v - 0.4) * (v - 0.4)).collect();
-        let mut kernel = Kernel::new(KernelType::Matern52, 1);
+        let mut kernel = Kernel::new(1);
         kernel.lengthscales = vec![0.25];
         GaussianProcess::new(x, &y, kernel, 1e-6).unwrap()
     }

@@ -7,7 +7,7 @@
 //! multistart EI maximization picks the leader and its EI value `v0`,
 //! then the batch keeps growing Kriging-Believer style — condition on
 //! the posterior mean, re-maximize EI — for as long as the fantasy
-//! model's best EI stays at least `hybrid_eta · v0`. When conditioning
+//! model's best EI stays at least `η · v0`. When conditioning
 //! degrades expected one-step improvement below that fraction, the
 //! batch stops: a sharp, well-identified optimum yields q = 1
 //! (sequential behaviour), a flat uncertain posterior grows the batch
@@ -21,13 +21,15 @@ use pbo_acq::single::{optimize_single, ExpectedImprovement};
 use pbo_gp::GaussianProcess;
 use pbo_opt::Bounds;
 
-/// Build one adaptive batch of between 1 and `q_max` candidates.
+/// Build one adaptive batch of between 1 and `q_max` candidates,
+/// growing while the fantasy EI stays at least `eta` × the leader's.
 /// Returns the batch plus the summed multistart restart shortfall
 /// (including the final, rejected maximization — its work was done).
 pub fn hybrid_batch(
     gp: &GaussianProcess,
     bounds: &Bounds,
     q_max: usize,
+    eta: f64,
     cfg: &AlgoConfig,
     seed: u64,
 ) -> (Vec<Vec<f64>>, usize) {
@@ -51,7 +53,7 @@ pub fn hybrid_batch(
                 break;
             }
         } else {
-            if r.value < cfg.acq.hybrid_eta * v0 {
+            if r.value < eta * v0 {
                 break;
             }
             batch.push(r.x.clone());
@@ -73,7 +75,11 @@ mod tests {
     use super::*;
     use crate::algorithms::{run_test, AlgorithmKind};
     use crate::budget::Budget;
-    use pbo_problems::SyntheticFn;
+    use pbo_gp::fit::fit;
+    use pbo_linalg::Matrix;
+    use pbo_problems::{Problem, SyntheticFn};
+    use pbo_sampling::lhs::latin_hypercube;
+    use pbo_sampling::SeedStream;
 
     #[test]
     fn batch_size_respects_the_cap() {
@@ -92,16 +98,21 @@ mod tests {
     #[test]
     fn eta_one_is_most_conservative() {
         // eta = 1 only grows the batch while the fantasy EI does not
-        // drop at all, so it never commits more points than eta = 0.01.
+        // drop at all, so it never proposes more points than eta = 0.01.
         let p = SyntheticFn::schwefel(3);
-        let budget = Budget::cycles(3, 4).with_initial_samples(10);
-        let mut tight = AlgoConfig::test_profile();
-        tight.acq.hybrid_eta = 1.0;
-        let mut loose = AlgoConfig::test_profile();
-        loose.acq.hybrid_eta = 0.01;
-        let a = run_test(AlgorithmKind::HybridQ, &p, budget, tight, 9);
-        let b = run_test(AlgorithmKind::HybridQ, &p, budget, loose, 9);
-        assert!(a.n_simulations() <= b.n_simulations());
+        let domain = Bounds::new(p.lower().to_vec(), p.upper().to_vec());
+        let cfg = AlgoConfig::test_profile();
+        for seed in 9..12 {
+            let mut rng = SeedStream::new(seed).fork_named("design").rng();
+            let design = latin_hypercube(&mut rng, 10, 3);
+            let y: Vec<f64> = design.iter().map(|u| p.eval(&domain.from_unit(u))).collect();
+            let x = Matrix::from_rows(&design).unwrap();
+            let (gp, _) = fit(&x, &y, &cfg.fit, None, &mut SeedStream::new(seed)).unwrap();
+            let bounds = Bounds::unit(3);
+            let (tight, _) = hybrid_batch(&gp, &bounds, 4, 1.0, &cfg, seed);
+            let (loose, _) = hybrid_batch(&gp, &bounds, 4, 0.01, &cfg, seed);
+            assert!(tight.len() <= loose.len(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the number of sequential surrogate updates per cycle, the mechanism
 //! the paper credits for mic-q-EGO's better large-batch behaviour.
 
-use super::acq_multistart;
+use super::{acq_multistart, UCB_BETA};
 use crate::engine::AlgoConfig;
 use pbo_acq::single::{optimize_single, ExpectedImprovement, UpperConfidenceBound};
 use pbo_gp::GaussianProcess;
@@ -39,7 +39,7 @@ pub fn mic_batch(
         if batch.len() < q {
             // Second criterion on the *same* model state (Alg. 2 lines
             // 6–7: both argmax calls precede the partial update).
-            let ucb = UpperConfidenceBound { beta: cfg.acq.ucb_beta };
+            let ucb = UpperConfidenceBound { beta: UCB_BETA };
             let ms2 = acq_multistart(cfg, seed.wrapping_add(step).wrapping_add(0x0CB));
             let r2 = optimize_single(&model, &ucb, bounds, &[], &ms2);
             shortfall += r2.restart_shortfall;

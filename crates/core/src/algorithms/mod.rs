@@ -41,7 +41,6 @@ use crate::engine::{AlgoConfig, Engine};
 use crate::error::ConfigError;
 use crate::observe::Observer;
 use crate::record::RunRecord;
-use pbo_opt::lbfgs::LbfgsConfig;
 use pbo_opt::multistart::MultistartConfig;
 use pbo_problems::Problem;
 
@@ -171,13 +170,17 @@ pub fn run_algorithm_observed<'a>(
     Ok(drive_stepper(kind, e))
 }
 
+/// UCB exploration weight `β` of mic-q-EGO's second criterion and of
+/// GP-UCB-PE's leader.
+const UCB_BETA: f64 = std::f64::consts::SQRT_2;
+
 /// Multistart settings for single-point acquisition maximization,
 /// derived from the algorithm config.
 pub fn acq_multistart(cfg: &AlgoConfig, seed: u64) -> MultistartConfig {
     MultistartConfig {
         raw_samples: cfg.acq.raw_samples,
         restarts: cfg.acq.restarts,
-        lbfgs: LbfgsConfig { max_iters: 40, ..LbfgsConfig::default() },
+        max_iters: 40,
         seed,
     }
 }
@@ -187,7 +190,7 @@ pub fn qei_multistart(cfg: &AlgoConfig, seed: u64) -> MultistartConfig {
     MultistartConfig {
         raw_samples: cfg.qei.raw_samples,
         restarts: cfg.qei.restarts,
-        lbfgs: LbfgsConfig { max_iters: 30, ..LbfgsConfig::default() },
+        max_iters: 30,
         seed,
     }
 }

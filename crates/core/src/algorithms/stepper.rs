@@ -30,6 +30,19 @@ use pbo_acq::single::{optimize_single, ExpectedImprovement};
 use pbo_gp::GaussianProcess;
 use rand::Rng;
 
+/// BSP-EGO: number of sub-regions as a multiple of q (paper: 2).
+const BSP_CELLS_FACTOR: usize = 2;
+/// Thompson sampling: discrete candidate-set size per cycle.
+const THOMPSON_CANDIDATES: usize = 512;
+/// GP-UCB-PE: Sobol candidate-set size for the variance-greedy
+/// pure-exploration fillers.
+pub const PE_CANDIDATES: usize = 256;
+/// Adaptive-q hybrid: keep growing the batch while the
+/// fantasy-conditioned EI of the next point stays at least this
+/// fraction of the leader's EI (in (0, 1]; larger values shrink
+/// batches sooner).
+const HYBRID_ETA: f64 = 0.5;
+
 /// Per-algorithm cycle stepper. Holds exactly the state that survives
 /// across cycles; create one per run with [`BatchStepper::new`].
 pub enum BatchStepper {
@@ -84,7 +97,7 @@ impl BatchStepper {
             AlgorithmKind::MicQEgo => BatchStepper::MicQEgo,
             AlgorithmKind::McQEgo => BatchStepper::McQEgo,
             AlgorithmKind::BspEgo => {
-                let n_cells = (e.cfg().acq.bsp_cells_factor * e.q()).max(2);
+                let n_cells = (BSP_CELLS_FACTOR * e.q()).max(2);
                 BatchStepper::BspEgo { tree: BspTree::new(e.unit_bounds(), n_cells) }
             }
             AlgorithmKind::Turbo => BatchStepper::Turbo {
@@ -222,13 +235,11 @@ impl BatchStepper {
                 (0..q).map(|_| (0..d).map(|_| rng.gen::<f64>()).collect()).collect()
             }
             // No inner optimization → no restart shortfall to report.
-            BatchStepper::Thompson => fit_and_acquire(e, true, 1, |gp, cfg, seed| {
-                let n_cand = cfg.acq.thompson_candidates;
-                (super::thompson::thompson_batch(gp, q, n_cand, seed), 0)
+            BatchStepper::Thompson => fit_and_acquire(e, true, 1, |gp, _, seed| {
+                (super::thompson::thompson_batch(gp, q, THOMPSON_CANDIDATES, seed), 0)
             }),
             BatchStepper::GpUcbPe => fit_and_acquire(e, true, 1, |gp, cfg, seed| {
-                let n_cand = cfg.acq.pe_candidates;
-                super::gp_ucb_pe::gp_ucb_pe_batch(gp, &bounds, q, n_cand, cfg, seed)
+                super::gp_ucb_pe::gp_ucb_pe_batch(gp, &bounds, q, PE_CANDIDATES, cfg, seed)
             }),
             BatchStepper::HybridQ { planned } => {
                 planned.take().unwrap_or_else(|| hybrid_propose(e))
@@ -279,7 +290,7 @@ fn fit_and_acquire(
 fn hybrid_propose(e: &mut Engine) -> Vec<Vec<f64>> {
     let (q_max, bounds) = (e.q(), e.unit_bounds());
     fit_and_acquire(e, false, 1, |gp, cfg, seed| {
-        super::hybrid_q::hybrid_batch(gp, &bounds, q_max, cfg, seed)
+        super::hybrid_q::hybrid_batch(gp, &bounds, q_max, HYBRID_ETA, cfg, seed)
     })
 }
 

@@ -57,7 +57,7 @@ mod tests {
     use crate::algorithms::{run_test, AlgorithmKind};
     use crate::budget::Budget;
     use crate::engine::AlgoConfig;
-    use pbo_gp::kernel::{Kernel, KernelType};
+    use pbo_gp::kernel::Kernel;
     use pbo_gp::GaussianProcess;
     use pbo_problems::SyntheticFn;
 
@@ -65,7 +65,7 @@ mod tests {
         let xs = [0.05, 0.3, 0.55, 0.8, 0.95];
         let x = Matrix::from_rows(&xs.iter().map(|&v| vec![v]).collect::<Vec<_>>()).unwrap();
         let y: Vec<f64> = xs.iter().map(|&v: &f64| (v - 0.4) * (v - 0.4)).collect();
-        let mut kernel = Kernel::new(KernelType::Matern52, 1);
+        let mut kernel = Kernel::new(1);
         kernel.lengthscales = vec![0.25];
         GaussianProcess::new(x, &y, kernel, 1e-6).unwrap()
     }

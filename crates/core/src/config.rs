@@ -2,7 +2,7 @@
 //!
 //! PRs kept bolting flat fields onto `AlgoConfig`; this module groups
 //! them by what they govern — [`AcqConfig`] for single-point
-//! acquisition machinery (multistart, criteria, per-algorithm knobs),
+//! acquisition machinery (multistart and the fantasy value),
 //! [`QeiConfig`] for the joint Monte-Carlo q-EI optimization — each
 //! with its own `Default`. Validation lives here too:
 //! [`AlgoConfig::validate`] converts what used to be `debug_assert!`s
@@ -27,44 +27,21 @@ pub enum FantasyKind {
 }
 
 /// Single-point acquisition settings (EI/UCB multistart and the
-/// per-algorithm batch-construction knobs).
+/// Kriging-Believer fantasy value). The per-algorithm constants sit
+/// beside their readers in [`crate::algorithms`].
 #[derive(Debug, Clone)]
 pub struct AcqConfig {
     /// Multistart restarts for single-point acquisition optimization.
     pub restarts: usize,
     /// Raw Sobol samples scored before acquisition restarts.
     pub raw_samples: usize,
-    /// UCB exploration weight (mic-q-EGO's second criterion).
-    pub ucb_beta: f64,
     /// Fantasy value used by the KB/mic sequential loops.
     pub kb_fantasy: FantasyKind,
-    /// BSP-EGO: number of sub-regions as a multiple of q (paper: 2).
-    pub bsp_cells_factor: usize,
-    /// Thompson sampling (extension algorithm): discrete candidate-set
-    /// size per cycle.
-    pub thompson_candidates: usize,
-    /// GP-UCB-PE (extension algorithm): Sobol candidate-set size for
-    /// the variance-greedy pure-exploration fillers.
-    pub pe_candidates: usize,
-    /// Adaptive-q hybrid (extension algorithm): keep growing the batch
-    /// while the fantasy-conditioned EI of the next point stays at
-    /// least `hybrid_eta` × the leader's EI. Must lie in (0, 1]; larger
-    /// values shrink batches sooner.
-    pub hybrid_eta: f64,
 }
 
 impl Default for AcqConfig {
     fn default() -> Self {
-        AcqConfig {
-            restarts: 6,
-            raw_samples: 64,
-            ucb_beta: std::f64::consts::SQRT_2,
-            kb_fantasy: FantasyKind::PosteriorMean,
-            bsp_cells_factor: 2,
-            thompson_candidates: 512,
-            pe_candidates: 256,
-            hybrid_eta: 0.5,
-        }
+        AcqConfig { restarts: 6, raw_samples: 64, kb_fantasy: FantasyKind::PosteriorMean }
     }
 }
 
@@ -149,25 +126,6 @@ impl AlgoConfig {
         at_least_one("cfg.acq.raw_samples", self.acq.raw_samples)?;
         at_least_one("cfg.qei.samples", self.qei.samples)?;
         at_least_one("cfg.qei.raw_samples", self.qei.raw_samples)?;
-        at_least_one("cfg.acq.bsp_cells_factor", self.acq.bsp_cells_factor)?;
-        at_least_one("cfg.acq.thompson_candidates", self.acq.thompson_candidates)?;
-        at_least_one("cfg.acq.pe_candidates", self.acq.pe_candidates)?;
-        if !(self.acq.hybrid_eta.is_finite()
-            && self.acq.hybrid_eta > 0.0
-            && self.acq.hybrid_eta <= 1.0)
-        {
-            return Err(ConfigError::HybridEtaOutOfRange { got: self.acq.hybrid_eta });
-        }
-        non_negative("cfg.acq.ucb_beta", self.acq.ucb_beta)?;
-        for (field, (lo, hi)) in [
-            ("cfg.fit.log_ls_bounds", self.fit.log_ls_bounds),
-            ("cfg.fit.log_os_bounds", self.fit.log_os_bounds),
-            ("cfg.fit.log_noise_bounds", self.fit.log_noise_bounds),
-        ] {
-            if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
-                return Err(ConfigError::InvalidFitBounds { field, lo, hi });
-            }
-        }
         match self.cost_model {
             CostModel::Measured { overhead_scale } => {
                 positive("cfg.cost_model.overhead_scale", overhead_scale)?;
@@ -209,31 +167,6 @@ mod tests {
         let c =
             AlgoConfig { incremental_updates: true, full_fit_every: 1, ..AlgoConfig::default() };
         assert_eq!(c.validate(), Err(ConfigError::IncrementalUpdatesNeedStableCycles));
-
-        let mut c = AlgoConfig::default();
-        c.acq.ucb_beta = f64::NAN;
-        assert!(matches!(c.validate(), Err(ConfigError::Negative { field, .. })
-            if field == "cfg.acq.ucb_beta"));
-
-        let mut c = AlgoConfig::default();
-        c.fit.log_ls_bounds = (1.0, -1.0);
-        assert!(matches!(c.validate(), Err(ConfigError::InvalidFitBounds { .. })));
-
-        let mut c = AlgoConfig::default();
-        c.acq.pe_candidates = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroField { field: "cfg.acq.pe_candidates" }));
-
-        let mut c = AlgoConfig::default();
-        c.acq.hybrid_eta = 0.0;
-        assert_eq!(c.validate(), Err(ConfigError::HybridEtaOutOfRange { got: 0.0 }));
-
-        let mut c = AlgoConfig::default();
-        c.acq.hybrid_eta = 1.5;
-        assert_eq!(c.validate(), Err(ConfigError::HybridEtaOutOfRange { got: 1.5 }));
-
-        let mut c = AlgoConfig::default();
-        c.acq.hybrid_eta = f64::NAN;
-        assert!(matches!(c.validate(), Err(ConfigError::HybridEtaOutOfRange { .. })));
 
         let mut c = AlgoConfig::default();
         c.ft.backoff_factor = 0.5;

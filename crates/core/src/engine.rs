@@ -593,7 +593,7 @@ impl<'a> Engine<'a> {
             Err(_) => {
                 // Last-resort fallback: default kernel, larger noise
                 // (it must always build).
-                let kernel = pbo_gp::kernel::Kernel::new(self.cfg.fit.family, self.x.cols());
+                let kernel = pbo_gp::kernel::Kernel::new(self.x.cols());
                 self.model = Some(
                     GaussianProcess::new(self.x.clone(), &self.y, kernel, 1e-2)
                         .expect("fallback GP must build"),

@@ -41,16 +41,6 @@ pub enum ConfigError {
         /// The offending factor.
         got: f64,
     },
-    /// A `(lo, hi)` hyperparameter bound with `lo > hi` or non-finite
-    /// endpoints.
-    InvalidFitBounds {
-        /// Which log-bound pair failed.
-        field: &'static str,
-        /// Lower endpoint.
-        lo: f64,
-        /// Upper endpoint.
-        hi: f64,
-    },
     /// Every initial-design point failed evaluation after retries; the
     /// run has no dataset to start from.
     EmptyDesign,
@@ -58,11 +48,6 @@ pub enum ConfigError {
     /// schedule that re-fits hyperparameters every cycle, which leaves
     /// no hyperparameter-stable cycle for the fast path to run on.
     IncrementalUpdatesNeedStableCycles,
-    /// The adaptive-q hybrid's growth threshold must lie in (0, 1].
-    HybridEtaOutOfRange {
-        /// The offending `hybrid_eta`.
-        got: f64,
-    },
     /// A session turn (the design or a batch) would carry more
     /// coordinates than a served session admits.
     TurnTooLarge {
@@ -98,9 +83,6 @@ impl fmt::Display for ConfigError {
             ConfigError::BackoffFactorTooSmall { got } => {
                 write!(f, "ft.backoff_factor must be finite and >= 1, got {got}")
             }
-            ConfigError::InvalidFitBounds { field, lo, hi } => {
-                write!(f, "{field} must be a finite ordered pair, got ({lo}, {hi})")
-            }
             ConfigError::EmptyDesign => {
                 write!(f, "every initial-design point failed after retries; cannot start a run")
             }
@@ -110,9 +92,6 @@ impl fmt::Display for ConfigError {
                     "incremental_updates requires full_fit_every > 1; with a full refit every \
                      cycle there are no hyperparameter-stable cycles to update through"
                 )
-            }
-            ConfigError::HybridEtaOutOfRange { got } => {
-                write!(f, "acq.hybrid_eta must be finite and in (0, 1], got {got}")
             }
             ConfigError::TurnTooLarge { field, points, dim, max } => {
                 write!(
@@ -165,8 +144,8 @@ mod tests {
         assert!(s.contains("budget.sim_seconds"));
         assert!(s.contains("-1"));
         assert!(ConfigError::ZeroBatchSize.to_string().contains("batch size"));
-        let e = ConfigError::HybridEtaOutOfRange { got: 1.5 };
-        assert!(e.to_string().contains("1.5"));
+        let e = ConfigError::BackoffFactorTooSmall { got: 0.5 };
+        assert!(e.to_string().contains("0.5"));
     }
 
     #[test]

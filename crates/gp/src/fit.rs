@@ -29,34 +29,26 @@
 //! reference implementation the fast path is property-tested against.
 
 use crate::gp::GaussianProcess;
-use crate::kernel::{Kernel, KernelType};
+use crate::kernel::{grad_factor, Kernel};
 use crate::workspace::{mll_and_grad_ws, FitWorkspace};
 use crate::{GpError, Result};
 use pbo_linalg::vec_ops::{dot, mean, variance};
 use pbo_linalg::{Cholesky, Matrix};
-use pbo_opt::lbfgs::LbfgsConfig;
 use pbo_opt::{Bounds, GradObjective, OptResult};
 use pbo_sampling::SeedStream;
 use rand::Rng;
 use std::cell::RefCell;
 
-/// Hyperparameter bounds and fitting budgets.
+/// Fitting budgets and the fitting-data cap. The search box is fixed
+/// (see [`param_bounds`]).
 #[derive(Debug, Clone)]
 pub struct FitConfig {
-    /// Kernel family (Matérn-5/2 in the paper).
-    pub family: KernelType,
     /// Random restarts for the full fit (in addition to the warm start).
     pub restarts: usize,
     /// L-BFGS iterations per restart for the full fit.
     pub max_iters: usize,
     /// L-BFGS iterations for the reduced warm refit.
     pub warm_iters: usize,
-    /// Bounds on log lengthscales.
-    pub log_ls_bounds: (f64, f64),
-    /// Bounds on log outputscale.
-    pub log_os_bounds: (f64, f64),
-    /// Bounds on log noise variance.
-    pub log_noise_bounds: (f64, f64),
     /// When set, fit the hyperparameters on a random subset of at most
     /// this many points (predictions still use all data). The paper's
     /// discussion (Sec. 4) names data subsetting as the standard remedy
@@ -66,16 +58,7 @@ pub struct FitConfig {
 
 impl Default for FitConfig {
     fn default() -> Self {
-        FitConfig {
-            family: KernelType::Matern52,
-            restarts: 3,
-            max_iters: 50,
-            warm_iters: 10,
-            log_ls_bounds: ((5e-3f64).ln(), (20.0f64).ln()),
-            log_os_bounds: ((1e-3f64).ln(), (100.0f64).ln()),
-            log_noise_bounds: ((1e-8f64).ln(), (1.0f64).ln()),
-            max_fit_points: None,
-        }
+        FitConfig { restarts: 3, max_iters: 50, warm_iters: 10, max_fit_points: None }
     }
 }
 
@@ -99,10 +82,9 @@ pub fn pack(kernel: &Kernel, noise: f64) -> Vec<f64> {
 }
 
 /// Unpack a log-parameter vector into kernel + noise.
-pub fn unpack(family: KernelType, params: &[f64]) -> (Kernel, f64) {
+pub fn unpack(params: &[f64]) -> (Kernel, f64) {
     let d = params.len() - 2;
     let kernel = Kernel {
-        family,
         outputscale: params[d].exp(),
         lengthscales: params[..d].iter().map(|v| v.exp()).collect(),
     };
@@ -111,18 +93,13 @@ pub fn unpack(family: KernelType, params: &[f64]) -> (Kernel, f64) {
 
 /// Exact log marginal likelihood and its gradient in log-parameter
 /// space, on standardized targets.
-pub fn mll_and_grad(
-    family: KernelType,
-    x: &Matrix,
-    y_std: &[f64],
-    params: &[f64],
-) -> Result<(f64, Vec<f64>)> {
+pub fn mll_and_grad(x: &Matrix, y_std: &[f64], params: &[f64]) -> Result<(f64, Vec<f64>)> {
     let n = x.rows();
     let d = x.cols();
     if params.len() != d + 2 {
         return Err(GpError::BadHyperparameters(format!("{} params for dim {d}", params.len())));
     }
-    let (kernel, noise) = unpack(family, params);
+    let (kernel, noise) = unpack(params);
     let k_kernel = kernel.matrix(x);
     let mut ky = k_kernel.clone();
     ky.add_diag(noise);
@@ -153,7 +130,7 @@ pub fn mll_and_grad(
             let ra = x.row(a);
             let rb = x.row(b);
             let rdist = kernel.scaled_dist(ra, rb);
-            let gf = kernel.outputscale * family.grad_factor(rdist);
+            let gf = kernel.outputscale * grad_factor(rdist);
             // Symmetric pair counted once => factor 2 cancels the ½.
             for j in 0..d {
                 let dj = ra[j] - rb[j];
@@ -185,7 +162,6 @@ pub fn mll_and_grad(
 /// buffers. The interior mutability is sound: L-BFGS is single-threaded
 /// per objective.
 struct NegMllWs<'a> {
-    family: KernelType,
     ws: RefCell<&'a mut FitWorkspace>,
     y_std: &'a [f64],
     dim: usize,
@@ -201,21 +177,31 @@ impl GradObjective for NegMllWs<'_> {
     }
     fn value_grad(&self, p: &[f64]) -> (f64, Vec<f64>) {
         let mut ws = self.ws.borrow_mut();
-        match mll_and_grad_ws(self.family, &mut ws, self.y_std, p) {
+        match mll_and_grad_ws(&mut ws, self.y_std, p) {
             Ok((v, g)) => (-v, g.into_iter().map(|gi| -gi).collect()),
             Err(_) => (f64::INFINITY, vec![0.0; p.len()]),
         }
     }
 }
 
-/// Log-parameter box from a [`FitConfig`].
-fn param_bounds(cfg: &FitConfig, d: usize) -> Bounds {
-    let mut lo = vec![cfg.log_ls_bounds.0; d];
-    let mut hi = vec![cfg.log_ls_bounds.1; d];
-    lo.push(cfg.log_os_bounds.0);
-    hi.push(cfg.log_os_bounds.1);
-    lo.push(cfg.log_noise_bounds.0);
-    hi.push(cfg.log_noise_bounds.1);
+/// Bounds on each lengthscale `ℓ_j`.
+const LENGTHSCALE_BOUNDS: (f64, f64) = (5e-3, 20.0);
+/// Bounds on the outputscale `s²`.
+const OUTPUTSCALE_BOUNDS: (f64, f64) = (1e-3, 100.0);
+/// Bounds on the noise variance `σ_n²`.
+const NOISE_BOUNDS: (f64, f64) = (1e-8, 1.0);
+
+/// The log-parameter box for input dimension `d`: the logs of the
+/// lengthscale, outputscale and noise bounds.
+pub fn param_bounds(d: usize) -> Bounds {
+    let [ls, os, noise] =
+        [LENGTHSCALE_BOUNDS, OUTPUTSCALE_BOUNDS, NOISE_BOUNDS].map(|(lo, hi)| (lo.ln(), hi.ln()));
+    let mut lo = vec![ls.0; d];
+    let mut hi = vec![ls.1; d];
+    lo.push(os.0);
+    hi.push(os.1);
+    lo.push(noise.0);
+    hi.push(noise.1);
     Bounds::new(lo, hi)
 }
 
@@ -278,15 +264,14 @@ fn search(
     let d = x.cols();
     let (fx, fy) = fitting_view(x, y, cfg, seeds);
     workspace.prepare(&fx);
-    let obj = NegMllWs { family: cfg.family, ws: RefCell::new(workspace), y_std: &fy, dim: d };
-    let bounds = param_bounds(cfg, d);
-    let lbfgs = LbfgsConfig { max_iters, ..LbfgsConfig::default() };
+    let obj = NegMllWs { ws: RefCell::new(workspace), y_std: &fy, dim: d };
+    let bounds = param_bounds(d);
     starts
         .iter()
         .map(|s| {
             let mut s = s.clone();
             bounds.clamp(&mut s);
-            let mut r = pbo_opt::lbfgs::minimize(&obj, &bounds, &s, &lbfgs);
+            let mut r = pbo_opt::lbfgs::minimize(&obj, &bounds, &s, max_iters);
             if !r.value.is_finite() {
                 r.x = s;
             }
@@ -351,7 +336,7 @@ pub fn fit_hypers_with(
         .filter(|r| r.value.is_finite())
         .min_by(|a, b| a.value.partial_cmp(&b.value).expect("finite values compare"))
         .ok_or_else(|| GpError::BadTrainingData("all hyperparameter starts failed".into()))?;
-    let (kernel, noise) = unpack(cfg.family, &best.x);
+    let (kernel, noise) = unpack(&best.x);
     Ok((kernel, noise, FitReport { mll: -best.value, evals, starts: starts.len() }))
 }
 
@@ -378,7 +363,7 @@ pub fn refit_warm_with(
     let y: Vec<f64> = y.iter().map(|v| (v - shift) / scale * scale + shift).collect();
     let start = [pack(kernel, noise)];
     let r = search(x, &y, cfg, &start, cfg.warm_iters, seeds, workspace).remove(0);
-    let (kernel, noise) = unpack(cfg.family, &r.x);
+    let (kernel, noise) = unpack(&r.x);
     let gp = GaussianProcess::new(x.clone(), &y, kernel, noise)?;
     Ok((gp, FitReport { mll: -r.value, evals: r.evals, starts: 1 }))
 }
@@ -410,20 +395,10 @@ mod tests {
         let scale = variance(&y).sqrt();
         let y_std: Vec<f64> = y.iter().map(|v| (v - shift) / scale).collect();
         let params = vec![(0.4f64).ln(), (0.9f64).ln(), (1.3f64).ln(), (1e-3f64).ln()];
-        for family in [KernelType::Matern52, KernelType::Matern32, KernelType::Rbf] {
-            let (_, grad) = mll_and_grad(family, &x, &y_std, &params).unwrap();
-            let fd = pbo_opt::fd_gradient(
-                |p| mll_and_grad(family, &x, &y_std, p).unwrap().0,
-                &params,
-                1e-6,
-            );
-            for (i, (a, n)) in grad.iter().zip(&fd).enumerate() {
-                assert!(
-                    (a - n).abs() < 1e-4 * (1.0 + n.abs()),
-                    "{} param {i}: analytic {a} vs fd {n}",
-                    family.name()
-                );
-            }
+        let (_, grad) = mll_and_grad(&x, &y_std, &params).unwrap();
+        let fd = pbo_opt::fd_gradient(|p| mll_and_grad(&x, &y_std, p).unwrap().0, &params, 1e-6);
+        for (i, (a, n)) in grad.iter().zip(&fd).enumerate() {
+            assert!((a - n).abs() < 1e-4 * (1.0 + n.abs()), "param {i}: analytic {a} vs fd {n}");
         }
     }
 
@@ -452,8 +427,7 @@ mod tests {
         let scale = variance(&y).sqrt();
         let y_std: Vec<f64> = y.iter().map(|v| (v - shift) / scale).collect();
         let default_params = vec![(0.5f64).ln(), (0.5f64).ln(), 0.0, (1e-4f64).ln()];
-        let (default_mll, _) =
-            mll_and_grad(KernelType::Matern52, &x, &y_std, &default_params).unwrap();
+        let (default_mll, _) = mll_and_grad(&x, &y_std, &default_params).unwrap();
         let mut seeds = SeedStream::new(5);
         let (_, report) = fit(&x, &y, &FitConfig::default(), None, &mut seeds).unwrap();
         assert!(report.mll >= default_mll - 1e-6, "{} vs {}", report.mll, default_mll);
@@ -484,13 +458,9 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrip() {
-        let kernel = Kernel {
-            family: KernelType::Matern32,
-            outputscale: 2.2,
-            lengthscales: vec![0.1, 0.7, 3.0],
-        };
+        let kernel = Kernel { outputscale: 2.2, lengthscales: vec![0.1, 0.7, 3.0] };
         let p = pack(&kernel, 1e-4);
-        let (k2, n2) = unpack(KernelType::Matern32, &p);
+        let (k2, n2) = unpack(&p);
         assert!((n2 - 1e-4).abs() < 1e-18);
         assert!((k2.outputscale - 2.2).abs() < 1e-12);
         for (a, b) in k2.lengthscales.iter().zip(&kernel.lengthscales) {

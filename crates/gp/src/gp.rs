@@ -509,14 +509,13 @@ fn profiled_trend_and_alpha(chol: &Cholesky, lt: &Matrix, y_std: &[f64]) -> (f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::KernelType;
 
     fn toy_gp(noise: f64) -> GaussianProcess {
         // 1-D data from y = sin(4x) + 10 (shifted to exercise the trend).
         let xs: Vec<f64> = (0..9).map(|i| i as f64 / 8.0).collect();
         let x = Matrix::from_rows(&xs.iter().map(|&v| vec![v]).collect::<Vec<_>>()).unwrap();
         let y: Vec<f64> = xs.iter().map(|&v| (4.0 * v).sin() + 10.0).collect();
-        let mut kernel = Kernel::new(KernelType::Matern52, 1);
+        let mut kernel = Kernel::new(1);
         kernel.lengthscales = vec![0.25];
         GaussianProcess::new(x, &y, kernel, noise).unwrap()
     }
@@ -635,7 +634,7 @@ mod tests {
             .collect();
         let y: Vec<f64> = pts.iter().map(|p| p.iter().map(|v| (5.0 * v).sin()).sum()).collect();
         let x = Matrix::from_rows(&pts[..125]).unwrap();
-        let mut kernel = Kernel::new(KernelType::Matern52, d);
+        let mut kernel = Kernel::new(d);
         kernel.lengthscales = vec![0.3, 0.4, 0.5];
         let gp = GaussianProcess::new(x, &y[..125], kernel, 1e-4).unwrap();
         assert_append_is_bit_identical_to_rebuild(&gp, &pts[125..131], &y[125..131]);
@@ -765,7 +764,7 @@ mod tests {
         };
         let pts: Vec<Vec<f64>> = (0..150).map(row).collect();
         let y: Vec<f64> = pts.iter().map(|p| p.iter().map(|v| (4.0 * v).cos()).sum()).collect();
-        let mut kernel = Kernel::new(KernelType::Matern52, d);
+        let mut kernel = Kernel::new(d);
         kernel.lengthscales = vec![0.3, 0.45, 0.6, 0.7];
         let gp = GaussianProcess::new(Matrix::from_rows(&pts).unwrap(), &y, kernel, 1e-4).unwrap();
         assert!(gp.n() > pbo_linalg::cholesky::BIT_EXACT_MAX_N);
@@ -811,7 +810,7 @@ mod tests {
             // Gradient factors match the scalar kernel path bit-for-bit.
             for (i, &gf) in ws.grad_factors().iter().enumerate() {
                 let r = gp.kernel().scaled_dist(gp.train_x().row(i), &p);
-                let expect = gp.kernel().outputscale * gp.kernel().family.grad_factor(r);
+                let expect = gp.kernel().outputscale * crate::kernel::grad_factor(r);
                 assert!(gf.to_bits() == expect.to_bits(), "gf[{i}] at {p:?}: {gf} vs {expect}");
             }
         }
@@ -821,7 +820,7 @@ mod tests {
     fn constant_targets_do_not_blow_up() {
         let x = Matrix::from_rows(&[vec![0.1], vec![0.5], vec![0.9]]).unwrap();
         let y = vec![5.0; 3];
-        let gp = GaussianProcess::new(x, &y, Kernel::new(KernelType::Rbf, 1), 1e-6).unwrap();
+        let gp = GaussianProcess::new(x, &y, Kernel::new(1), 1e-6).unwrap();
         let (m, v) = gp.predict(&[0.3]);
         assert!((m - 5.0).abs() < 1e-6);
         assert!(v.is_finite());
@@ -830,28 +829,10 @@ mod tests {
     #[test]
     fn rejects_bad_input() {
         let x = Matrix::from_rows(&[vec![0.1]]).unwrap();
-        assert!(GaussianProcess::new(
-            x.clone(),
-            &[1.0, 2.0],
-            Kernel::new(KernelType::Rbf, 1),
-            1e-6
-        )
-        .is_err());
-        assert!(GaussianProcess::new(
-            x.clone(),
-            &[f64::NAN],
-            Kernel::new(KernelType::Rbf, 1),
-            1e-6
-        )
-        .is_err());
-        assert!(GaussianProcess::new(x, &[1.0], Kernel::new(KernelType::Rbf, 2), 1e-6).is_err());
-        assert!(GaussianProcess::new(
-            Matrix::zeros(0, 1),
-            &[],
-            Kernel::new(KernelType::Rbf, 1),
-            1e-6
-        )
-        .is_err());
+        assert!(GaussianProcess::new(x.clone(), &[1.0, 2.0], Kernel::new(1), 1e-6).is_err());
+        assert!(GaussianProcess::new(x.clone(), &[f64::NAN], Kernel::new(1), 1e-6).is_err());
+        assert!(GaussianProcess::new(x, &[1.0], Kernel::new(2), 1e-6).is_err());
+        assert!(GaussianProcess::new(Matrix::zeros(0, 1), &[], Kernel::new(1), 1e-6).is_err());
     }
 
     #[test]

@@ -1,104 +1,51 @@
-//! Stationary ARD covariance kernels and their log-parameter gradients.
+//! The stationary ARD Matérn-5/2 covariance kernel (the paper's
+//! surrogate, Table 3) and its log-parameter gradients.
 //!
-//! All kernels are of the form
 //! `k(x, x') = s² · rho(r)` with `r² = Σ_j ((x_j − x'_j) / ℓ_j)²`,
 //! where `s²` is the outputscale and `ℓ` the ARD lengthscales. The
-//! marginal-likelihood gradient needs `∂k/∂ log ℓ_j`, which for every
-//! kernel here factors as
+//! marginal-likelihood gradient needs `∂k/∂ log ℓ_j`, which factors as
 //!
 //! `∂k/∂ log ℓ_j = s² · g(r) · d_j² / ℓ_j²`,  `d_j = x_j − x'_j`,
 //!
-//! with a kernel-specific radial factor `g(r)` that stays finite at
-//! `r = 0` — so gradients are well-defined on duplicated points (which
-//! fantasy conditioning produces routinely).
+//! with a radial factor `g(r)` that stays finite at `r = 0` — so
+//! gradients are well-defined on duplicated points (which fantasy
+//! conditioning produces routinely).
 
 use pbo_linalg::Matrix;
 
-/// Kernel family. The paper uses Matérn-5/2 (Table 3); the others exist
-/// for ablations and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelType {
-    /// Matérn ν=5/2: `(1 + √5 r + 5r²/3) exp(−√5 r)`.
-    Matern52,
-    /// Matérn ν=3/2: `(1 + √3 r) exp(−√3 r)`.
-    Matern32,
-    /// Squared exponential: `exp(−r²/2)`.
-    Rbf,
+/// Radial profile `rho(r) = (1 + √5 r + 5r²/3) exp(−√5 r)` (value at
+/// unit outputscale).
+#[inline]
+pub fn rho(r: f64) -> f64 {
+    let sr = 5.0f64.sqrt() * r;
+    (1.0 + sr + sr * sr / 3.0) * (-sr).exp()
 }
 
-impl KernelType {
-    /// Radial profile `rho(r)` (value at unit outputscale).
-    #[inline]
-    pub fn rho(self, r: f64) -> f64 {
-        match self {
-            KernelType::Matern52 => {
-                let sr = 5.0f64.sqrt() * r;
-                (1.0 + sr + sr * sr / 3.0) * (-sr).exp()
-            }
-            KernelType::Matern32 => {
-                let sr = 3.0f64.sqrt() * r;
-                (1.0 + sr) * (-sr).exp()
-            }
-            KernelType::Rbf => (-0.5 * r * r).exp(),
-        }
-    }
-
-    /// Radial gradient factor `g(r)` with
-    /// `∂rho/∂ log ℓ_j = g(r) · d_j²/ℓ_j²` (finite at r = 0).
-    #[inline]
-    pub fn grad_factor(self, r: f64) -> f64 {
-        match self {
-            KernelType::Matern52 => {
-                let sr = 5.0f64.sqrt() * r;
-                (5.0 / 3.0) * (1.0 + sr) * (-sr).exp()
-            }
-            KernelType::Matern32 => 3.0 * (-(3.0f64.sqrt() * r)).exp(),
-            KernelType::Rbf => (-0.5 * r * r).exp(),
-        }
-    }
-
-    /// `(rho(r), g(r))` in one call, sharing the transcendental
-    /// evaluation. Bitwise-identical to calling [`rho`](Self::rho) and
-    /// [`grad_factor`](Self::grad_factor) separately (the shared `exp`
-    /// receives the same argument and the surrounding products keep the
-    /// same association), which the workspace gradient path relies on to
-    /// match the naive reference exactly.
-    #[inline]
-    pub fn rho_and_grad(self, r: f64) -> (f64, f64) {
-        match self {
-            KernelType::Matern52 => {
-                let sr = 5.0f64.sqrt() * r;
-                let e = (-sr).exp();
-                ((1.0 + sr + sr * sr / 3.0) * e, (5.0 / 3.0) * (1.0 + sr) * e)
-            }
-            KernelType::Matern32 => {
-                let sr = 3.0f64.sqrt() * r;
-                let e = (-sr).exp();
-                ((1.0 + sr) * e, 3.0 * e)
-            }
-            KernelType::Rbf => {
-                let e = (-0.5 * r * r).exp();
-                (e, e)
-            }
-        }
-    }
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelType::Matern52 => "matern52",
-            KernelType::Matern32 => "matern32",
-            KernelType::Rbf => "rbf",
-        }
-    }
+/// Radial gradient factor `g(r)` with
+/// `∂rho/∂ log ℓ_j = g(r) · d_j²/ℓ_j²` (finite at r = 0).
+#[inline]
+pub fn grad_factor(r: f64) -> f64 {
+    let sr = 5.0f64.sqrt() * r;
+    (5.0 / 3.0) * (1.0 + sr) * (-sr).exp()
 }
 
-/// A stationary ARD kernel: family + outputscale + per-dimension
+/// `(rho(r), g(r))` in one call, sharing the transcendental
+/// evaluation. Bitwise-identical to calling [`rho`] and
+/// [`grad_factor`] separately (the shared `exp` receives the same
+/// argument and the surrounding products keep the same association),
+/// which the workspace gradient path relies on to match the naive
+/// reference exactly.
+#[inline]
+pub fn rho_and_grad(r: f64) -> (f64, f64) {
+    let sr = 5.0f64.sqrt() * r;
+    let e = (-sr).exp();
+    ((1.0 + sr + sr * sr / 3.0) * e, (5.0 / 3.0) * (1.0 + sr) * e)
+}
+
+/// A stationary ARD Matérn-5/2 kernel: outputscale + per-dimension
 /// lengthscales.
 #[derive(Debug, Clone)]
 pub struct Kernel {
-    /// Kernel family.
-    pub family: KernelType,
     /// Signal variance `s²`.
     pub outputscale: f64,
     /// ARD lengthscales `ℓ_j > 0`.
@@ -106,10 +53,10 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// New kernel with the given family and dimension, unit outputscale
-    /// and moderate lengthscales (0.5 — half the unit cube).
-    pub fn new(family: KernelType, dim: usize) -> Self {
-        Kernel { family, outputscale: 1.0, lengthscales: vec![0.5; dim] }
+    /// New kernel of the given dimension, unit outputscale and moderate
+    /// lengthscales (0.5 — half the unit cube).
+    pub fn new(dim: usize) -> Self {
+        Kernel { outputscale: 1.0, lengthscales: vec![0.5; dim] }
     }
 
     /// Input dimension.
@@ -131,7 +78,7 @@ impl Kernel {
     /// Covariance between two points.
     #[inline]
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.outputscale * self.family.rho(self.scaled_dist(a, b))
+        self.outputscale * rho(self.scaled_dist(a, b))
     }
 
     /// Prior variance at any point (`k(x, x)`).
@@ -182,7 +129,7 @@ impl Kernel {
         let mut k = Matrix::zeros(a.rows(), b.rows());
         self.fill_cross(a, b, &mut k, |ra, rb| {
             let r = pbo_linalg::vec_ops::weighted_dist2(ra, rb, inv_ls).sqrt();
-            self.outputscale * self.family.rho(r)
+            self.outputscale * rho(r)
         });
         k
     }
@@ -218,7 +165,7 @@ impl Kernel {
     /// row instead of two of each; entries are bit-identical to
     /// [`cross_vec`](Self::cross_vec) and the factor inside
     /// [`grad_wrt_query`](Self::grad_wrt_query) (see
-    /// [`KernelType::rho_and_grad`]).
+    /// [`rho_and_grad`]).
     pub fn cross_vec_grad_into(
         &self,
         x: &Matrix,
@@ -230,7 +177,7 @@ impl Kernel {
         debug_assert_eq!(gf_out.len(), x.rows());
         for i in 0..x.rows() {
             let r = self.scaled_dist(x.row(i), p);
-            let (rho, g) = self.family.rho_and_grad(r);
+            let (rho, g) = rho_and_grad(r);
             k_out[i] = self.outputscale * rho;
             gf_out[i] = self.outputscale * g;
         }
@@ -271,7 +218,7 @@ impl Kernel {
         debug_assert_eq!(inv_ls.len(), p.len());
         for i in 0..x.rows() {
             let r = pbo_linalg::vec_ops::weighted_dist2(x.row(i), p, inv_ls).sqrt();
-            let (rho, g) = self.family.rho_and_grad(r);
+            let (rho, g) = rho_and_grad(r);
             k_out[i] = self.outputscale * rho;
             gf_out[i] = self.outputscale * g;
         }
@@ -295,11 +242,11 @@ impl Kernel {
     }
 
     /// Gradient of `k(p, b)` with respect to the query point `p`:
-    /// `∂k/∂p_j = −s² g(r) (p_j − b_j)/ℓ_j²`, finite at `p = b` for every
-    /// family (the radial factor `g` absorbs the `1/r` singularity).
+    /// `∂k/∂p_j = −s² g(r) (p_j − b_j)/ℓ_j²`, finite at `p = b` (the radial
+    /// factor `g` absorbs the `1/r` singularity).
     pub fn grad_wrt_query(&self, p: &[f64], b: &[f64], out: &mut [f64]) {
         let r = self.scaled_dist(p, b);
-        let gf = self.outputscale * self.family.grad_factor(r);
+        let gf = self.outputscale * grad_factor(r);
         self.grad_wrt_query_from_factor(gf, p, b, out);
     }
 
@@ -330,60 +277,50 @@ mod tests {
 
     #[test]
     fn rho_at_zero_is_one() {
-        for f in [KernelType::Matern52, KernelType::Matern32, KernelType::Rbf] {
-            assert!((f.rho(0.0) - 1.0).abs() < 1e-15, "{}", f.name());
-        }
+        assert!((rho(0.0) - 1.0).abs() < 1e-15);
     }
 
     #[test]
     fn rho_decreases_monotonically() {
-        for f in [KernelType::Matern52, KernelType::Matern32, KernelType::Rbf] {
-            let mut prev = f.rho(0.0);
-            for i in 1..50 {
-                let v = f.rho(i as f64 * 0.2);
-                assert!(v < prev, "{} not decreasing", f.name());
-                assert!(v > 0.0);
-                prev = v;
-            }
+        let mut prev = rho(0.0);
+        for i in 1..50 {
+            let v = rho(i as f64 * 0.2);
+            assert!(v < prev, "not decreasing");
+            assert!(v > 0.0);
+            prev = v;
         }
     }
 
     #[test]
     fn fused_rho_and_grad_is_bitwise_identical() {
-        for f in [KernelType::Matern52, KernelType::Matern32, KernelType::Rbf] {
-            for i in 0..200 {
-                let r = i as f64 * 0.05;
-                let (rho, gf) = f.rho_and_grad(r);
-                assert_eq!(rho, f.rho(r), "{} rho at r={r}", f.name());
-                assert_eq!(gf, f.grad_factor(r), "{} gf at r={r}", f.name());
-            }
+        for i in 0..200 {
+            let r = i as f64 * 0.05;
+            let (rho_r, gf) = rho_and_grad(r);
+            assert_eq!(rho_r, rho(r), "rho at r={r}");
+            assert_eq!(gf, grad_factor(r), "gf at r={r}");
         }
     }
 
     #[test]
     fn grad_factor_matches_finite_difference() {
         // Check ∂rho/∂log ℓ = g(r) d²/ℓ² numerically in 1-D.
-        for f in [KernelType::Matern52, KernelType::Matern32, KernelType::Rbf] {
-            for &d in &[0.0, 0.1, 0.7, 2.0] {
-                let ell = 0.6f64;
-                let h = 1e-6f64;
-                let r = |l: f64| f.rho(d / l);
-                let fd = (r(ell * h.exp()) - r(ell * (-h).exp())) / (2.0 * h);
-                // fd approximates d rho / d log ell
-                let analytic = f.grad_factor(d / ell) * d * d / (ell * ell);
-                assert!(
-                    (fd - analytic).abs() < 1e-5 * (1.0 + analytic.abs()),
-                    "{} d={d}: fd={fd} analytic={analytic}",
-                    f.name()
-                );
-            }
+        for &d in &[0.0, 0.1, 0.7, 2.0] {
+            let ell = 0.6f64;
+            let h = 1e-6f64;
+            let r = |l: f64| rho(d / l);
+            let fd = (r(ell * h.exp()) - r(ell * (-h).exp())) / (2.0 * h);
+            // fd approximates d rho / d log ell
+            let analytic = grad_factor(d / ell) * d * d / (ell * ell);
+            assert!(
+                (fd - analytic).abs() < 1e-5 * (1.0 + analytic.abs()),
+                "d={d}: fd={fd} analytic={analytic}"
+            );
         }
     }
 
     #[test]
     fn kernel_matrix_symmetric_psd_diag() {
-        let k =
-            Kernel { family: KernelType::Matern52, outputscale: 2.5, lengthscales: vec![0.3, 0.8] };
+        let k = Kernel { outputscale: 2.5, lengthscales: vec![0.3, 0.8] };
         let x = Matrix::from_rows(&[vec![0.1, 0.2], vec![0.5, 0.9], vec![0.4, 0.4]]).unwrap();
         let m = k.matrix(&x);
         for i in 0..3 {
@@ -403,8 +340,7 @@ mod tests {
     #[test]
     fn ard_lengthscales_modulate_relevance() {
         // A huge lengthscale in dim 1 makes that dim irrelevant.
-        let k =
-            Kernel { family: KernelType::Matern52, outputscale: 1.0, lengthscales: vec![0.2, 1e6] };
+        let k = Kernel { outputscale: 1.0, lengthscales: vec![0.2, 1e6] };
         let a = [0.0, 0.0];
         let b = [0.0, 100.0];
         assert!((k.eval(&a, &b) - 1.0).abs() < 1e-3);
@@ -414,7 +350,7 @@ mod tests {
 
     #[test]
     fn sq_lengthscales_reproduce_inline_products() {
-        let mut k = Kernel::new(KernelType::Matern52, 3);
+        let mut k = Kernel::new(3);
         k.lengthscales = vec![0.23, 0.61, 1.4];
         let mut l2 = Vec::new();
         k.sq_lengthscales_into(&mut l2);
@@ -426,7 +362,7 @@ mod tests {
 
     #[test]
     fn cross_matrix_consistent_with_eval() {
-        let k = Kernel::new(KernelType::Rbf, 2);
+        let k = Kernel::new(2);
         let a = Matrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 1.0]]).unwrap();
         let b = Matrix::from_rows(&[vec![0.5, 0.5]]).unwrap();
         let c = k.cross_matrix(&a, &b);

@@ -10,8 +10,8 @@
 //!
 //! Everything is built on `pbo-linalg`'s jitter-stabilised Cholesky:
 //!
-//! - [`kernel`]: Matérn-5/2 / Matérn-3/2 / RBF ARD kernels with the
-//!   analytic `∂K/∂log θ` terms the MLL gradient needs,
+//! - [`kernel`]: the Matérn-5/2 ARD kernel (the paper's, Table 3) with
+//!   the analytic `∂K/∂log θ` terms the MLL gradient needs,
 //! - [`gp`]: the [`gp::GaussianProcess`] itself — prediction (posterior
 //!   mean/variance/full covariance) and one frozen-hyperparameter
 //!   in-place append, `condition_on`, in `O(n² q)` via rank-q Cholesky
@@ -33,7 +33,7 @@ pub mod workspace;
 
 pub use fit::{FitConfig, FitReport};
 pub use gp::{GaussianProcess, PredictWorkspace};
-pub use kernel::{Kernel, KernelType};
+pub use kernel::Kernel;
 pub use workspace::FitWorkspace;
 
 /// Errors from model construction and fitting.

@@ -39,10 +39,10 @@
 //! value and gradient together: L-BFGS asks for nothing else. The
 //! assembly computes the radial gradient factor of every pair from the
 //! same shared transcendental as the kernel value
-//! ([`KernelType::rho_and_grad`]), so the contraction loop contains no
+//! ([`crate::kernel::rho_and_grad`]), so the contraction loop contains no
 //! `sqrt`/`exp` at all.
 
-use crate::kernel::KernelType;
+use crate::kernel::rho_and_grad;
 use crate::{GpError, Result};
 use pbo_linalg::vec_ops::{dot, dot4};
 use pbo_linalg::{parallel, Cholesky, Matrix};
@@ -171,11 +171,11 @@ impl FitWorkspace {
 
     /// Fill the interleaved `rg` buffer with `[s²·rho(r), g(r)]` per
     /// pair, computing the kernel value and the radial gradient factor
-    /// from the *same* transcendental (`KernelType::rho_and_grad`).
+    /// from the *same* transcendental (`kernel::rho_and_grad`).
     /// `K_y` is never materialized densely — the factorization reads the
     /// packed kernel values in place via
     /// `Cholesky::factor_packed_reusing` (stride 2).
-    fn assemble_rg(&mut self, family: KernelType, outputscale: f64, inv_ls2: &[f64]) {
+    fn assemble_rg(&mut self, outputscale: f64, inv_ls2: &[f64]) {
         let n = self.n;
         let d = self.d;
         self.rg.resize(n * n.saturating_sub(1), 0.0);
@@ -189,7 +189,7 @@ impl FitWorkspace {
                 for j in 0..d {
                     r2 += sq[j] * inv_ls2[j];
                 }
-                let (rho, gf) = family.rho_and_grad(r2.sqrt());
+                let (rho, gf) = rho_and_grad(r2.sqrt());
                 row[2 * b] = outputscale * rho;
                 row[2 * b + 1] = gf;
             }
@@ -224,7 +224,6 @@ fn decode(d: usize, params: &[f64]) -> Result<Decoded> {
 /// via `into_l`) plus the value, weights `α`, and residual `r`.
 fn factored(
     ws: &mut FitWorkspace,
-    family: KernelType,
     y_std: &[f64],
     dec: &Decoded,
 ) -> Result<(Cholesky, f64, Vec<f64>, Vec<f64>)> {
@@ -236,7 +235,7 @@ fn factored(
         )));
     }
     let buf = ws.lbuf.take().unwrap_or_else(|| Matrix::zeros(0, 0));
-    ws.assemble_rg(family, dec.outputscale, &dec.inv_ls2);
+    ws.assemble_rg(dec.outputscale, &dec.inv_ls2);
     let chol = Cholesky::factor_packed_reusing(&ws.rg, 2, dec.outputscale + dec.noise, n, buf)?;
 
     let ones = vec![1.0; n];
@@ -258,13 +257,12 @@ fn factored(
 /// `M = L⁻ᵀ` rows, fused into the pair contraction, and the outputscale
 /// / noise gradients close through trace identities (module docs).
 pub fn mll_and_grad_ws(
-    family: KernelType,
     ws: &mut FitWorkspace,
     y_std: &[f64],
     params: &[f64],
 ) -> Result<(f64, Vec<f64>)> {
     let dec = decode(ws.d, params)?;
-    let (chol, mll, alpha, r) = factored(ws, family, y_std, &dec)?;
+    let (chol, mll, alpha, r) = factored(ws, y_std, &dec)?;
     let n = ws.n;
     let d = ws.d;
     chol.inv_lower_t_into(&mut ws.minv);
@@ -413,21 +411,14 @@ mod tests {
             vec![(0.3f64).ln(), (0.8f64).ln(), (1.5f64).ln(), (1.7f64).ln(), (2e-4f64).ln()];
         let mut ws = FitWorkspace::new();
         ws.prepare(&x);
-        for family in [KernelType::Matern52, KernelType::Matern32, KernelType::Rbf] {
-            let (v_naive, g_naive) = mll_and_grad(family, &x, &y_std, &params).unwrap();
-            let (v_ws, g_ws) = mll_and_grad_ws(family, &mut ws, &y_std, &params).unwrap();
-            assert!(
-                (v_naive - v_ws).abs() <= 1e-10 * (1.0 + v_naive.abs()),
-                "{}: value {v_naive} vs {v_ws}",
-                family.name()
-            );
-            for (i, (a, b)) in g_ws.iter().zip(&g_naive).enumerate() {
-                assert!(
-                    (a - b).abs() <= 1e-10 * (1.0 + b.abs()),
-                    "{} grad[{i}]: ws {a} vs naive {b}",
-                    family.name()
-                );
-            }
+        let (v_naive, g_naive) = mll_and_grad(&x, &y_std, &params).unwrap();
+        let (v_ws, g_ws) = mll_and_grad_ws(&mut ws, &y_std, &params).unwrap();
+        assert!(
+            (v_naive - v_ws).abs() <= 1e-10 * (1.0 + v_naive.abs()),
+            "value {v_naive} vs {v_ws}"
+        );
+        for (i, (a, b)) in g_ws.iter().zip(&g_naive).enumerate() {
+            assert!((a - b).abs() <= 1e-10 * (1.0 + b.abs()), "grad[{i}]: ws {a} vs naive {b}");
         }
     }
 
@@ -437,17 +428,16 @@ mod tests {
         // gradient must equal the row-pair contraction (one `dot` per
         // pair, accumulated pair of rows by pair of rows) bit for bit,
         // across chunk boundaries and every group tail.
-        let family = KernelType::Matern52;
         for n in [1usize, 2, 5, 7, 64, 66, 131] {
             let (x, y) = training_data(n, 3, 40 + n as u64);
             let y_std = standardized(&y);
             let params = vec![(0.3f64).ln(), (0.6f64).ln(), (0.9f64).ln(), 0.2, (1e-3f64).ln()];
             let mut ws = FitWorkspace::new();
             ws.prepare(&x);
-            let (_, grad) = mll_and_grad_ws(family, &mut ws, &y_std, &params).unwrap();
+            let (_, grad) = mll_and_grad_ws(&mut ws, &y_std, &params).unwrap();
 
             let dec = decode(3, &params).unwrap();
-            let (chol, _, alpha, _) = factored(&mut ws, family, &y_std, &dec).unwrap();
+            let (chol, _, alpha, _) = factored(&mut ws, &y_std, &dec).unwrap();
             chol.inv_lower_t_into(&mut ws.minv);
             let m = &ws.minv;
             let mut want = [0.0; 3];
@@ -505,10 +495,8 @@ mod tests {
                 rng.gen_range(-1.0..1.0),
                 rng.gen_range(-9.0..-2.0),
             ];
-            let (v_naive, g_naive) =
-                mll_and_grad(KernelType::Matern52, &x, &y_std, &params).unwrap();
-            let (v_ws, g_ws) =
-                mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
+            let (v_naive, g_naive) = mll_and_grad(&x, &y_std, &params).unwrap();
+            let (v_ws, g_ws) = mll_and_grad_ws(&mut ws, &y_std, &params).unwrap();
             assert!((v_naive - v_ws).abs() <= 1e-10 * (1.0 + v_naive.abs()));
             for (a, b) in g_ws.iter().zip(&g_naive) {
                 assert!((a - b).abs() <= 1e-10 * (1.0 + b.abs()));
@@ -527,9 +515,8 @@ mod tests {
             ws.prepare(&x);
             assert_eq!(ws.n(), n);
             let params = vec![(0.5f64).ln(), (0.5f64).ln(), 0.0, (1e-4f64).ln()];
-            let (v_naive, _) = mll_and_grad(KernelType::Matern52, &x, &y_std, &params).unwrap();
-            let (v_ws, _) =
-                mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
+            let (v_naive, _) = mll_and_grad(&x, &y_std, &params).unwrap();
+            let (v_ws, _) = mll_and_grad_ws(&mut ws, &y_std, &params).unwrap();
             assert!((v_naive - v_ws).abs() <= 1e-10 * (1.0 + v_naive.abs()));
         }
     }
@@ -554,10 +541,8 @@ mod tests {
         for (i, (a, b)) in inc.sqdiff.iter().zip(&fresh.sqdiff).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "sqdiff[{i}]");
         }
-        let (v_inc, g_inc) =
-            mll_and_grad_ws(KernelType::Matern52, &mut inc, &y_std, &params).unwrap();
-        let (v_fresh, g_fresh) =
-            mll_and_grad_ws(KernelType::Matern52, &mut fresh, &y_std, &params).unwrap();
+        let (v_inc, g_inc) = mll_and_grad_ws(&mut inc, &y_std, &params).unwrap();
+        let (v_fresh, g_fresh) = mll_and_grad_ws(&mut fresh, &y_std, &params).unwrap();
         assert_eq!(v_inc.to_bits(), v_fresh.to_bits());
         for (a, b) in g_inc.iter().zip(&g_fresh) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -597,8 +582,8 @@ mod tests {
         let mut ws = FitWorkspace::new();
         ws.prepare(&x);
         let params = vec![0.0, 0.0, 0.0, (1e-2f64).ln()];
-        let (v, g) = mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap();
-        let (vn, gn) = mll_and_grad(KernelType::Matern52, &x, &y_std, &params).unwrap();
+        let (v, g) = mll_and_grad_ws(&mut ws, &y_std, &params).unwrap();
+        let (vn, gn) = mll_and_grad(&x, &y_std, &params).unwrap();
         assert!((v - vn).abs() <= 1e-12 * (1.0 + vn.abs()));
         for (a, b) in g.iter().zip(&gn) {
             assert!((a - b).abs() <= 1e-12 * (1.0 + b.abs()));
@@ -612,11 +597,11 @@ mod tests {
         ws.prepare(&x);
         let params = vec![0.0, 0.0, 0.0, (1e-4f64).ln()];
         assert!(matches!(
-            mll_and_grad_ws(KernelType::Rbf, &mut ws, &[0.0; 3], &params),
+            mll_and_grad_ws(&mut ws, &[0.0; 3], &params),
             Err(GpError::BadTrainingData(_))
         ));
         assert!(matches!(
-            mll_and_grad_ws(KernelType::Rbf, &mut ws, &[0.0; 6], &params[..3]),
+            mll_and_grad_ws(&mut ws, &[0.0; 6], &params[..3]),
             Err(GpError::BadHyperparameters(_))
         ));
     }

@@ -5,7 +5,7 @@
 //! heap at all. This file holds exactly one test so
 //! no concurrent test thread can pollute the counter.
 
-use pbo_gp::kernel::{Kernel, KernelType};
+use pbo_gp::kernel::Kernel;
 use pbo_gp::{GaussianProcess, PredictWorkspace};
 use pbo_linalg::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -53,7 +53,7 @@ fn fitted_gp(n: usize, d: usize) -> GaussianProcess {
         }
         y.push(s + (3.0 * x[(i, 0)]).sin());
     }
-    let mut kernel = Kernel::new(KernelType::Matern52, d);
+    let mut kernel = Kernel::new(d);
     kernel.lengthscales = vec![0.4; d];
     GaussianProcess::new(x, &y, kernel, 1e-6).unwrap()
 }

@@ -2,7 +2,7 @@
 
 //! Property-based tests of Gaussian-process invariants.
 
-use pbo_gp::kernel::{Kernel, KernelType};
+use pbo_gp::kernel::Kernel;
 use pbo_gp::GaussianProcess;
 use pbo_linalg::Matrix;
 use proptest::prelude::*;
@@ -26,7 +26,7 @@ fn dataset() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
 }
 
 fn gp(x: Matrix, y: &[f64], ls: f64, noise: f64) -> GaussianProcess {
-    let mut kernel = Kernel::new(KernelType::Matern52, 2);
+    let mut kernel = Kernel::new(2);
     kernel.lengthscales = vec![ls; 2];
     GaussianProcess::new(x, y, kernel, noise).unwrap()
 }
@@ -117,26 +117,20 @@ proptest! {
         params.push(log_noise);
         let mut ws = pbo_gp::FitWorkspace::new();
         ws.prepare(&x);
-        for family in [KernelType::Matern52, KernelType::Matern32, KernelType::Rbf] {
-            let (v_naive, g_naive) =
-                pbo_gp::fit::mll_and_grad(family, &x, &y_std, &params).unwrap();
-            let (v_ws, g_ws) =
-                pbo_gp::workspace::mll_and_grad_ws(family, &mut ws, &y_std, &params)
-                    .unwrap();
-            prop_assert!((v_ws - v_naive).abs() <= 1e-10 * (1.0 + v_naive.abs()),
-                         "{} value: ws {v_ws} vs naive {v_naive}", family.name());
-            for (i, (a, b)) in g_ws.iter().zip(&g_naive).enumerate() {
-                prop_assert!((a - b).abs() <= 1e-10 * (1.0 + b.abs()),
-                             "{} grad[{i}]: ws {a} vs naive {b} (n={n}, d={d})",
-                             family.name());
-            }
-            // A second evaluation through the reused buffers repeats the bits.
-            let (v_again, g_again) =
-                pbo_gp::workspace::mll_and_grad_ws(family, &mut ws, &y_std, &params)
-                    .unwrap();
-            prop_assert!(v_again.to_bits() == v_ws.to_bits() && g_again == g_ws,
-                         "{} repeated evaluation diverged", family.name());
+        let (v_naive, g_naive) = pbo_gp::fit::mll_and_grad(&x, &y_std, &params).unwrap();
+        let (v_ws, g_ws) =
+            pbo_gp::workspace::mll_and_grad_ws(&mut ws, &y_std, &params).unwrap();
+        prop_assert!((v_ws - v_naive).abs() <= 1e-10 * (1.0 + v_naive.abs()),
+                     "value: ws {v_ws} vs naive {v_naive}");
+        for (i, (a, b)) in g_ws.iter().zip(&g_naive).enumerate() {
+            prop_assert!((a - b).abs() <= 1e-10 * (1.0 + b.abs()),
+                         "grad[{i}]: ws {a} vs naive {b} (n={n}, d={d})");
         }
+        // A second evaluation through the reused buffers repeats the bits.
+        let (v_again, g_again) =
+            pbo_gp::workspace::mll_and_grad_ws(&mut ws, &y_std, &params).unwrap();
+        prop_assert!(v_again.to_bits() == v_ws.to_bits() && g_again == g_ws,
+                     "repeated evaluation diverged");
     }
 
     #[test]

@@ -14,39 +14,21 @@ use crate::{Bounds, GradObjective, OptResult};
 use pbo_linalg::vec_ops::{dot, norm_inf};
 use std::collections::VecDeque;
 
-/// Tunables for [`minimize`]. `Default` matches scipy's L-BFGS-B
-/// defaults where they carry over.
-#[derive(Debug, Clone)]
-pub struct LbfgsConfig {
-    /// History pairs kept for the two-loop recursion.
-    pub memory: usize,
-    /// Maximum outer iterations.
-    pub max_iters: usize,
-    /// Convergence threshold on the projected-gradient infinity norm.
-    pub grad_tol: f64,
-    /// Convergence threshold on relative objective decrease.
-    pub f_tol: f64,
-    /// Wolfe sufficient-decrease constant (`c1`).
-    pub wolfe_c1: f64,
-    /// Wolfe curvature constant (`c2`).
-    pub wolfe_c2: f64,
-    /// Maximum line-search function evaluations per iteration.
-    pub max_ls: usize,
-}
+// Fixed tunables of `minimize`; they match scipy's L-BFGS-B defaults
+// where they carry over. Only the iteration budget varies by caller.
 
-impl Default for LbfgsConfig {
-    fn default() -> Self {
-        LbfgsConfig {
-            memory: 8,
-            max_iters: 100,
-            grad_tol: 1e-6,
-            f_tol: 1e-12,
-            wolfe_c1: 1e-4,
-            wolfe_c2: 0.9,
-            max_ls: 25,
-        }
-    }
-}
+/// History pairs kept for the two-loop recursion.
+const MEMORY: usize = 8;
+/// Convergence threshold on the projected-gradient infinity norm.
+const GRAD_TOL: f64 = 1e-6;
+/// Convergence threshold on relative objective decrease.
+const F_TOL: f64 = 1e-12;
+/// Wolfe sufficient-decrease constant (`c1`).
+const WOLFE_C1: f64 = 1e-4;
+/// Wolfe curvature constant (`c2`).
+const WOLFE_C2: f64 = 0.9;
+/// Maximum line-search function evaluations per iteration.
+const MAX_LS: usize = 25;
 
 /// Zero the gradient components that push out of the box at an active
 /// bound; the result is the projected gradient whose norm is the
@@ -100,7 +82,6 @@ struct LsPoint {
 /// Strong-Wolfe line search (Nocedal & Wright, Algs. 3.5/3.6) along the
 /// projected path. Returns `None` when no acceptable step exists within
 /// the evaluation budget.
-#[allow(clippy::too_many_arguments)]
 fn wolfe_search<O: GradObjective + ?Sized>(
     obj: &O,
     bounds: &Bounds,
@@ -108,7 +89,6 @@ fn wolfe_search<O: GradObjective + ?Sized>(
     f0: f64,
     d: &[f64],
     dphi0: f64,
-    cfg: &LbfgsConfig,
     evals: &mut usize,
 ) -> Option<LsPoint> {
     let probe = |alpha: f64, evals: &mut usize| -> LsPoint {
@@ -119,8 +99,8 @@ fn wolfe_search<O: GradObjective + ?Sized>(
         let dphi = dot(&g, d);
         LsPoint { alpha, x: xa, f, g, dphi }
     };
-    let armijo = |p: &LsPoint| p.f <= f0 + cfg.wolfe_c1 * p.alpha * dphi0;
-    let curvature = |p: &LsPoint| p.dphi.abs() <= -cfg.wolfe_c2 * dphi0;
+    let armijo = |p: &LsPoint| p.f <= f0 + WOLFE_C1 * p.alpha * dphi0;
+    let curvature = |p: &LsPoint| p.dphi.abs() <= -WOLFE_C2 * dphi0;
 
     // Bracketing phase.
     let alpha_max = 1e6;
@@ -130,7 +110,7 @@ fn wolfe_search<O: GradObjective + ?Sized>(
     let mut lo: Option<LsPoint> = None;
     let mut hi: Option<LsPoint> = None;
     let mut used = 0usize;
-    while used < cfg.max_ls {
+    while used < MAX_LS {
         let p = probe(alpha, evals);
         used += 1;
         if !p.f.is_finite() {
@@ -168,7 +148,7 @@ fn wolfe_search<O: GradObjective + ?Sized>(
     let mut f_lo = prev_f;
     let mut a_hi = hi.map_or(alpha, |p| p.alpha);
     let mut best: Option<LsPoint> = None;
-    while used < cfg.max_ls {
+    while used < MAX_LS {
         let a = 0.5 * (a_lo + a_hi);
         if (a_hi - a_lo).abs() < 1e-14 * (1.0 + a_lo.abs()) {
             break;
@@ -194,7 +174,8 @@ fn wolfe_search<O: GradObjective + ?Sized>(
     best.filter(|p| p.f < f0)
 }
 
-/// Minimize `obj` over the box `bounds` starting from `x0`.
+/// Minimize `obj` over the box `bounds` starting from `x0`, in at most
+/// `max_iters` outer iterations.
 ///
 /// Generic over the objective (rather than `&dyn GradObjective`) so the
 /// multistart driver can hand in `?Sized` trait objects and concrete
@@ -203,7 +184,7 @@ pub fn minimize<O: GradObjective + ?Sized>(
     obj: &O,
     bounds: &Bounds,
     x0: &[f64],
-    cfg: &LbfgsConfig,
+    max_iters: usize,
 ) -> OptResult {
     assert_eq!(x0.len(), bounds.dim(), "start point dimension mismatch");
     let mut x = x0.to_vec();
@@ -218,10 +199,10 @@ pub fn minimize<O: GradObjective + ?Sized>(
         return OptResult { x, value: f, evals, iters, converged: false, restart_shortfall: 0 };
     }
 
-    for it in 0..cfg.max_iters {
+    for it in 0..max_iters {
         iters = it + 1;
         let pg = project_gradient(&g, &x, bounds);
-        if norm_inf(&pg) < cfg.grad_tol {
+        if norm_inf(&pg) < GRAD_TOL {
             converged = true;
             break;
         }
@@ -245,10 +226,10 @@ pub fn minimize<O: GradObjective + ?Sized>(
             }
         }
 
-        let Some(p) = wolfe_search(obj, bounds, &x, f, &d, dphi0, cfg, &mut evals) else {
+        let Some(p) = wolfe_search(obj, bounds, &x, f, &d, dphi0, &mut evals) else {
             // No acceptable step: declare convergence if the projected
             // gradient is already small-ish, else give up.
-            converged = norm_inf(&pg) < cfg.grad_tol * 100.0;
+            converged = norm_inf(&pg) < GRAD_TOL * 100.0;
             break;
         };
 
@@ -256,7 +237,7 @@ pub fn minimize<O: GradObjective + ?Sized>(
         let y: Vec<f64> = p.g.iter().zip(&g).map(|(a, b)| a - b).collect();
         let sy = dot(&s, &y);
         if sy > 1e-10 * pbo_linalg::vec_ops::norm2(&s) * pbo_linalg::vec_ops::norm2(&y) {
-            if history.len() == cfg.memory {
+            if history.len() == MEMORY {
                 history.pop_front();
             }
             history.push_back((s, y, 1.0 / sy));
@@ -266,7 +247,7 @@ pub fn minimize<O: GradObjective + ?Sized>(
         x = p.x;
         f = p.f;
         g = p.g;
-        if (f_prev - f).abs() <= cfg.f_tol * (1.0 + f.abs()) {
+        if (f_prev - f).abs() <= F_TOL * (1.0 + f.abs()) {
             converged = true;
             break;
         }
@@ -310,7 +291,7 @@ mod tests {
     fn solves_unconstrained_quadratic() {
         let obj = quadratic(5);
         let b = Bounds::cube(5, -10.0, 10.0);
-        let r = minimize(&obj, &b, &[5.0; 5], &LbfgsConfig::default());
+        let r = minimize(&obj, &b, &[5.0; 5], 100);
         assert!(r.converged);
         for (i, v) in r.x.iter().enumerate() {
             assert!((v - 0.3 * i as f64).abs() < 1e-4, "x[{i}] = {v}");
@@ -326,7 +307,7 @@ mod tests {
             |x: &[f64]| ((x[0] - 5.0).powi(2), vec![2.0 * (x[0] - 5.0)]),
         );
         let b = Bounds::cube(1, 0.0, 1.0);
-        let r = minimize(&obj, &b, &[0.2], &LbfgsConfig::default());
+        let r = minimize(&obj, &b, &[0.2], 100);
         assert!((r.x[0] - 1.0).abs() < 1e-9);
         assert!(r.converged);
     }
@@ -342,8 +323,7 @@ mod tests {
             (rb(x), g)
         });
         let b = Bounds::cube(2, -5.0, 10.0);
-        let cfg = LbfgsConfig { max_iters: 500, ..LbfgsConfig::default() };
-        let r = minimize(&obj, &b, &[-1.2, 1.0], &cfg);
+        let r = minimize(&obj, &b, &[-1.2, 1.0], 500);
         assert!(
             (r.x[0] - 1.0).abs() < 1e-3 && (r.x[1] - 1.0).abs() < 1e-3,
             "got {:?} after {} iters",
@@ -357,7 +337,7 @@ mod tests {
         let obj =
             FnGradObjective::new(1, |_: &[f64]| f64::NAN, |_: &[f64]| (f64::NAN, vec![f64::NAN]));
         let b = Bounds::unit(1);
-        let r = minimize(&obj, &b, &[0.5], &LbfgsConfig::default());
+        let r = minimize(&obj, &b, &[0.5], 100);
         assert!(!r.converged);
         assert_eq!(r.evals, 1);
     }
@@ -366,7 +346,7 @@ mod tests {
     fn clamps_out_of_box_start() {
         let obj = quadratic(2);
         let b = Bounds::unit(2);
-        let r = minimize(&obj, &b, &[100.0, -100.0], &LbfgsConfig::default());
+        let r = minimize(&obj, &b, &[100.0, -100.0], 100);
         assert!(b.contains(&r.x));
     }
 }

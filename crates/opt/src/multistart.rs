@@ -19,7 +19,7 @@
 //!   winner is reduced by the total order `(value, start index)` — the
 //!   exact strict-`<`, earliest-wins rule of a serial left fold.
 
-use crate::lbfgs::{self, LbfgsConfig};
+use crate::lbfgs;
 use crate::{BatchObjective, Bounds, OptResult};
 use pbo_linalg::parallel;
 use pbo_sampling::sobol::Sobol;
@@ -41,15 +41,15 @@ pub struct MultistartConfig {
     pub raw_samples: usize,
     /// Local polishes performed (top-k of the raw scores + warm starts).
     pub restarts: usize,
-    /// Local optimizer settings.
-    pub lbfgs: LbfgsConfig,
+    /// L-BFGS iterations per polish.
+    pub max_iters: usize,
     /// Seed for the scrambled Sobol raw batch.
     pub seed: u64,
 }
 
 impl Default for MultistartConfig {
     fn default() -> Self {
-        MultistartConfig { raw_samples: 128, restarts: 8, lbfgs: LbfgsConfig::default(), seed: 0 }
+        MultistartConfig { raw_samples: 128, restarts: 8, max_iters: 100, seed: 0 }
     }
 }
 
@@ -169,7 +169,7 @@ pub fn minimize_multistart<O: BatchObjective + ?Sized>(
     let (starts, mut evals, shortfall) = select_starts(obj, bounds, warm_starts, cfg);
 
     let results: Vec<Option<OptResult>> = parallel::par_map(starts.len(), 1, |i| {
-        Some(lbfgs::minimize(obj, bounds, &starts[i], &cfg.lbfgs))
+        Some(lbfgs::minimize(obj, bounds, &starts[i], cfg.max_iters))
     });
     // Fold the polished results down to the winner by the total order
     // `(value, start index)` — non-finite values lose to everything.

@@ -315,7 +315,6 @@ fn cloud(n: usize, d: usize) -> Vec<Vec<f64>> {
 #[test]
 fn mll_and_grad_is_bit_identical_for_any_thread_count() {
     use pbo::gp::workspace::{mll_and_grad_ws, FitWorkspace};
-    use pbo::gp::KernelType;
     use pbo::linalg::{Cholesky, Matrix};
     let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap();
     // n = 300 is past BIT_EXACT_MAX_N and large enough that the kernel
@@ -333,7 +332,7 @@ fn mll_and_grad_is_bit_identical_for_any_thread_count() {
     let eval = || {
         let mut ws = FitWorkspace::new();
         ws.prepare(&x);
-        mll_and_grad_ws(KernelType::Matern52, &mut ws, &y_std, &params).unwrap()
+        mll_and_grad_ws(&mut ws, &y_std, &params).unwrap()
     };
     let a = gram(n);
     let (v1, g1) = at_threads(1, eval);

@@ -249,29 +249,13 @@ fn builder_and_facade_reject_invalid_configs_with_typed_errors() {
         ConfigError::InitialSamplesTooSmall { got: 1 }
     );
 
-    // 3. Non-finite UCB weight.
-    let mut cfg = AlgoConfig::test_profile();
-    cfg.acq.ucb_beta = f64::NAN;
-    assert!(matches!(
-        run(AlgorithmKind::MicQEgo, &p, &test_budget(), cfg, NullObserver).unwrap_err(),
-        ConfigError::Negative { field: "cfg.acq.ucb_beta", .. }
-    ));
-
-    // 4. Shrinking retry backoff.
+    // 3. Shrinking retry backoff.
     let mut cfg = AlgoConfig::test_profile();
     cfg.ft.backoff_factor = 0.9;
     assert_eq!(
         run(AlgorithmKind::McQEgo, &p, &test_budget(), cfg, NullObserver).unwrap_err(),
         ConfigError::BackoffFactorTooSmall { got: 0.9 }
     );
-
-    // 5. Inverted fit bounds.
-    let mut cfg = AlgoConfig::test_profile();
-    cfg.fit.log_ls_bounds = (2.0, -2.0);
-    assert!(matches!(
-        run(AlgorithmKind::BspEgo, &p, &test_budget(), cfg, NullObserver).unwrap_err(),
-        ConfigError::InvalidFitBounds { field: "cfg.fit.log_ls_bounds", .. }
-    ));
 
     // Errors render as readable messages.
     let msg = ConfigError::ZeroBatchSize.to_string();

@@ -3,7 +3,7 @@
 
 use pbo::acq::single::{ExpectedImprovement, ProbabilityOfImprovement};
 use pbo::acq::Acquisition;
-use pbo::gp::kernel::{Kernel, KernelType};
+use pbo::gp::kernel::Kernel;
 use pbo::gp::GaussianProcess;
 use pbo::linalg::Matrix;
 use pbo::uphes::schedule::Schedule;
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 fn gp_from_data(xs: &[Vec<f64>], ys: &[f64]) -> GaussianProcess {
     let x = Matrix::from_rows(xs).unwrap();
-    let mut kernel = Kernel::new(KernelType::Matern52, xs[0].len());
+    let mut kernel = Kernel::new(xs[0].len());
     kernel.lengthscales = vec![0.4; xs[0].len()];
     GaussianProcess::new(x, ys, kernel, 1e-5).unwrap()
 }
