@@ -9,6 +9,8 @@ use pbo_server::client::{drive, Client};
 use pbo_server::registry::{GcPolicy, Registry};
 use pbo_server::server::Server;
 use std::collections::HashMap;
+use std::fs::{File, TryLockError};
+use std::path::Path;
 use std::sync::Arc;
 
 fn main() {
@@ -37,7 +39,34 @@ fn main() {
     }
 }
 
+/// Lock `<dir>/pbo-server.lock` for as long as the returned file is
+/// open: exclusively for `serve` and `gc`, shared for `validate`. A
+/// directory whose lock another process holds is refused, so `gc` and
+/// `validate` never touch the files of a live daemon, and two daemons
+/// never serve one directory.
+fn lock_dir(dir: &Path, shared: bool) -> Result<File, String> {
+    if !shared {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create session dir {}: {e}", dir.display()))?;
+    }
+    let path = dir.join("pbo-server.lock");
+    let file = File::options()
+        .append(true)
+        .create(true)
+        .open(&path)
+        .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+    match if shared { file.try_lock_shared() } else { file.try_lock() } {
+        Ok(()) => Ok(file),
+        Err(TryLockError::WouldBlock) => Err(format!(
+            "session dir {} is locked by another pbo-server process (a daemon serving it, or gc)",
+            dir.display()
+        )),
+        Err(TryLockError::Error(e)) => Err(format!("cannot lock {}: {e}", path.display())),
+    }
+}
+
 fn serve(opts: ServeOpts) -> Result<(), String> {
+    let _lock = lock_dir(&opts.dir, false)?;
     let registry = Arc::new(Registry::open(&opts.dir)?);
     let restored = registry.len();
     let server = Server::bind_with(registry, &opts.addr, opts.config)
@@ -123,6 +152,7 @@ fn run_drive(opts: DriveOpts) -> Result<(), String> {
 }
 
 fn gc(opts: GcOpts) -> Result<(), String> {
+    let _lock = lock_dir(&opts.dir, false)?;
     let registry = Registry::open(&opts.dir)?;
     let policy = GcPolicy { max_age_secs: opts.max_age_secs, keep_newest: opts.keep.unwrap_or(0) };
     let report = registry.gc(&policy);
@@ -139,7 +169,8 @@ fn gc(opts: GcOpts) -> Result<(), String> {
     Ok(())
 }
 
-fn validate(dir: &std::path::Path) -> Result<(), String> {
+fn validate(dir: &Path) -> Result<(), String> {
+    let _lock = lock_dir(dir, true)?;
     let mut ok = 0usize;
     let mut corrupt = 0usize;
     let mut mismatched = 0usize;
@@ -220,6 +251,48 @@ mod tests {
     use pbo_core::budget::Budget;
     use pbo_core::session::{ProblemSpec, SessionConfig, SessionProfile};
     use pbo_problems::{Problem, SyntheticFn};
+
+    /// While another process holds the directory's lock, as a live
+    /// daemon does, `gc` and `validate` refuse it and delete nothing.
+    #[test]
+    fn gc_and_validate_refuse_a_directory_a_daemon_holds() {
+        let dir = std::env::temp_dir().join(format!("pbo_gc_locked_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let p = SyntheticFn::ackley(2);
+        let reg = Registry::open(&dir).unwrap();
+        let cfg = SessionConfig {
+            algorithm: AlgorithmKind::RandomSearch,
+            problem: ProblemSpec::of(&p),
+            budget: Budget::cycles(2, 2).with_initial_samples(4),
+            profile: SessionProfile::Test,
+            seed: 1,
+        };
+        reg.create("done1", cfg).unwrap();
+        while reg.status("done1").unwrap().0.phase != "done" {
+            let ask = reg.ask("done1").unwrap();
+            let values: Vec<f64> = ask.points.iter().map(|x| p.eval(x)).collect();
+            reg.tell("done1", ask.turn, &values).unwrap();
+        }
+        drop(reg);
+        let daemon =
+            File::options().append(true).create(true).open(dir.join("pbo-server.lock")).unwrap();
+        daemon.try_lock().unwrap();
+
+        let opts = GcOpts { dir: dir.clone(), max_age_secs: None, keep: Some(0) };
+        for result in [gc(opts), validate(&dir)] {
+            let e = result.unwrap_err();
+            assert!(e.contains(&dir.display().to_string()), "{e}");
+        }
+        for file in ["done1.session.json", "done1.record.json"] {
+            assert!(dir.join(file).is_file(), "{file} was deleted");
+        }
+
+        drop(daemon);
+        assert_eq!(validate(&dir), Ok(()));
+        gc(GcOpts { dir: dir.clone(), max_age_secs: None, keep: Some(0) }).unwrap();
+        assert!(!dir.join("done1.session.json").exists());
+        let _ = std::fs::remove_dir_all(dir);
+    }
 
     /// `validate` files a checkpoint under its file name, as a restart
     /// does: one that names another session is corrupt, and its record

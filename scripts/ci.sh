@@ -100,7 +100,9 @@ if [[ "${1:-}" != "--quick" ]]; then
   # Then kill -9 and restart once more: the finished session's record,
   # served from its record file, must still match, and `validate` must
   # cross-check that file against the replayed checkpoint. Last, an
-  # offline `gc` evicts the finished session and keeps a corrupt one.
+  # offline `gc` evicts the finished session and keeps a corrupt one;
+  # while the first daemon is live, `gc` and `validate` refuse its
+  # directory.
   echo "== pbo-server smoke: kill -9 / restart / resume is byte-identical =="
   srv=target/ci-server
   rm -rf "$srv"; mkdir -p "$srv"
@@ -117,6 +119,18 @@ if [[ "${1:-}" != "--quick" ]]; then
   start_daemon
   target/release/pbo-server drive --addr "$(cat "$srv/addr")" \
     "${session[@]}" --stop-after 2 >/dev/null
+  # Live-daemon leg: while the daemon holds the directory's lock, gc
+  # and validate must refuse it and leave the session's checkpoint.
+  if target/release/pbo-server gc --dir "$srv/sessions" --keep 0 >/dev/null 2>&1; then
+    echo "gc ran on a directory a live daemon serves" >&2
+    exit 1
+  fi
+  if target/release/pbo-server validate "$srv/sessions" >/dev/null 2>&1; then
+    echo "validate ran on a directory a live daemon serves" >&2
+    exit 1
+  fi
+  [[ -f "$srv/sessions/ci-smoke.session.json" ]] ||
+    { echo "an offline command deleted a live daemon's checkpoint" >&2; exit 1; }
   kill -9 "$daemon_pid"; wait "$daemon_pid" 2>/dev/null || true
   rm -f "$srv/addr"
   start_daemon
